@@ -201,14 +201,14 @@ class _RankOracle:
         self.forms = arr.forms
         self.d = len(arr.forms)
         self._rank_cache = {}
-        self._rows = [
+        self.rows = [
             {j: Fraction(x) for j, x in enumerate(f) if x} for f in arr.forms
         ]
 
     def _echelon(self, subset):
         ech = SparseEchelon()
         for i in subset:
-            ech.insert(self._rows[i])
+            ech.insert(self.rows[i])
         return ech
 
     def rank(self, subset) -> int:
@@ -221,10 +221,13 @@ class _RankOracle:
 
     def closure(self, subset) -> tuple:
         ech = self._echelon(subset)
-        return tuple(j for j in range(self.d) if ech.contains(self._rows[j]))
+        return tuple(j for j in range(self.d) if ech.contains(self.rows[j]))
 
     def is_independent(self, subset) -> bool:
         return self.rank(subset) == len(subset)
+
+    def in_span(self, index, subset) -> bool:
+        return self.rank(subset + (index,)) == self.rank(subset)
 
 
 @lru_cache(maxsize=None)

@@ -5,16 +5,20 @@ Arrangement file grammar (JSON):
     {
       "ambient_dim": 3,
       "forms": [[1,0,0],[0,1,0],[0,0,1]],
-      "labels": ["x","y","z"],          // optional
+      "labels": ["x","y","z"],          // optional; strings
       "multiplicities": [1,1,1]          // optional; collapsed with a warning
     }
 
 Subspace file grammar (JSON): {"basis": [[...], ...]}.
 
+Every number in either file must be a JSON integer: booleans, floats and
+numeric strings are malformed input.
+
 Exit codes: 0 success, 2 malformed input, 3 violated precondition (for
-example `exponents` on a non-supersolvable arrangement).  Every report
-embeds the input digest and tool version; identical inputs produce byte
-identical reports.
+example `exponents` on a non-supersolvable arrangement), 4 internal
+inconsistency (an identity every valid input satisfies failed, which points
+at a defect in arrtop itself).  Every report embeds the input digest and
+tool version; identical inputs produce byte identical reports.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .arrangement import (
 from .errors import (
     ArrtopError,
     InputError,
+    InternalInconsistency,
     NotSupersolvable,
     ParseError,
     PreconditionError,
@@ -79,6 +84,11 @@ def _encode(value):
     return value
 
 
+def _is_int(value):
+    """A JSON integer.  Python counts booleans as ints; JSON does not."""
+    return type(value) is int
+
+
 def load_arrangement_file(path):
     """Parse and normalize an arrangement file; returns (arrangement, raw
     bytes, warnings)."""
@@ -98,7 +108,7 @@ def load_arrangement_file(path):
             raise ParseError(f"{path}: missing field '{key}'")
     ambient = data["ambient_dim"]
     forms = data["forms"]
-    if not isinstance(ambient, int) or ambient < 1:
+    if not _is_int(ambient) or ambient < 1:
         raise ParseError(f"{path}: ambient_dim must be a positive integer")
     if not isinstance(forms, list) or not forms:
         raise ParseError(f"{path}: forms must be a nonempty list")
@@ -107,18 +117,20 @@ def load_arrangement_file(path):
             raise ParseError(
                 f"{path}: form {i} must be a list of length {ambient}"
             )
-        if not all(isinstance(x, int) for x in row):
+        if not all(map(_is_int, row)):
             raise ParseError(f"{path}: form {i} must contain integers only")
     labels = data.get("labels")
     if labels is not None and (
-        not isinstance(labels, list) or len(labels) != len(forms)
+        not isinstance(labels, list)
+        or len(labels) != len(forms)
+        or not all(isinstance(label, str) for label in labels)
     ):
-        raise ParseError(f"{path}: labels must match the number of forms")
+        raise ParseError(f"{path}: labels must be one string per form")
     multiplicities = data.get("multiplicities")
     if multiplicities is not None and (
         not isinstance(multiplicities, list)
         or len(multiplicities) != len(forms)
-        or not all(isinstance(m, int) and m >= 1 for m in multiplicities)
+        or not all(_is_int(m) and m >= 1 for m in multiplicities)
     ):
         raise ParseError(f"{path}: multiplicities must be positive integers per form")
     arr = normalize(forms, ambient, labels=labels, multiplicities=multiplicities)
@@ -149,10 +161,10 @@ def load_subspace_file(path) -> Subspace:
     basis = data["basis"]
     if not isinstance(basis, list) or not basis:
         raise ParseError(f"{path}: basis must be a nonempty list of vectors")
-    try:
-        return Subspace(tuple(tuple(int(x) for x in v) for v in basis))
-    except (TypeError, ValueError):
+    if not all(isinstance(v, list) and all(map(_is_int, v)) for v in basis):
         raise ParseError(f"{path}: basis vectors must be integer lists")
+    try:
+        return Subspace(tuple(tuple(v) for v in basis))
     except ArrtopError as exc:
         raise ParseError(f"{path}: {exc}")
 
@@ -420,6 +432,9 @@ def main(argv=None):
     except PreconditionError as exc:
         emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return 3
+    except InternalInconsistency as exc:
+        emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
+        return 4
     emit(report)
     return 0
 

@@ -1,7 +1,9 @@
 """Exception hierarchy.
 
 InputError covers malformed input data (CLI exit code 2); PreconditionError
-covers violated mathematical preconditions (CLI exit code 3).
+covers violated mathematical preconditions (CLI exit code 3);
+InternalInconsistency means an identity the computation guarantees failed
+(CLI exit code 4).
 """
 
 
@@ -15,6 +17,12 @@ class InputError(ArrtopError):
 
 class PreconditionError(ArrtopError):
     pass
+
+
+class InternalInconsistency(ArrtopError):
+    """An identity that holds for every valid input failed: a defect in the
+    computation, not in the input.  Raised, not asserted, so the checks
+    still run under python -O."""
 
 
 # exact arithmetic

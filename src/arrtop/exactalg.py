@@ -91,6 +91,21 @@ def row_reduce(m: QMatrix):
 # ---------------------------------------------------------------------------
 # sparse exact elimination (rows as {column: Fraction} dicts)
 
+def sub_scaled(acc, vec, coeff):
+    """acc -= coeff * vec in place, for sparse {key: value} vectors; entries
+    that cancel are dropped, so acc never stores a zero.
+
+    Subtracting rather than adding lets elimination pass the pivot entry as
+    it is; negating a Fraction on every elimination step measurably slows
+    the lattice build."""
+    for key, val in vec.items():
+        nv = acc.get(key, 0) - coeff * val
+        if nv:
+            acc[key] = nv
+        else:
+            acc.pop(key, None)
+
+
 class SparseEchelon:
     """Incremental echelon basis of a row space over Q.
 
@@ -115,13 +130,7 @@ class SparseEchelon:
             piv = self.pivot_rows.get(c)
             if piv is None:
                 break
-            f = v[c]
-            for col, val in piv.items():
-                nv = v.get(col, 0) - f * val
-                if nv:
-                    v[col] = nv
-                else:
-                    v.pop(col, None)
+            sub_scaled(v, piv, v[c])
         return v
 
     def reduce_coordinates(self, vec):
@@ -137,13 +146,7 @@ class SparseEchelon:
             if not hits:
                 return v
             c = min(hits)
-            f = v[c]
-            for col, val in self.pivot_rows[c].items():
-                nv = v.get(col, 0) - f * val
-                if nv:
-                    v[col] = nv
-                else:
-                    v.pop(col, None)
+            sub_scaled(v, self.pivot_rows[c], v[c])
 
     def insert(self, vec) -> bool:
         """Insert a row; returns True if it enlarged the row space."""
@@ -176,12 +179,7 @@ def sparse_compose(rows_a, rows_b):
     for ra in rows_a:
         acc = {}
         for mid, ca in ra.items():
-            for tgt, cb in rows_b[mid].items():
-                nv = acc.get(tgt, 0) + ca * cb
-                if nv:
-                    acc[tgt] = nv
-                else:
-                    acc.pop(tgt, None)
+            sub_scaled(acc, rows_b[mid], -ca)
         out.append(acc)
     return out
 
@@ -232,12 +230,7 @@ def smith_invariant_factors(rows):
                 p = mat[pi][pc]
                 q = v // p
                 if q:
-                    for c2, v2 in mat[pi].items():
-                        nv = row.get(c2, 0) - q * v2
-                        if nv:
-                            row[c2] = nv
-                        else:
-                            row.pop(c2, None)
+                    sub_scaled(row, mat[pi], q)
                 if row.get(pc):
                     pi = i
                     restart = True
@@ -445,14 +438,9 @@ class TruncatedSeries:
 
     def mul(self, other) -> "TruncatedSeries":
         d = min(self.truncation_degree, other.truncation_degree)
-        out = [Fraction(0)] * (d + 1)
-        for i, a in enumerate(self.coefficients[: d + 1]):
-            if a:
-                for j in range(d + 1 - i):
-                    b = other.coefficients[j]
-                    if b:
-                        out[i + j] += a * b
-        return TruncatedSeries(tuple(out), d)
+        return TruncatedSeries(
+            tuple(series_mul(self.coefficients, other.coefficients, d)), d
+        )
 
     def integer_coefficients(self):
         """Coefficients as ints; raises ValueError if any is non-integral."""
@@ -472,17 +460,9 @@ def series_of_rational(numerator: IntPolynomial, denominator: IntPolynomial,
     oracle) is that the output convolved with the denominator reproduces the
     numerator through max_degree.
     """
-    d0 = denominator.coefficient(0)
-    if d0 == 0:
-        raise ZeroConstantTerm("denominator has zero constant term")
-    coeffs = []
-    for k in range(max_degree + 1):
-        acc = Fraction(numerator.coefficient(k))
-        for j in range(1, k + 1):
-            dj = denominator.coefficient(j)
-            if dj:
-                acc -= dj * coeffs[k - j]
-        coeffs.append(acc / d0)
+    den = [denominator.coefficient(k) for k in range(max_degree + 1)]
+    coeffs = series_mul(numerator.coefficients, series_inverse(den, max_degree),
+                        max_degree)
     return TruncatedSeries(tuple(coeffs), max_degree)
 
 

@@ -32,6 +32,7 @@ from .arrangement import (
 )
 from .errors import (
     FrameworkNotApplicable,
+    InternalInconsistency,
     NegativeCoefficient,
     NonIntegerRank,
     NotEssential,
@@ -48,8 +49,14 @@ from .exactalg import (
     smith_invariant_factors,
     sparse_compose,
     sparse_rank,
+    sub_scaled,
 )
-from .oscohomology import cohomology_view, holonomy_envelope, reduced_diagonal
+from .oscohomology import (
+    _check_work_bound,
+    cohomology_view,
+    holonomy_envelope,
+    reduced_diagonal,
+)
 
 
 def minimal_cell_counts(arr: Arrangement, central=False):
@@ -126,10 +133,12 @@ def supersolvable_exponents(arr: Arrangement) -> ExponentData:
     if not is_essential(arr):
         raise NotEssential("supersolvable recognition expects an essential arrangement")
     exps = sorted(_chain_exponents(arr))
-    assert sum(exps) == arr.num_hyperplanes
-    assert linear_product(exps) == poincare_central(arr), (
-        "exponent factorization disagrees with the Poincare polynomial"
-    )
+    if sum(exps) != arr.num_hyperplanes:
+        raise InternalInconsistency("exponents do not sum to the hyperplane count")
+    if linear_product(exps) != poincare_central(arr):
+        raise InternalInconsistency(
+            "exponent factorization disagrees with the Poincare polynomial"
+        )
     return ExponentData(tuple(exps))
 
 
@@ -188,38 +197,64 @@ class GradedChainComplex:
             nxt = self.blocks.get((q - 1, t))
             if not nxt:
                 continue
-            for row in sparse_compose(rows, nxt):
-                assert not row, f"differential square nonzero at (q={q}, t={t})"
+            if any(sparse_compose(rows, nxt)):
+                raise InternalInconsistency(
+                    f"differential square nonzero at (q={q}, t={t})"
+                )
 
 
-def _delta_rows(view, env, q, t, sign=1):
+def _delta_rows(view, env, q, t, sign=1, left=False):
     """Differential block H_q (x) U^(t-q) -> H_(q-1) (x) U^(t-q+1) assembled
-    from the dual cup structure extended by generator multiplication."""
+    from the dual cup structure extended by generator multiplication; with
+    left set, the mirror block U (x) H_q -> U (x) H_(q-1) from the left cup
+    action and right multiplication."""
     s = t - q
     dim_q = view.dim(q)
     if dim_q == 0 or s < 0 or env.dim(s) == 0:
         return []
-    cup = view.cup_rows(q)
     # transpose once: for each H_q basis index, the (T, j, coeff) triples
+    # with T in H_(q-1) and j in H_1
     transposed = [[] for _ in range(dim_q)]
-    for (tt, j), entry in cup.items():
+    for (a, b), entry in view.cup_rows(q, left).items():
+        tt, j = (b, a) if left else (a, b)
         for r, c in entry.items():
-            transposed[r].append((tt, j, c))
-    dim_u_next = env.dim(s + 1)
+            transposed[r].append((tt, j, sign * c))
+    dim_low, dim_u_next = view.dim(q - 1), env.dim(s + 1)
+    if left:
+        sources = [(r, w) for w in range(env.dim(s)) for r in range(dim_q)]
+    else:
+        sources = [(r, w) for r in range(dim_q) for w in range(env.dim(s))]
     rows = []
-    for r in range(dim_q):
-        for w in range(env.dim(s)):
-            row = {}
-            for tt, j, c in transposed[r]:
-                for w2, f in env.generator_product(j, s, w).items():
-                    col = tt * dim_u_next + w2
-                    nv = row.get(col, 0) + sign * c * f
-                    if nv:
-                        row[col] = nv
-                    else:
-                        row.pop(col, None)
-            rows.append(row)
+    for r, w in sources:
+        parts = {}  # T -> coordinates in U^(s+1)
+        for tt, j, c in transposed[r]:
+            part = parts.setdefault(tt, {})
+            sub_scaled(part, env.generator_product(j, s, w, left=not left), -c)
+        rows.append({
+            w2 * dim_low + tt if left else tt * dim_u_next + w2: f
+            for tt, part in parts.items()
+            for w2, f in part.items()
+        })
     return rows
+
+
+def _assemble_complex(arr, max_internal_degree, work_bound, left):
+    view = cohomology_view(arr, True)
+    env = holonomy_envelope(arr, max_internal_degree, projective=True,
+                            work_bound=work_bound)
+    blocks = {}
+    for q in range(1, view.top + 1):
+        sign = -1 if left else (-1) ** q
+        for t in range(q, max_internal_degree + 1):
+            rows = _delta_rows(view, env, q, t, sign, left)
+            if rows:
+                blocks[(q, t)] = rows
+    complex_ = GradedChainComplex(
+        view.betti, [env.dim(k) for k in range(max_internal_degree + 1)],
+        max_internal_degree, blocks,
+    )
+    complex_.check_square_zero()
+    return complex_
 
 
 @lru_cache(maxsize=None)
@@ -228,21 +263,7 @@ def graded_complex(arr: Arrangement, max_internal_degree=4,
     """Associated-graded equivariant chain complex of the projective
     complement, blocks H_q (x) U with differentials (-1)^q times the dual
     cup map, verified to square to zero in every internal degree."""
-    view = cohomology_view(arr, True)
-    env = holonomy_envelope(arr, max_internal_degree, projective=True,
-                            work_bound=work_bound)
-    blocks = {}
-    for q in range(1, view.top + 1):
-        for t in range(q, max_internal_degree + 1):
-            rows = _delta_rows(view, env, q, t, sign=(-1) ** q)
-            if rows:
-                blocks[(q, t)] = rows
-    complex_ = GradedChainComplex(
-        view.betti, [env.dim(k) for k in range(max_internal_degree + 1)],
-        max_internal_degree, blocks,
-    )
-    complex_.check_square_zero()
-    return complex_
+    return _assemble_complex(arr, max_internal_degree, work_bound, left=False)
 
 
 def left_graded_complex(arr: Arrangement, max_internal_degree=4,
@@ -250,42 +271,7 @@ def left_graded_complex(arr: Arrangement, max_internal_degree=4,
     """Mirror complex U (x) H_q with differentials minus the dual of the
     left cup action; used to cross-check homology against the right-handed
     complex."""
-    view = cohomology_view(arr, True)
-    env = holonomy_envelope(arr, max_internal_degree, projective=True,
-                            work_bound=work_bound)
-    blocks = {}
-    for q in range(1, view.top + 1):
-        cup = view.left_cup_rows(q)
-        transposed = [[] for _ in range(view.dim(q))]
-        for (j, tt), entry in cup.items():
-            for r, c in entry.items():
-                transposed[r].append((j, tt, c))
-        for t in range(q, max_internal_degree + 1):
-            s = t - q
-            if env.dim(s) == 0 or view.dim(q) == 0:
-                continue
-            dim_low = view.dim(q - 1)
-            rows = []
-            for w in range(env.dim(s)):
-                for r in range(view.dim(q)):
-                    row = {}
-                    for j, tt, c in transposed[r]:
-                        for w2, f in env.generator_product_right(j, s, w).items():
-                            col = w2 * dim_low + tt
-                            nv = row.get(col, 0) - c * f
-                            if nv:
-                                row[col] = nv
-                            else:
-                                row.pop(col, None)
-                    rows.append(row)
-            if rows:
-                blocks[(q, t)] = rows
-    complex_ = GradedChainComplex(
-        view.betti, [env.dim(k) for k in range(max_internal_degree + 1)],
-        max_internal_degree, blocks,
-    )
-    complex_.check_square_zero()
-    return complex_
+    return _assemble_complex(arr, max_internal_degree, work_bound, left=True)
 
 
 def torus_graded_complex(n, max_internal_degree=4) -> GradedChainComplex:
@@ -345,7 +331,10 @@ def verify_resolution(complex_: GradedChainComplex):
             hom = dim_q - rank_out - rank_in
             if q == 0 and t == 0:
                 hom -= 1
-            assert hom >= 0, f"negative homology rank at (q={q}, t={t})"
+            if hom < 0:
+                raise InternalInconsistency(
+                    f"negative homology rank at (q={q}, t={t})"
+                )
             out[(q, t)] = hom
     return out
 
@@ -404,7 +393,8 @@ def homotopy_cokernel_ranks(section: SectionData, max_degree=5, work_bound=None)
         else:
             rank = 0
         ranks.append(target - rank)
-    assert ranks[0] == view.dim(p + 1)
+    if ranks[0] != view.dim(p + 1):
+        raise InternalInconsistency("lowest cokernel rank differs from b_(p+1)")
     return ranks
 
 
@@ -672,17 +662,8 @@ def integer_audit(arr: Arrangement, max_degree=3, work_bound=None):
     slice, hence every block of the graded complex, is a free abelian group
     and the rational ranks are valid integrally.
     """
-    from .oscohomology import _work_bound
-
-    view = cohomology_view(arr, True)
-    b1 = view.dim(1)
-    bound = _work_bound(work_bound)
-    if b1 > 1 and b1 ** max_degree > bound:
-        from .errors import WorkBoundExceeded
-
-        raise WorkBoundExceeded(
-            f"tensor slice dimension {b1}^{max_degree} exceeds bound {bound}"
-        )
+    b1 = cohomology_view(arr, True).dim(1)
+    _check_work_bound(b1, max_degree, work_bound)
     relations = reduced_diagonal(arr, projective=True).relation_basis
     slices = {}
     all_free = True

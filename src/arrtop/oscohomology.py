@@ -21,19 +21,26 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .arrangement import Arrangement, poincare_central, poincare_projective
-from .errors import RankOutOfRange, WorkBoundExceeded
-from .exactalg import SparseEchelon
+from .arrangement import Arrangement, _oracle, poincare_central, poincare_projective
+from .errors import InternalInconsistency, RankOutOfRange, WorkBoundExceeded
+from .exactalg import SparseEchelon, int_rank, sub_scaled
 
 DEFAULT_WORK_BOUND = 10 ** 6
 WORK_BOUND_ENV = "ARRTOP_WORK_BOUND"
 
 
-def _work_bound(override=None):
+def _check_work_bound(b1, degree, override=None):
+    """Refuse a tensor slice of dimension b1^degree above the work bound
+    (the override, else ARRTOP_WORK_BOUND, else the default)."""
     if override is not None:
-        return override
-    env = _os.environ.get(WORK_BOUND_ENV)
-    return int(env) if env else DEFAULT_WORK_BOUND
+        bound = override
+    else:
+        env = _os.environ.get(WORK_BOUND_ENV)
+        bound = int(env) if env else DEFAULT_WORK_BOUND
+    if b1 > 1 and b1 ** degree > bound:
+        raise WorkBoundExceeded(
+            f"tensor slice dimension {b1}^{degree} exceeds bound {bound}"
+        )
 
 
 def sort_sign(word):
@@ -50,33 +57,20 @@ def sort_sign(word):
 
 
 class CentralAlgebra:
-    """Orlik-Solomon algebra of the central complement on NBC monomials."""
+    """Orlik-Solomon algebra of the central complement on NBC monomials.
+
+    Subset ranks (independence, span membership) come from the
+    arrangement's shared rank oracle."""
 
     def __init__(self, arr: Arrangement):
         self.arr = arr
         self.d = arr.num_hyperplanes
-        self._rows = [
-            {j: Fraction(x) for j, x in enumerate(f) if x} for f in arr.forms
-        ]
-        self._ech_cache = {}
+        self._oracle = _oracle(arr)
         self._expand_cache = {}
         self._nbc_cache = {}
 
-    def _echelon(self, subset):
-        key = frozenset(subset)
-        ech = self._ech_cache.get(key)
-        if ech is None:
-            ech = SparseEchelon()
-            for i in subset:
-                ech.insert(self._rows[i])
-            self._ech_cache[key] = ech
-        return ech
-
     def is_independent(self, subset):
-        return self._echelon(subset).rank == len(subset)
-
-    def _in_span(self, index, subset):
-        return self._echelon(subset).contains(self._rows[index])
+        return self._oracle.is_independent(subset)
 
     def is_nbc(self, subset):
         """subset must be sorted and independent."""
@@ -86,7 +80,7 @@ class CentralAlgebra:
             if c in subset:
                 continue
             tail = tuple(s for s in subset if s > c)
-            if self._in_span(c, tail):
+            if self._oracle.in_span(c, tail):
                 return False
         return True
 
@@ -111,14 +105,15 @@ class CentralAlgebra:
         ech = SparseEchelon()
         # bookkeeping columns record the combination in terms of tail rows
         n = self.arr.ambient_dim
+        rows = self._oracle.rows
         for pos, i in enumerate(tail):
-            row = dict(self._rows[i])
+            row = dict(rows[i])
             row[n + pos] = Fraction(1)
             ech.insert(row)
-        res = ech.reduce_coordinates(dict(self._rows[c]))
+        res = ech.reduce_coordinates(rows[c])
         support = [tail[col - n] for col, val in res.items() if col >= n and val]
         if any(col < n for col in res):
-            raise AssertionError("form not in span despite membership test")
+            raise InternalInconsistency("form not in span despite membership test")
         return tuple(sorted([c] + support))
 
     def expand(self, subset):
@@ -140,7 +135,7 @@ class CentralAlgebra:
                 if c in subset:
                     continue
                 tail = tuple(s for s in subset if s > c)
-                if not self._in_span(c, tail):
+                if not self._oracle.in_span(c, tail):
                     continue
                 circuit = self._circuit_through(c, tail)
                 broken = circuit[1:]
@@ -154,15 +149,11 @@ class CentralAlgebra:
                     if not sgn:
                         continue
                     coeff = base_sign * ((-1) ** (r + 1)) * sgn
-                    for mono, val in self.expand(sorted_word).items():
-                        nv = acc.get(mono, 0) + coeff * val
-                        if nv:
-                            acc[mono] = nv
-                        else:
-                            acc.pop(mono, None)
+                    sub_scaled(acc, self.expand(sorted_word), -coeff)
                 result = acc
                 break
-            assert result is not None, "broken circuit expected but not found"
+            if result is None:
+                raise InternalInconsistency("broken circuit expected but not found")
         self._expand_cache[subset] = result
         return result
 
@@ -174,13 +165,7 @@ class CentralAlgebra:
                 sorted_word, sgn = sort_sign(word_a + word_b)
                 if not sgn:
                     continue
-                coeff = ca * cb * sgn
-                for mono, val in self.expand(sorted_word).items():
-                    nv = acc.get(mono, 0) + coeff * val
-                    if nv:
-                        acc[mono] = nv
-                    else:
-                        acc.pop(mono, None)
+                sub_scaled(acc, self.expand(sorted_word), -ca * cb * sgn)
         return acc
 
     def boundary_expansion(self, subset):
@@ -188,13 +173,7 @@ class CentralAlgebra:
         acc = {}
         for r in range(len(subset)):
             face = subset[:r] + subset[r + 1:]
-            coeff = (-1) ** r
-            for mono, val in self.expand(face).items():
-                nv = acc.get(mono, 0) + coeff * val
-                if nv:
-                    acc[mono] = nv
-                else:
-                    acc.pop(mono, None)
+            sub_scaled(acc, self.expand(face), (-1) ** (r + 1))
         return acc
 
 
@@ -220,7 +199,7 @@ class _Basis:
             row[n + pos] = Fraction(1)
             residual = self._ech.reduce(row)
             if not residual or min(residual) >= n:
-                raise AssertionError("cohomology basis candidates are dependent")
+                raise InternalInconsistency("cohomology basis candidates are dependent")
             self._ech.insert(residual)
 
     @property
@@ -234,7 +213,7 @@ class _Basis:
         coords = [Fraction(0)] * self.dim
         for col, val in res.items():
             if col < self._ncols:
-                raise AssertionError("vector does not lie in the basis span")
+                raise InternalInconsistency("vector does not lie in the basis span")
             coords[col - self._ncols] = -val
         return coords
 
@@ -268,7 +247,7 @@ class CohomologyView:
             expansions = [alg.boundary_expansion(s) for s in gens]
             b = _Basis(gens, expansions, alg.nbc(q))
         if b.dim != self.dim(q):
-            raise AssertionError(
+            raise InternalInconsistency(
                 f"basis dimension {b.dim} != Betti number {self.dim(q)} at {q}"
             )
         self._bases[q] = b
@@ -277,52 +256,29 @@ class CohomologyView:
     def degree_one_labels(self):
         return self.basis(1).labels
 
-    def cup_rows(self, q):
-        """Structure constants of H^(q-1) x H^1 -> H^q.
+    def cup_rows(self, q, left=False):
+        """Structure constants of H^(q-1) x H^1 -> H^q, or of the left
+        action H^1 x H^(q-1) -> H^q when left is set.
 
-        Returns {(t, j): {r: int}} over basis positions, t in H^(q-1),
-        j in H^1, r in H^q.
+        Returns {(a, b): {r: int}} over basis positions, a in the first
+        factor, b in the second, r in H^q.
         """
         if not 1 <= q <= self.top:
             raise RankOutOfRange(f"degree {q} outside [1, {self.top}]")
-        alg = self.algebra
-        low = self.basis(q - 1)
-        one = self.basis(1)
+        low, one = self.basis(q - 1), self.basis(1)
+        first, second = (one, low) if left else (low, one)
         target = self.basis(q)
         rows = {}
-        for t, exp_t in enumerate(low.expansions):
-            for j, exp_j in enumerate(one.expansions):
-                prod = alg.multiply(exp_t, exp_j)
-                coords = target.represent(prod)
+        for a, exp_a in enumerate(first.expansions):
+            for b, exp_b in enumerate(second.expansions):
+                coords = target.represent(self.algebra.multiply(exp_a, exp_b))
                 entry = {}
                 for r, c in enumerate(coords):
                     if c:
                         if c.denominator != 1:
-                            raise AssertionError("cup coefficient not integral")
+                            raise InternalInconsistency("cup coefficient not integral")
                         entry[r] = c.numerator
-                rows[(t, j)] = entry
-        return rows
-
-    def left_cup_rows(self, q):
-        """Structure constants of H^1 x H^(q-1) -> H^q (left action)."""
-        if not 1 <= q <= self.top:
-            raise RankOutOfRange(f"degree {q} outside [1, {self.top}]")
-        alg = self.algebra
-        low = self.basis(q - 1)
-        one = self.basis(1)
-        target = self.basis(q)
-        rows = {}
-        for j, exp_j in enumerate(one.expansions):
-            for t, exp_t in enumerate(low.expansions):
-                prod = alg.multiply(exp_j, exp_t)
-                coords = target.represent(prod)
-                entry = {}
-                for r, c in enumerate(coords):
-                    if c:
-                        if c.denominator != 1:
-                            raise AssertionError("cup coefficient not integral")
-                        entry[r] = c.numerator
-                rows[(j, t)] = entry
+                rows[(a, b)] = entry
         return rows
 
 
@@ -347,7 +303,8 @@ def nbc_basis(arr: Arrangement, q) -> NBCBasis:
         raise RankOutOfRange(f"degree {q} outside [0, rank]")
     monomials = central_algebra(arr).nbc(q)
     expected = poincare_central(arr).coefficient(q)
-    assert len(monomials) == expected, "NBC count disagrees with Poincare"
+    if len(monomials) != expected:
+        raise InternalInconsistency("NBC count disagrees with Poincare")
     return NBCBasis(q, monomials)
 
 
@@ -404,38 +361,34 @@ def reduced_diagonal(arr: Arrangement, projective=False) -> HolonomyRelations:
                     anti[j * b1 + i] = -c
         relation_rows.append(tuple(anti))
     rel = HolonomyRelations(b1, tuple(relation_rows))
-    if b2:
-        from .exactalg import int_rank
-
-        assert int_rank(rel.relation_basis) == b2
+    if b2 and int_rank(rel.relation_basis) != b2:
+        raise InternalInconsistency("holonomy relations do not have rank b_2")
     return rel
+
+
+def _cup_dual(arr, q, projective, left):
+    view = cohomology_view(arr, projective)
+    rows = view.cup_rows(q, left)
+    # columns flatten (first factor, second factor) pairs, second fastest
+    second = view.dim(q - 1) if left else view.dim(1)
+    out = [[0] * (view.dim(q - 1) * view.dim(1)) for _ in range(view.dim(q))]
+    for (a, b), entry in rows.items():
+        for r, c in entry.items():
+            out[r][a * second + b] = c
+    return [tuple(row) for row in out]
 
 
 def right_cup_dual(arr: Arrangement, q, projective=False):
     """Matrix of H_q -> H_(q-1) (x) H_1 dual to the right cup action; rows
     indexed by the H_q basis, columns by (H_(q-1), H_1) pairs flattened with
     the H_1 index fastest. Integer entries."""
-    view = cohomology_view(arr, projective)
-    rows = view.cup_rows(q)
-    low, one, target = view.basis(q - 1), view.basis(1), view.basis(q)
-    out = [[0] * (low.dim * one.dim) for _ in range(target.dim)]
-    for (t, j), entry in rows.items():
-        for r, c in entry.items():
-            out[r][t * one.dim + j] = c
-    return [tuple(row) for row in out]
+    return _cup_dual(arr, q, projective, left=False)
 
 
 def left_cup_dual(arr: Arrangement, q, projective=False):
     """Matrix of H_q -> H_1 (x) H_(q-1) dual to the left cup action; columns
     flattened with the H_(q-1) index fastest."""
-    view = cohomology_view(arr, projective)
-    rows = view.left_cup_rows(q)
-    low, one, target = view.basis(q - 1), view.basis(1), view.basis(q)
-    out = [[0] * (low.dim * one.dim) for _ in range(target.dim)]
-    for (j, t), entry in rows.items():
-        for r, c in entry.items():
-            out[r][j * low.dim + t] = c
-    return [tuple(row) for row in out]
+    return _cup_dual(arr, q, projective, left=True)
 
 
 # ---------------------------------------------------------------------------
@@ -526,29 +479,19 @@ class UEnvelope:
             idx = idx * self.b1 + letter
         return idx
 
-    def generator_product(self, j, k, word_pos):
-        """Coordinates of x_j * (basis word at degree k) inside degree k+1.
+    def generator_product(self, j, k, word_pos, left=True):
+        """Coordinates of x_j * (basis word at degree k) inside degree k+1,
+        or of (basis word) * x_j when left is false.
 
         Returns {position: Fraction}."""
-        key = (j, k, word_pos)
+        key = (left, j, k, word_pos)
         out = self._mult_cache.get(key)
         if out is None:
             if k + 1 > self.max_degree:
                 raise RankOutOfRange("product exceeds the truncation degree")
             word = self.basis_words[k][word_pos]
-            out = self._reduce_index(self._encode((j,) + word), k + 1)
-            self._mult_cache[key] = out
-        return out
-
-    def generator_product_right(self, j, k, word_pos):
-        """Coordinates of (basis word at degree k) * x_j inside degree k+1."""
-        key = ("R", j, k, word_pos)
-        out = self._mult_cache.get(key)
-        if out is None:
-            if k + 1 > self.max_degree:
-                raise RankOutOfRange("product exceeds the truncation degree")
-            word = self.basis_words[k][word_pos]
-            out = self._reduce_index(self._encode(word + (j,)), k + 1)
+            word = (j,) + word if left else word + (j,)
+            out = self._reduce_index(self._encode(word), k + 1)
             self._mult_cache[key] = out
         return out
 
@@ -563,12 +506,7 @@ def holonomy_envelope(arr: Arrangement, max_degree, projective=True,
     """
     if max_degree < 0:
         raise RankOutOfRange("max_degree must be nonnegative")
-    view = cohomology_view(arr, projective)
-    b1 = view.dim(1)
-    bound = _work_bound(work_bound)
-    if b1 > 1 and b1 ** max_degree > bound:
-        raise WorkBoundExceeded(
-            f"tensor slice dimension {b1}^{max_degree} exceeds bound {bound}"
-        )
+    b1 = cohomology_view(arr, projective).dim(1)
+    _check_work_bound(b1, max_degree, work_bound)
     relations = reduced_diagonal(arr, projective=projective).relation_basis
     return UEnvelope(arr, max_degree, b1, relations)

@@ -24,6 +24,7 @@ from .arrangement import (
 from .errors import (
     InconsistentCount,
     InconsistentMilnorData,
+    InternalInconsistency,
     NonIntegerMu,
     NonIsolated,
     PreconditionError,
@@ -122,8 +123,12 @@ def polar_degree(arr: Arrangement, verify=True, seed=DEFAULT_SEED) -> PolarRepor
     essential = is_essential(arr)
     if verify:
         lhs, rhs = lefschetz_euler_check(arr, seed)
-        assert lhs == rhs == degree, "Euler identity failed"
-    assert (degree > 0) == essential
+        if not lhs == rhs == degree:
+            raise InternalInconsistency("Euler identity failed")
+    if (degree > 0) != essential:
+        raise InternalInconsistency(
+            "polar degree positivity disagrees with essentiality"
+        )
     bound = degree == 0 or arr.num_hyperplanes <= n + degree
     return PolarReport(
         degree=degree,

@@ -9,7 +9,7 @@ from arrtop.cli import (
     parse_arrangement,
     run_command,
 )
-from arrtop.errors import ParseError
+from arrtop.errors import InternalInconsistency, ParseError
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -205,3 +205,52 @@ def test_work_bound_env_override(monkeypatch):
     with pytest.raises(WorkBoundExceeded):
         holonomy_envelope(parse_arrangement(path("braid3.json")), 4)
     holonomy_envelope.cache_clear()
+
+
+MALFORMED_ARRANGEMENTS = {
+    "boolean-dim-and-form": '{"ambient_dim": true, "forms": [[true]]}',
+    "float-dim": '{"ambient_dim": 2.0, "forms": [[1, 0], [0, 1]]}',
+    "boolean-entry": '{"ambient_dim": 2, "forms": [[1, false], [0, 1]]}',
+    "float-entry": '{"ambient_dim": 2, "forms": [[1.5, 0], [0, 1]]}',
+    "string-entry": '{"ambient_dim": 2, "forms": [["1", 0], [0, 1]]}',
+    "boolean-multiplicity":
+        '{"ambient_dim": 2, "forms": [[1, 0], [0, 1]], "multiplicities": [true, 1]}',
+    "non-string-labels":
+        '{"ambient_dim": 2, "forms": [[1, 0], [0, 1]], "labels": [1, {"a": 2}]}',
+}
+
+MALFORMED_SUBSPACES = {
+    "float-and-boolean": '{"basis": [[1.7, 0, 0], [0, true, 0]]}',
+    "string-entry": '{"basis": [["1", 0, 0], [0, 1, 0]]}',
+}
+
+
+@pytest.mark.parametrize(
+    "kind,text",
+    [("arrangement", t) for t in MALFORMED_ARRANGEMENTS.values()]
+    + [("subspace", t) for t in MALFORMED_SUBSPACES.values()],
+    ids=[f"arrangement-{k}" for k in MALFORMED_ARRANGEMENTS]
+    + [f"subspace-{k}" for k in MALFORMED_SUBSPACES],
+)
+def test_non_integer_numbers_are_malformed(tmp_path, capsys, kind, text):
+    f = tmp_path / "input.json"
+    f.write_text(text)
+    if kind == "arrangement":
+        argv = ["report", str(f)]
+    else:
+        argv = ["genericity", path("braid3.json"), "--subspace", str(f)]
+    assert main(argv) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"]["type"] == "ParseError"
+
+
+def test_internal_inconsistency_exit_code(monkeypatch, capsys):
+    def broken(arr):
+        raise InternalInconsistency("identity failed")
+
+    monkeypatch.setattr("arrtop.cli._lattice_payload", broken)
+    assert main(["lattice", path("braid3.json")]) == 4
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == {
+        "type": "InternalInconsistency", "message": "identity failed",
+    }

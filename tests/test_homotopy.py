@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from arrtop import (
@@ -149,10 +153,34 @@ def test_resolution_fails_for_generic4():
 
 
 def test_left_and_right_complexes_same_homology():
-    for arr in [braid3(), generic4()]:
+    # boolean4 and near_pencil(2) are tests/data/hattori4 and nearpencil3
+    for arr in [braid3(), generic4(), boolean_arrangement(4), near_pencil(2)]:
         left = left_graded_complex(arr, 3)
         right = graded_complex(arr, 3)
         assert verify_resolution(left) == verify_resolution(right)
+        assert left.blocks.keys() == right.blocks.keys()
+        for q, t in right.blocks:
+            assert left.block_rank(q, t) == right.block_rank(q, t)
+
+
+def test_square_zero_check_runs_under_optimize_flag():
+    # python -O drops assert statements; the check must still raise
+    code = "\n".join([
+        "from fractions import Fraction",
+        "from arrtop import GradedChainComplex",
+        "from arrtop.errors import InternalInconsistency",
+        "blocks = {(2, 2): [{0: Fraction(1)}], (1, 2): [{0: Fraction(1)}]}",
+        "c = GradedChainComplex([1, 1, 1], [1, 1, 1], 2, blocks)",
+        "try:",
+        "    c.check_square_zero()",
+        "except InternalInconsistency:",
+        "    raise SystemExit(0)",
+        "raise SystemExit(1)",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_differentials_raise_internal_degree_by_one():
