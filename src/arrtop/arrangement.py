@@ -18,16 +18,18 @@ from math import gcd
 from .errors import (
     EmptyArrangement,
     HyperplaneContainsSubspace,
+    InternalInconsistency,
     NotEssential,
     NotL0Generic,
     RankOutOfRange,
+    SamplingFailed,
     ZeroForm,
 )
 from .exactalg import (
     IntPolynomial,
-    SparseEchelon,
     int_rank,
     poly_divide_exact,
+    sparse_rank,
 )
 
 
@@ -195,33 +197,22 @@ class IntersectionLattice:
 
 
 class _RankOracle:
-    """Cached subset ranks and closures for one arrangement."""
+    """Cached subset ranks and span-membership tests for one arrangement,
+    over the forms as sparse Fraction rows (`rows`)."""
 
     def __init__(self, arr: Arrangement):
-        self.forms = arr.forms
-        self.d = len(arr.forms)
         self._rank_cache = {}
         self.rows = [
             {j: Fraction(x) for j, x in enumerate(f) if x} for f in arr.forms
         ]
 
-    def _echelon(self, subset):
-        ech = SparseEchelon()
-        for i in subset:
-            ech.insert(self.rows[i])
-        return ech
-
     def rank(self, subset) -> int:
         key = frozenset(subset)
         r = self._rank_cache.get(key)
         if r is None:
-            r = self._echelon(subset).rank
+            r = sparse_rank(self.rows[i] for i in subset)
             self._rank_cache[key] = r
         return r
-
-    def closure(self, subset) -> tuple:
-        ech = self._echelon(subset)
-        return tuple(j for j in range(self.d) if ech.contains(self.rows[j]))
 
     def is_independent(self, subset) -> bool:
         return self.rank(subset) == len(subset)
@@ -235,35 +226,85 @@ def _oracle(arr: Arrangement) -> _RankOracle:
     return _RankOracle(arr)
 
 
+def _eliminate(residual, pivot, col):
+    """Primitive direction of `residual` modulo `pivot`, fraction-free.
+
+    Both are primitive integer vectors supported off the pivot columns of a
+    flat, not proportional to each other; `pivot` has its leading entry at
+    `col`.  The result is primitive with a positive leading entry and is
+    supported off those columns and `col`.
+    """
+    a, b = pivot[col], residual[col]
+    if not b:
+        return residual
+    return _primitive(tuple(a * x - b * y for x, y in zip(residual, pivot)))
+
+
 @lru_cache(maxsize=None)
 def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
-    """Enumerate flats by iterated closure, then run the Moebius recursion."""
-    oracle = _oracle(arr)
-    bottom = ()
-    flats = {bottom: 0}
-    frontier = [bottom]
+    """Enumerate flats cover by cover, then run the Moebius recursion.
+
+    Each flat X of the current frontier keeps, for every hyperplane j
+    outside it, the primitive integer direction of form j modulo span(X)
+    (the unique representative supported off the pivot columns of span(X)).
+    The covers of X are the lines of V*/span(X) that forms span: the
+    hyperplanes outside X sharing one direction, added to X, make one cover
+    of codimension codim(X) + 1 (Orlik-Terao, Arrangements of Hyperplanes,
+    ch. 2).  A new cover's residuals come from X's by one fraction-free
+    elimination against that direction.  Only the current and the next
+    frontier hold residuals.  The Moebius recursion finds the flats below
+    each flat with bitmasks, one per hyperplane, over the flats holding it.
+    """
+    flats = {(): 0}
+    frontier = {(): {j: _primitive(f) for j, f in enumerate(arr.forms)}}
+    codim = 0
     while frontier:
-        nxt = []
-        for s in frontier:
-            present = set(s)
-            for j in range(oracle.d):
-                if j in present:
+        codim += 1
+        nxt = {}
+        for flat, residuals in frontier.items():
+            covers = {}
+            for j, direction in residuals.items():
+                covers.setdefault(direction, []).append(j)
+            for direction, group in covers.items():
+                cover = tuple(sorted(flat + tuple(group)))
+                if cover in flats:
                     continue
-                closed = oracle.closure(s + (j,))
-                if closed not in flats:
-                    flats[closed] = oracle.rank(closed)
-                    nxt.append(closed)
+                flats[cover] = codim
+                col = next(c for c, x in enumerate(direction) if x)
+                nxt[cover] = {
+                    j: _eliminate(r, direction, col)
+                    for j, r in residuals.items()
+                    if r != direction
+                }
         frontier = nxt
+    top = max(flats.values())
+    if top != arr.rank:
+        raise InternalInconsistency(
+            f"lattice top has codim {top}, arrangement rank is {arr.rank}"
+        )
     ordered = sorted(flats, key=lambda s: (flats[s], s))
-    mobius = {(): 1}
-    for s in ordered:
-        if not s:
-            continue
-        sset = set(s)
-        acc = sum(mobius[t] for t in ordered if t != s and set(t) <= sset)
-        mobius[s] = -acc
+    # containing[i]: bitmask over positions in `ordered` of the flats that
+    # hold hyperplane i; a flat lies below s iff it holds none outside s
+    containing = [0] * arr.num_hyperplanes
+    for k, s in enumerate(ordered):
+        for i in s:
+            containing[i] |= 1 << k
+    values = [1]
+    for k in range(1, len(ordered)):
+        s = ordered[k]
+        outside = 0
+        for i in set(range(arr.num_hyperplanes)).difference(s):
+            outside |= containing[i]
+        # only flats before s in `ordered` can lie strictly below it
+        below = ((1 << k) - 1) & ~outside
+        acc = 0
+        while below:
+            low = below & -below
+            acc += values[low.bit_length() - 1]
+            below ^= low
+        values.append(-acc)
     flat_objs = [Flat(s, flats[s]) for s in ordered]
-    return IntersectionLattice(flat_objs, mobius)
+    return IntersectionLattice(flat_objs, zip(ordered, values))
 
 
 def poincare_central(arr: Arrangement) -> IntPolynomial:
@@ -344,6 +385,8 @@ class Subspace:
         object.__setattr__(self, "basis", basis)
         if not basis:
             raise ZeroForm("subspace needs at least one basis vector")
+        if len({len(v) for v in basis}) != 1:
+            raise ZeroForm("subspace basis vectors have unequal lengths")
         if int_rank(basis) != len(basis):
             raise ZeroForm("subspace basis vectors are dependent")
 
@@ -454,7 +497,8 @@ def sample_generic_subspace(arr: Arrangement, dim, seed, level=None) -> Subspace
         level = min(dim, arr.rank, arr.ambient_dim - 1) - 1
     rng = random.Random(seed)
     bound = 3
-    for attempt in range(1000):
+    attempts = 1000
+    for attempt in range(attempts):
         if attempt and attempt % 50 == 0:
             bound += 2
         vecs = [
@@ -466,4 +510,7 @@ def sample_generic_subspace(arr: Arrangement, dim, seed, level=None) -> Subspace
         u = Subspace(tuple(vecs))
         if is_lattice_generic(arr, u, level):
             return u
-    raise RuntimeError("failed to sample a generic subspace")
+    raise SamplingFailed(
+        f"no {dim}-dimensional subspace generic at level {level} found in "
+        f"{attempts} attempts"
+    )

@@ -63,6 +63,11 @@ class RankOutOfRange(PreconditionError):
     pass
 
 
+class SamplingFailed(PreconditionError):
+    """Seeded rejection sampling drew no subspace of the requested
+    dimension and genericity level within its attempt budget."""
+
+
 # Orlik-Solomon / enveloping algebra
 
 class WorkBoundExceeded(PreconditionError):

@@ -227,6 +227,7 @@ class CohomologyView:
         self.projective = projective
         self.algebra = central_algebra(arr)
         self._bases = {}
+        self._cup_rows = {}
         poly = poincare_projective(arr) if projective else poincare_central(arr)
         self.betti = list(poly.coefficients)
         self.top = len(self.betti) - 1
@@ -261,10 +262,14 @@ class CohomologyView:
         action H^1 x H^(q-1) -> H^q when left is set.
 
         Returns {(a, b): {r: int}} over basis positions, a in the first
-        factor, b in the second, r in H^q.
+        factor, b in the second, r in H^q.  The dict is cached per
+        (q, left) and shared between callers, which must not mutate it.
         """
         if not 1 <= q <= self.top:
             raise RankOutOfRange(f"degree {q} outside [1, {self.top}]")
+        rows = self._cup_rows.get((q, left))
+        if rows is not None:
+            return rows
         low, one = self.basis(q - 1), self.basis(1)
         first, second = (one, low) if left else (low, one)
         target = self.basis(q)
@@ -279,6 +284,7 @@ class CohomologyView:
                             raise InternalInconsistency("cup coefficient not integral")
                         entry[r] = c.numerator
                 rows[(a, b)] = entry
+        self._cup_rows[(q, left)] = rows
         return rows
 
 

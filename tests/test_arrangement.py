@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arrtop import (
     INFINITE,
+    Arrangement,
     Subspace,
     betti_agreement_order,
     characteristic_polynomial,
@@ -26,6 +28,7 @@ from arrtop.errors import (
     HyperplaneContainsSubspace,
     NotL0Generic,
     RankOutOfRange,
+    SamplingFailed,
     ZeroForm,
 )
 from arrtop.exactalg import IntPolynomial, linear_product
@@ -117,6 +120,75 @@ def test_lattice_braid_matches_oracle_and_chi():
         IntPolynomial((-1, 1)) * IntPolynomial((-2, 1)) * IntPolynomial((-3, 1))
     )
     assert chi == expected
+
+
+def _lattice_table(arr):
+    lat = intersection_lattice(arr)
+    return (
+        {f.hyperplanes: f.codim for f in lat.flats},
+        {f.hyperplanes: lat.mobius(f) for f in lat.flats},
+    )
+
+
+def _random_lattice_corpus(seed, count):
+    """Seeded arrangements of rank 2-5 with up to 9 hyperplanes and entries
+    in [-3, 3].  About half get one extra coordinate that repeats an existing
+    one or is zero, which makes them non-essential; those keep at most 7
+    hyperplanes, as the minor-expansion oracle slows sharply once the
+    ambient dimension exceeds the rank."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        dim = rng.randint(2, 5)
+        extend = rng.random() < 0.5
+        raw = [
+            [rng.randint(-3, 3) for _ in range(dim)]
+            for _ in range(rng.randint(2, 7 if extend else 9))
+        ]
+        if extend:
+            k = rng.randrange(dim + 1)
+            raw = [row + [row[k] if k < dim else 0] for row in raw]
+        try:
+            arr = normalize(raw, len(raw[0]))
+        except (ZeroForm, EmptyArrangement):
+            continue
+        if arr.rank >= 2:
+            out.append(arr)
+    return out
+
+
+def test_lattice_matches_oracle_on_random_corpus():
+    corpus = _random_lattice_corpus(2026, 40)
+    assert {arr.rank for arr in corpus} == {2, 3, 4, 5}
+    assert any(not is_essential(arr) for arr in corpus)
+    for arr in corpus:
+        closed, mobius = lattice_oracle(arr.forms)
+        assert _lattice_table(arr) == (closed, mobius)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_lattice_permutes_with_hyperplanes(data):
+    dim = data.draw(st.integers(2, 5))
+    raw = data.draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=dim, max_size=dim),
+        min_size=1, max_size=8,
+    ))
+    try:
+        arr = normalize(raw, dim)
+    except (ZeroForm, EmptyArrangement):
+        return
+    perm = data.draw(st.permutations(range(arr.num_hyperplanes)))
+    permuted = Arrangement(dim, tuple(arr.forms[i] for i in perm))
+    codims, mobius = _lattice_table(arr)
+    p_codims, p_mobius = _lattice_table(permuted)
+    back = {
+        s: tuple(sorted(perm[k] for k in s)) for s in p_codims
+    }
+    assert sorted(back.values()) == sorted(codims)
+    for s, original in back.items():
+        assert p_codims[s] == codims[original]
+        assert p_mobius[s] == mobius[original]
 
 
 def test_poincare_central_cases():
@@ -348,6 +420,16 @@ def test_top_betti_survives_generic_section():
         b_full = projective_betti(arr)
         b_sec = projective_betti(section)
         assert b_sec[n - 1] == b_full[n - 1]
+
+
+def test_sample_generic_subspace_reports_unmet_level():
+    # a plane cannot meet the rank-3 point of braid3 in codimension 3
+    with pytest.raises(SamplingFailed) as info:
+        sample_generic_subspace(braid3(), 2, seed=7, level=2)
+    message = str(info.value)
+    assert "2-dimensional" in message
+    assert "level 2" in message
+    assert "1000 attempts" in message
 
 
 def test_sample_generic_subspace_is_deterministic():

@@ -244,6 +244,15 @@ def test_non_integer_numbers_are_malformed(tmp_path, capsys, kind, text):
     assert payload["error"]["type"] == "ParseError"
 
 
+def test_ragged_subspace_basis_is_malformed(tmp_path, capsys):
+    f = tmp_path / "subspace.json"
+    f.write_text('{"basis": [[1, 2, 3], [0, 1]]}')
+    argv = ["genericity", path("braid3.json"), "--subspace", str(f)]
+    assert main(argv) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"]["type"] == "ParseError"
+
+
 def test_internal_inconsistency_exit_code(monkeypatch, capsys):
     def broken(arr):
         raise InternalInconsistency("identity failed")

@@ -217,6 +217,14 @@ def test_left_dual_is_swap_of_right_dual_up_to_sign():
                             assert left[r][j * n_low + t] == sign * right[r][t * n_one + j]
 
 
+def test_cup_rows_are_cached_per_degree_and_side():
+    view = cohomology_view(braid3(), False)
+    for q in range(1, view.top + 1):
+        for left in (False, True):
+            assert view.cup_rows(q, left) is view.cup_rows(q, left)
+    assert view.cup_rows(2) is not view.cup_rows(2, left=True)
+
+
 def test_projective_basis_dimensions():
     for arr in [braid3(), generic4(), boolean_arrangement(4)]:
         view = cohomology_view(arr, True)
