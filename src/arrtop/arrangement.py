@@ -495,6 +495,14 @@ def sample_generic_subspace(arr: Arrangement, dim, seed, level=None) -> Subspace
         raise RankOutOfRange(f"subspace dimension {dim} out of range")
     if level is None:
         level = min(dim, arr.rank, arr.ambient_dim - 1) - 1
+    if 0 <= level < arr.rank and level + 1 > dim:
+        # forms restricted to the subspace have rank at most dim, so a flat
+        # of codim level + 1 (one exists, as level < rank) can never keep
+        # its codimension
+        raise SamplingFailed(
+            f"no {dim}-dimensional subspace can be generic at level {level}: "
+            f"flats of codim {level + 1} exceed its dimension"
+        )
     rng = random.Random(seed)
     bound = 3
     attempts = 1000

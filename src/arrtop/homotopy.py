@@ -89,12 +89,17 @@ class ExponentData:
         return len(self.exponents)
 
 
-def _is_modular(lat, oracle, flat):
+def _is_modular(lat, oracle, codims, flat):
+    """Modularity of a flat: codim X + codim Y = rank(X | Y) + codim(X & Y)
+    for every flat Y.  The intersection of two closed index sets is closed,
+    so its codim is read from `codims` (hyperplane tuple -> codim)."""
     fs = set(flat.hyperplanes)
     rf = flat.codim
     for other in lat.flats:
         join = oracle.rank(tuple(fs | set(other.hyperplanes)))
-        meet = oracle.rank(tuple(fs & set(other.hyperplanes)))
+        meet = codims.get(tuple(sorted(fs.intersection(other.hyperplanes))))
+        if meet is None:
+            raise InternalInconsistency("intersection of two flats is not a flat")
         if rf + other.codim != join + meet:
             return False
     return True
@@ -108,9 +113,10 @@ def _chain_exponents(sub: Arrangement):
 
     lat = intersection_lattice(sub)
     oracle = _oracle(sub)
+    codims = {f.hyperplanes: f.codim for f in lat.flats}
     failures = []
     for coatom in lat.flats_of_codim(r - 1):
-        if not _is_modular(lat, oracle, coatom):
+        if not _is_modular(lat, oracle, codims, coatom):
             continue
         local = Arrangement(
             sub.ambient_dim, tuple(sub.forms[i] for i in coatom.hyperplanes)

@@ -402,12 +402,17 @@ def left_cup_dual(arr: Arrangement, q, projective=False):
 
 class UEnvelope:
     """Degreewise bases of the quotient of the tensor algebra on H_1 by the
-    two-sided ideal generated by the holonomy relations.
+    two-sided ideal generated by the holonomy relations R.
 
-    Words are encoded big-endian in base b1.  basis_words[k] lists the
-    monomial words whose images form a basis of degree k; multiplication by
-    a degree-one generator reduces through the cached echelon of the ideal
-    slice.
+    Degree k >= 2 is built as the quotient of U_(k-1) (x) H_1 by the image
+    of U_(k-2) (x) R, never inside the full tensor power: column p*b1 + i
+    stands for basis word p of degree k-1 followed by the letter x_i, so
+    the column order is the lexicographic order of those words.  With the
+    smallest column as pivot, the non-pivot columns are the normal words of
+    degree k (a normal word's prefix is normal), listed in basis_words[k].
+    Right multiplication by x_j is one normal-form reduction in the next
+    degree's echelon; left multiplication recurses on the prefix,
+    x_j (u x_i) = (x_j u) x_i.
     """
 
     def __init__(self, arr, max_degree, b1, relation_rows):
@@ -416,23 +421,29 @@ class UEnvelope:
         self.b1 = b1
         self.dims = []
         self.basis_words = []
-        self._echelons = {}
-        self._positions = {}
+        self._echelons = {}  # degree -> echelon over U_(k-1) (x) H_1
+        self._columns = {}  # degree -> column p*b1 + i of each basis word
+        self._positions = {}  # degree -> {column: basis position}
         self._mult_cache = {}
         self._build(relation_rows)
 
-    def _decode(self, idx, length):
-        word = []
-        for _ in range(length):
-            idx, r = divmod(idx, self.b1)
-            word.append(r)
-        return tuple(reversed(word))
+    def _add_degree(self, ech, basis_cols):
+        """Record the next degree from its echelon over U_(k-1) (x) H_1 and
+        its non-pivot columns."""
+        k = len(self.dims)
+        prev = self.basis_words[-1]
+        self.dims.append(len(basis_cols))
+        self.basis_words.append(tuple(
+            prev[c // self.b1] + (c % self.b1,) for c in basis_cols
+        ))
+        self._echelons[k] = ech
+        self._columns[k] = basis_cols
+        self._positions[k] = {c: pos for pos, c in enumerate(basis_cols)}
 
     def _build(self, relation_rows):
         b1 = self.b1
         self.dims.append(1)
         self.basis_words.append(((),))
-        self._positions[0] = {0: 0}
         if self.max_degree == 0:
             return
         if b1 == 0:
@@ -440,50 +451,28 @@ class UEnvelope:
                 self.dims.append(0)
                 self.basis_words.append(())
             return
-        self.dims.append(b1)
-        self.basis_words.append(tuple((j,) for j in range(b1)))
-        self._positions[1] = {j: j for j in range(b1)}
-        rel_sparse = [
-            {c: Fraction(v) for c, v in enumerate(row) if v}
+        # degree one: U_0 (x) H_1 with no relations
+        self._add_degree(SparseEchelon(), list(range(b1)))
+        relations = [
+            [(divmod(c, b1), Fraction(v)) for c, v in enumerate(row) if v]
             for row in relation_rows
         ]
-        prev = None
         for k in range(2, self.max_degree + 1):
             ech = SparseEchelon()
-            if prev is not None:
-                for row in prev.pivot_rows.values():
-                    for j in range(b1):
-                        ech.insert({c * b1 + j: v for c, v in row.items()})
-            shift = b1 * b1
-            for w in range(b1 ** (k - 2)):
-                base = w * shift
-                for row in rel_sparse:
-                    ech.insert({base + c: v for c, v in row.items()})
-            total = b1 ** k
-            pivot_cols = set(ech.pivot_rows)
-            basis_cols = [c for c in range(total) if c not in pivot_cols]
-            self.dims.append(len(basis_cols))
-            self.basis_words.append(tuple(self._decode(c, k) for c in basis_cols))
-            self._positions[k] = {c: pos for pos, c in enumerate(basis_cols)}
-            self._echelons[k] = ech
-            prev = ech
+            # u (x) r for r = sum c_ab x_a x_b maps to sum c_ab NF(u x_a) (x) x_b
+            for u in range(self.dims[k - 2]):
+                for rel in relations:
+                    row = {}
+                    for (a, b), c in rel:
+                        prefix = self.generator_product(a, k - 2, u, left=False)
+                        sub_scaled(row, {p * b1 + b: v for p, v in prefix.items()}, -c)
+                    ech.insert(row)
+            total = self.dims[k - 1] * b1
+            pivots = ech.pivot_rows
+            self._add_degree(ech, [c for c in range(total) if c not in pivots])
 
     def dim(self, k):
         return self.dims[k] if 0 <= k <= self.max_degree else 0
-
-    def _reduce_index(self, idx, degree):
-        if degree == 1:
-            return {self._positions[1][idx]: Fraction(1)}
-        ech = self._echelons[degree]
-        res = ech.reduce_coordinates({idx: Fraction(1)})
-        positions = self._positions[degree]
-        return {positions[c]: v for c, v in res.items()}
-
-    def _encode(self, word):
-        idx = 0
-        for letter in word:
-            idx = idx * self.b1 + letter
-        return idx
 
     def generator_product(self, j, k, word_pos, left=True):
         """Coordinates of x_j * (basis word at degree k) inside degree k+1,
@@ -495,9 +484,16 @@ class UEnvelope:
         if out is None:
             if k + 1 > self.max_degree:
                 raise RankOutOfRange("product exceeds the truncation degree")
-            word = self.basis_words[k][word_pos]
-            word = (j,) + word if left else word + (j,)
-            out = self._reduce_index(self._encode(word), k + 1)
+            if left and k:
+                prefix, i = divmod(self._columns[k][word_pos], self.b1)
+                out = {}
+                for p, c in self.generator_product(j, k - 1, prefix).items():
+                    sub_scaled(out, self.generator_product(i, k, p, left=False), -c)
+            else:  # at degree 0 the left and right products are both x_j
+                col = word_pos * self.b1 + j
+                res = self._echelons[k + 1].reduce_coordinates({col: Fraction(1)})
+                positions = self._positions[k + 1]
+                out = {positions[c]: v for c, v in res.items()}
             self._mult_cache[key] = out
         return out
 
@@ -507,8 +503,10 @@ def holonomy_envelope(arr: Arrangement, max_degree, projective=True,
                       work_bound=None) -> UEnvelope:
     """Enveloping algebra of the holonomy Lie algebra, degree by degree.
 
-    Dimensions and monomial bases come from exact ranks of the ideal slices
-    inside the tensor powers; they are independent of the hyperplane order.
+    Each degree is the quotient of the previous one tensored with H_1 by
+    the image of the relations; dimensions are independent of the
+    hyperplane order.  The work bound still refuses b1^max_degree above
+    the bound, although no tensor power of that size is built.
     """
     if max_degree < 0:
         raise RankOutOfRange("max_degree must be nonnegative")

@@ -7,6 +7,8 @@ from itertools import combinations
 
 from arrtop import Arrangement, Subspace, is_essential, normalize
 from arrtop.errors import EmptyArrangement, ZeroForm
+from arrtop.exactalg import SparseEchelon
+from arrtop.oscohomology import cohomology_view, reduced_diagonal
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +75,40 @@ def lattice_oracle(forms):
     return closed, mobius
 
 
+def supersolvable_oracle(closed):
+    """Exponents read off a maximal chain of modular flats, or None.
+
+    closed maps every closed index set to its codim (as lattice_oracle
+    returns it).  A flat X is modular in the interval below a flat T when
+    codim X + codim Y = codim(X v Y) + codim(X & Y) for every flat Y below
+    T, the join being the smallest closed set holding both; the chain is
+    searched top down through modular coatoms of each interval."""
+    masks = {sum(1 << i for i in s): c for s, c in closed.items()}
+
+    def join(a, b):
+        u = a | b
+        return min((m for m in masks if m & u == u), key=lambda m: masks[m])
+
+    def chain(top):
+        rank = masks[top]
+        if rank == 1:
+            return [bin(top).count("1")]
+        below = [m for m in masks if m & top == m]
+        for x in below:
+            if masks[x] != rank - 1:
+                continue
+            if all(masks[x] + masks[y] == masks[join(x, y)] + masks[x & y]
+                   for y in below):
+                exps = chain(x)
+                if exps is not None:
+                    return exps + [bin(top).count("1") - bin(x).count("1")]
+        return None
+
+    top = max(masks, key=lambda m: masks[m])
+    exps = chain(top) if masks[top] else None
+    return sorted(exps) if exps is not None else None
+
+
 def poincare_oracle(forms):
     closed, mobius = lattice_oracle(forms)
     coeffs = [0] * (max(closed.values()) + 1)
@@ -94,6 +130,85 @@ def euler_projective_oracle(forms):
     assert carry == 0, "central Poincare polynomial not divisible by 1+t"
     quotient.pop()
     return sum(c * (-1) ** k for k, c in enumerate(quotient)), quotient
+
+
+# ---------------------------------------------------------------------------
+# enveloping-algebra oracle inside the full tensor powers
+
+class TensorEnvelope:
+    """Degreewise bases of the holonomy envelope by elimination over all
+    b1^k words of each tensor power: the ideal slice of degree k is spanned
+    by the degree k-1 slice times every generator and by every word of
+    degree k-2 times every relation.  Words are encoded big-endian in base
+    b1; the smallest column is the pivot, so the basis words are the
+    lexicographically normal words.  Same interface as
+    arrtop.oscohomology.UEnvelope."""
+
+    def __init__(self, max_degree, b1, relation_rows):
+        self.max_degree = max_degree
+        self.b1 = b1
+        self.dims = [1]
+        self.basis_words = [((),)]
+        self._echelons = {}
+        self._positions = {0: {0: 0}}
+        if max_degree == 0:
+            return
+        if b1 == 0:
+            self.dims += [0] * max_degree
+            self.basis_words += [()] * max_degree
+            return
+        self.dims.append(b1)
+        self.basis_words.append(tuple((j,) for j in range(b1)))
+        self._positions[1] = {j: j for j in range(b1)}
+        rel_sparse = [
+            {c: Fraction(v) for c, v in enumerate(row) if v}
+            for row in relation_rows
+        ]
+        prev = None
+        for k in range(2, max_degree + 1):
+            ech = SparseEchelon()
+            if prev is not None:
+                for row in prev.pivot_rows.values():
+                    for j in range(b1):
+                        ech.insert({c * b1 + j: v for c, v in row.items()})
+            for w in range(b1 ** (k - 2)):
+                base = w * b1 * b1
+                for row in rel_sparse:
+                    ech.insert({base + c: v for c, v in row.items()})
+            basis_cols = [c for c in range(b1 ** k) if c not in ech.pivot_rows]
+            self.dims.append(len(basis_cols))
+            self.basis_words.append(tuple(self._decode(c, k) for c in basis_cols))
+            self._positions[k] = {c: pos for pos, c in enumerate(basis_cols)}
+            self._echelons[k] = ech
+            prev = ech
+
+    def _decode(self, idx, length):
+        word = []
+        for _ in range(length):
+            idx, r = divmod(idx, self.b1)
+            word.append(r)
+        return tuple(reversed(word))
+
+    def dim(self, k):
+        return self.dims[k] if 0 <= k <= self.max_degree else 0
+
+    def generator_product(self, j, k, word_pos, left=True):
+        word = self.basis_words[k][word_pos]
+        word = (j,) + word if left else word + (j,)
+        idx = 0
+        for letter in word:
+            idx = idx * self.b1 + letter
+        if k + 1 == 1:
+            return {self._positions[1][idx]: Fraction(1)}
+        res = self._echelons[k + 1].reduce_coordinates({idx: Fraction(1)})
+        positions = self._positions[k + 1]
+        return {positions[c]: v for c, v in res.items()}
+
+
+def envelope_oracle(arr, degree, projective=True) -> TensorEnvelope:
+    b1 = cohomology_view(arr, projective).dim(1)
+    relations = reduced_diagonal(arr, projective=projective).relation_basis
+    return TensorEnvelope(degree, b1, relations)
 
 
 # ---------------------------------------------------------------------------

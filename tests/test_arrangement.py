@@ -1,8 +1,10 @@
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arrtop import arrangement as arrangement_module
 from arrtop import (
     INFINITE,
     Arrangement,
@@ -15,6 +17,7 @@ from arrtop import (
     intersection_lattice,
     is_essential,
     is_lattice_generic,
+    is_supersolvable,
     normalize,
     poincare_central,
     poincare_projective,
@@ -22,6 +25,7 @@ from arrtop import (
     restrict_to_hyperplane,
     restrict_to_subspace,
     sample_generic_subspace,
+    supersolvable_exponents,
 )
 from arrtop.errors import (
     EmptyArrangement,
@@ -40,6 +44,7 @@ from genutil import (
     poincare_oracle,
     random_essential_arrangement,
     int_kernel_basis_oracle,
+    supersolvable_oracle,
 )
 
 
@@ -157,13 +162,31 @@ def _random_lattice_corpus(seed, count):
     return out
 
 
+# the oracle lattices of the random corpus, shared by the tests that use it
+_corpus_lattice_oracle = lru_cache(maxsize=None)(lattice_oracle)
+
+
 def test_lattice_matches_oracle_on_random_corpus():
     corpus = _random_lattice_corpus(2026, 40)
     assert {arr.rank for arr in corpus} == {2, 3, 4, 5}
     assert any(not is_essential(arr) for arr in corpus)
     for arr in corpus:
-        closed, mobius = lattice_oracle(arr.forms)
+        closed, mobius = _corpus_lattice_oracle(arr.forms)
         assert _lattice_table(arr) == (closed, mobius)
+
+
+def test_supersolvable_matches_oracle_on_random_corpus():
+    corpus = _random_lattice_corpus(2026, 40)
+    verdicts = []
+    for arr in corpus:
+        closed, _ = _corpus_lattice_oracle(arr.forms)
+        expected = supersolvable_oracle(closed)
+        ess = essentialize(arr)
+        assert is_supersolvable(ess) == (expected is not None)
+        if expected is not None:
+            assert list(supersolvable_exponents(ess).exponents) == expected
+        verdicts.append(expected is not None)
+    assert any(verdicts) and not all(verdicts)
 
 
 @settings(max_examples=60, deadline=None)
@@ -422,14 +445,36 @@ def test_top_betti_survives_generic_section():
         assert b_sec[n - 1] == b_full[n - 1]
 
 
-def test_sample_generic_subspace_reports_unmet_level():
-    # a plane cannot meet the rank-3 point of braid3 in codimension 3
+def test_sample_generic_subspace_reports_unmet_level(monkeypatch):
+    # a plane cannot meet the rank-3 point of braid3 in codimension 3; the
+    # sampler says so before drawing anything
+    def no_draws(*args):
+        raise AssertionError("is_lattice_generic called for an unreachable level")
+
+    monkeypatch.setattr(arrangement_module, "is_lattice_generic", no_draws)
     with pytest.raises(SamplingFailed) as info:
         sample_generic_subspace(braid3(), 2, seed=7, level=2)
     message = str(info.value)
     assert "2-dimensional" in message
     assert "level 2" in message
+    assert "codim 3" in message
+
+
+def test_sample_generic_subspace_reports_exhausted_draws(monkeypatch):
+    monkeypatch.setattr(arrangement_module, "is_lattice_generic",
+                        lambda *args: False)
+    with pytest.raises(SamplingFailed) as info:
+        sample_generic_subspace(braid3(), 2, seed=7, level=1)
+    message = str(info.value)
+    assert "2-dimensional" in message
+    assert "level 1" in message
     assert "1000 attempts" in message
+
+
+def test_sample_generic_subspace_level_out_of_range():
+    for level in (3, 5):
+        with pytest.raises(RankOutOfRange):
+            sample_generic_subspace(braid3(), 2, seed=7, level=level)
 
 
 def test_sample_generic_subspace_is_deterministic():

@@ -1,12 +1,19 @@
+import os
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arrtop import (
+    Arrangement,
+    SectionData,
     cup_matrix,
+    graded_complex,
+    homotopy_cokernel_ranks,
     holonomy_envelope,
     left_cup_dual,
+    left_graded_complex,
     nbc_basis,
     normalize,
     poincare_central,
@@ -15,10 +22,21 @@ from arrtop import (
     right_cup_dual,
     series_of_rational,
 )
+from arrtop.cli import parse_arrangement
 from arrtop.errors import WorkBoundExceeded
 from arrtop.exactalg import IntPolynomial, int_rank, linear_product
+from arrtop.homotopy import _delta_rows
 from arrtop.oscohomology import central_algebra, cohomology_view, sort_sign
-from genutil import boolean_arrangement, braid3, generic4, near_pencil
+from genutil import (
+    boolean_arrangement,
+    braid3,
+    envelope_oracle,
+    generic4,
+    near_pencil,
+    random_essential_arrangement,
+)
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def triangle():
@@ -164,6 +182,86 @@ def test_envelope_invariant_under_hyperplane_permutation():
         rng.shuffle(shuffled)
         arr = normalize(shuffled, 3)
         assert holonomy_envelope(arr, 3).dims == reference
+
+
+def _assert_envelope_matches_oracle(arr, degree, projective):
+    env = holonomy_envelope(arr, degree, projective=projective)
+    oracle = envelope_oracle(arr, degree, projective)
+    assert env.dims == oracle.dims
+    assert env.basis_words == oracle.basis_words
+    for k in range(degree):
+        for w in range(env.dims[k]):
+            for j in range(env.b1):
+                for left in (True, False):
+                    got = env.generator_product(j, k, w, left=left)
+                    assert got == oracle.generator_product(j, k, w, left=left)
+                    assert all(type(v) is Fraction for v in got.values())
+
+
+def test_envelope_matches_tensor_oracle():
+    names = ["boolean3", "braid3", "generic4", "hattori4", "nearpencil3"]
+    corpus = [parse_arrangement(os.path.join(DATA, n + ".json")) for n in names]
+    rng = random.Random(404)
+    corpus += [random_essential_arrangement(rng, 6) for _ in range(12)]
+    assert {arr.rank for arr in corpus} == {2, 3, 4}
+    for arr in corpus:
+        for projective in (True, False):
+            _assert_envelope_matches_oracle(arr, 4, projective)
+
+
+def test_envelope_matches_tensor_oracle_braid3_degree5():
+    # projective only: the central oracle eliminates over 6^5 columns, too
+    # slow for the suite; the corpus test covers the central side
+    _assert_envelope_matches_oracle(braid3(), 5, True)
+
+
+def test_complexes_match_tensor_oracle_braid3_degree5():
+    arr = braid3()
+    view = cohomology_view(arr, True)
+    oracle = envelope_oracle(arr, 5)
+    for left, complex_ in ((False, graded_complex(arr, 5)),
+                           (True, left_graded_complex(arr, 5))):
+        expected = {}
+        for q in range(1, view.top + 1):
+            sign = -1 if left else (-1) ** q
+            for t in range(q, 6):
+                rows = _delta_rows(view, oracle, q, t, sign, left)
+                if rows:
+                    expected[(q, t)] = rows
+        assert complex_.u_dims == tuple(oracle.dims)
+        assert complex_.blocks == expected
+
+
+def _rescaled_permutation(data, arr):
+    perm = data.draw(st.permutations(range(arr.num_hyperplanes)))
+    scales = data.draw(st.lists(st.sampled_from([1, -1, 2, -2]),
+                                min_size=arr.num_hyperplanes,
+                                max_size=arr.num_hyperplanes))
+    # built directly: normalize would undo the rescaling, so this way the
+    # non-primitive forms reach every stage and make a new cache key
+    return Arrangement(arr.ambient_dim, tuple(
+        tuple(s * x for x in arr.forms[i]) for s, i in zip(scales, perm)
+    ))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_envelope_dims_invariant_under_permutation_and_rescaling(data):
+    arr = random_essential_arrangement(
+        random.Random(data.draw(st.integers(0, 10 ** 6))), 6)
+    moved = _rescaled_permutation(data, arr)
+    for projective in (True, False):
+        assert (holonomy_envelope(moved, 3, projective=projective).dims
+                == holonomy_envelope(arr, 3, projective=projective).dims)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_section_cokernels_invariant_under_permutation_and_rescaling(data):
+    arr = boolean_arrangement(4)
+    moved = _rescaled_permutation(data, arr)
+    assert (homotopy_cokernel_ranks(SectionData(moved, 3), 4)
+            == homotopy_cokernel_ranks(SectionData(arr, 3), 4))
 
 
 def test_envelope_work_bound():
