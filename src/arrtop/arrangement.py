@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -29,7 +28,6 @@ from .exactalg import (
     IntPolynomial,
     int_rank,
     poly_divide_exact,
-    sparse_rank,
 )
 
 
@@ -168,15 +166,39 @@ class IntersectionLattice:
 
     Flats are identified with closed index sets, ordered by inclusion of
     those sets (equivalently reverse inclusion of subspaces).  The empty
-    flat (the whole space) is the bottom element.
+    flat (the whole space) is the bottom element.  Flats are kept sorted by
+    (codim, hyperplanes).  One bitmask per hyperplane, over the flats
+    holding it, answers subset ranks and, when no Moebius values are
+    given, drives the Moebius recursion.
     """
 
-    def __init__(self, flats, mobius):
-        self.flats = tuple(flats)
-        self._mobius = dict(mobius)
+    def __init__(self, flats, mobius=None):
+        self.flats = tuple(sorted(flats, key=lambda f: (f.codim, f.hyperplanes)))
         self._by_codim = {}
         for f in self.flats:
             self._by_codim.setdefault(f.codim, []).append(f)
+        # the top flat holds every hyperplane
+        self._containing = [0] * len(self.flats[-1].hyperplanes)
+        for k, f in enumerate(self.flats):
+            for i in f.hyperplanes:
+                self._containing[i] |= 1 << k
+        if mobius is None:
+            values = [1]
+            for k, f in enumerate(self.flats[1:], start=1):
+                outside = 0
+                for i in set(range(len(self._containing))).difference(f.hyperplanes):
+                    outside |= self._containing[i]
+                # a flat lies below f iff it holds no hyperplane outside f;
+                # only flats before f can lie strictly below it
+                below = ((1 << k) - 1) & ~outside
+                acc = 0
+                while below:
+                    low = below & -below
+                    acc += values[low.bit_length() - 1]
+                    below ^= low
+                values.append(-acc)
+            mobius = zip((f.hyperplanes for f in self.flats), values)
+        self._mobius = dict(mobius)
 
     @property
     def rank(self):
@@ -195,35 +217,24 @@ class IntersectionLattice:
     def bottom(self):
         return self._by_codim[0][0]
 
+    def _closure(self, subset):
+        """Position of the closure of subset: flats are closed under
+        intersection and sorted by codim, so it is the first flat holding
+        every hyperplane of subset."""
+        mask = -1
+        for i in subset:
+            mask &= self._containing[i]
+        return (mask & -mask).bit_length() - 1
 
-class _RankOracle:
-    """Cached subset ranks and span-membership tests for one arrangement,
-    over the forms as sparse Fraction rows (`rows`)."""
-
-    def __init__(self, arr: Arrangement):
-        self._rank_cache = {}
-        self.rows = [
-            {j: Fraction(x) for j, x in enumerate(f) if x} for f in arr.forms
-        ]
-
-    def rank(self, subset) -> int:
-        key = frozenset(subset)
-        r = self._rank_cache.get(key)
-        if r is None:
-            r = sparse_rank(self.rows[i] for i in subset)
-            self._rank_cache[key] = r
-        return r
+    def closure_codim(self, subset) -> int:
+        """Rank of a set of hyperplane indices."""
+        return self.flats[self._closure(subset)].codim
 
     def is_independent(self, subset) -> bool:
-        return self.rank(subset) == len(subset)
+        return self.closure_codim(subset) == len(subset)
 
     def in_span(self, index, subset) -> bool:
-        return self.rank(subset + (index,)) == self.rank(subset)
-
-
-@lru_cache(maxsize=None)
-def _oracle(arr: Arrangement) -> _RankOracle:
-    return _RankOracle(arr)
+        return self._containing[index] >> self._closure(subset) & 1 == 1
 
 
 def _eliminate(residual, pivot, col):
@@ -253,7 +264,8 @@ def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
     ch. 2).  A new cover's residuals come from X's by one fraction-free
     elimination against that direction.  Only the current and the next
     frontier hold residuals.  The Moebius recursion finds the flats below
-    each flat with bitmasks, one per hyperplane, over the flats holding it.
+    each flat with bitmasks, one per hyperplane, over the flats holding it
+    (built by IntersectionLattice, which answers subset ranks from them).
     """
     flats = {(): 0}
     frontier = {(): {j: _primitive(f) for j, f in enumerate(arr.forms)}}
@@ -282,29 +294,7 @@ def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
         raise InternalInconsistency(
             f"lattice top has codim {top}, arrangement rank is {arr.rank}"
         )
-    ordered = sorted(flats, key=lambda s: (flats[s], s))
-    # containing[i]: bitmask over positions in `ordered` of the flats that
-    # hold hyperplane i; a flat lies below s iff it holds none outside s
-    containing = [0] * arr.num_hyperplanes
-    for k, s in enumerate(ordered):
-        for i in s:
-            containing[i] |= 1 << k
-    values = [1]
-    for k in range(1, len(ordered)):
-        s = ordered[k]
-        outside = 0
-        for i in set(range(arr.num_hyperplanes)).difference(s):
-            outside |= containing[i]
-        # only flats before s in `ordered` can lie strictly below it
-        below = ((1 << k) - 1) & ~outside
-        acc = 0
-        while below:
-            low = below & -below
-            acc += values[low.bit_length() - 1]
-            below ^= low
-        values.append(-acc)
-    flat_objs = [Flat(s, flats[s]) for s in ordered]
-    return IntersectionLattice(flat_objs, zip(ordered, values))
+    return IntersectionLattice([Flat(s, c) for s, c in flats.items()])
 
 
 def poincare_central(arr: Arrangement) -> IntPolynomial:
@@ -399,20 +389,25 @@ class Subspace:
         return len(self.basis[0])
 
 
-def _restricted_form(form, u: Subspace):
-    return tuple(sum(a * b for a, b in zip(form, v)) for v in u.basis)
+def _check_ambient(arr: Arrangement, u: Subspace):
+    if u.ambient_dim != arr.ambient_dim:
+        raise ZeroForm("subspace lives in the wrong ambient dimension")
+
+
+def _restricted_forms(arr: Arrangement, u: Subspace):
+    _check_ambient(arr, u)
+    return [
+        tuple(sum(a * b for a, b in zip(form, v)) for v in u.basis)
+        for form in arr.forms
+    ]
 
 
 def restrict_to_subspace(arr: Arrangement, u: Subspace) -> Arrangement:
     """Arrangement cut out on the subspace; proportional traces collapse."""
-    if u.ambient_dim != arr.ambient_dim:
-        raise ZeroForm("subspace lives in the wrong ambient dimension")
-    rows = []
-    for i, f in enumerate(arr.forms):
-        r = _restricted_form(f, u)
+    rows = _restricted_forms(arr, u)
+    for i, r in enumerate(rows):
         if not any(r):
             raise HyperplaneContainsSubspace(i)
-        rows.append(r)
     return normalize(rows, u.dim)
 
 
@@ -421,8 +416,8 @@ def is_lattice_generic(arr: Arrangement, u: Subspace, level) -> bool:
     same codimension, computed by exact ranks of restricted covectors."""
     if not 0 <= level < arr.rank:
         raise RankOutOfRange(f"level must lie in [0, rank), got {level}")
+    restricted = _restricted_forms(arr, u)
     lat = intersection_lattice(arr)
-    restricted = [_restricted_form(f, u) for f in arr.forms]
     for codim in range(1, min(level + 1, lat.rank) + 1):
         for flat in lat.flats_of_codim(codim):
             sub = [restricted[i] for i in flat.hyperplanes]
@@ -434,6 +429,7 @@ def is_lattice_generic(arr: Arrangement, u: Subspace, level) -> bool:
 def genericity_level(arr: Arrangement, u: Subspace):
     """Largest level of lattice genericity; INFINITE when the subspace is
     the whole space."""
+    _check_ambient(arr, u)
     if u.dim == arr.ambient_dim:
         return INFINITE
     if not is_lattice_generic(arr, u, 0):

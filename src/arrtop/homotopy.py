@@ -89,14 +89,15 @@ class ExponentData:
         return len(self.exponents)
 
 
-def _is_modular(lat, oracle, codims, flat):
+def _is_modular(lat, codims, flat):
     """Modularity of a flat: codim X + codim Y = rank(X | Y) + codim(X & Y)
-    for every flat Y.  The intersection of two closed index sets is closed,
-    so its codim is read from `codims` (hyperplane tuple -> codim)."""
+    for every flat Y.  The join's rank is the codim of its closure in the
+    lattice; the intersection of two closed index sets is closed, so its
+    codim is read from `codims` (hyperplane tuple -> codim)."""
     fs = set(flat.hyperplanes)
     rf = flat.codim
     for other in lat.flats:
-        join = oracle.rank(tuple(fs | set(other.hyperplanes)))
+        join = lat.closure_codim(fs.union(other.hyperplanes))
         meet = codims.get(tuple(sorted(fs.intersection(other.hyperplanes))))
         if meet is None:
             raise InternalInconsistency("intersection of two flats is not a flat")
@@ -109,14 +110,11 @@ def _chain_exponents(sub: Arrangement):
     r = sub.rank
     if r == 1:
         return [sub.num_hyperplanes]
-    from .arrangement import _oracle
-
     lat = intersection_lattice(sub)
-    oracle = _oracle(sub)
     codims = {f.hyperplanes: f.codim for f in lat.flats}
     failures = []
     for coatom in lat.flats_of_codim(r - 1):
-        if not _is_modular(lat, oracle, codims, coatom):
+        if not _is_modular(lat, codims, coatom):
             continue
         local = Arrangement(
             sub.ambient_dim, tuple(sub.forms[i] for i in coatom.hyperplanes)
@@ -417,6 +415,8 @@ def homotopy_hilbert_series(exponents: ExponentData, connectivity, max_degree=5)
     ell = exponents.length
     if not 2 <= p <= ell - 1:
         raise RankOutOfRange(f"connectivity must lie in [2, {ell - 1}]")
+    if max_degree < 0:
+        raise RankOutOfRange("max_degree must be nonnegative")
     tail = exponents.exponents[1:]
     betti_poly = linear_product(tail, sign=1)
     num_coeffs = [

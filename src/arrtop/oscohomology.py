@@ -21,8 +21,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .arrangement import Arrangement, _oracle, poincare_central, poincare_projective
-from .errors import InternalInconsistency, RankOutOfRange, WorkBoundExceeded
+from .arrangement import (
+    Arrangement, intersection_lattice, poincare_central, poincare_projective,
+)
+from .errors import (
+    InternalInconsistency, ParseError, RankOutOfRange, WorkBoundExceeded,
+)
 from .exactalg import SparseEchelon, int_rank, sub_scaled
 
 DEFAULT_WORK_BOUND = 10 ** 6
@@ -31,12 +35,17 @@ WORK_BOUND_ENV = "ARRTOP_WORK_BOUND"
 
 def _check_work_bound(b1, degree, override=None):
     """Refuse a tensor slice of dimension b1^degree above the work bound
-    (the override, else ARRTOP_WORK_BOUND, else the default)."""
+    (the override, else ARRTOP_WORK_BOUND, else the default).  A set,
+    nonempty ARRTOP_WORK_BOUND must be a positive decimal integer."""
     if override is not None:
         bound = override
     else:
-        env = _os.environ.get(WORK_BOUND_ENV)
-        bound = int(env) if env else DEFAULT_WORK_BOUND
+        env = _os.environ.get(WORK_BOUND_ENV) or str(DEFAULT_WORK_BOUND)
+        if not (env.isascii() and env.isdigit() and int(env) > 0):
+            raise ParseError(
+                f"{WORK_BOUND_ENV} must be a positive integer, got {env!r}"
+            )
+        bound = int(env)
     if b1 > 1 and b1 ** degree > bound:
         raise WorkBoundExceeded(
             f"tensor slice dimension {b1}^{degree} exceeds bound {bound}"
@@ -59,18 +68,18 @@ def sort_sign(word):
 class CentralAlgebra:
     """Orlik-Solomon algebra of the central complement on NBC monomials.
 
-    Subset ranks (independence, span membership) come from the
-    arrangement's shared rank oracle."""
+    Independence, span membership and circuits are read from the
+    intersection lattice; no linear algebra is done here."""
 
     def __init__(self, arr: Arrangement):
         self.arr = arr
         self.d = arr.num_hyperplanes
-        self._oracle = _oracle(arr)
+        self._lattice = intersection_lattice(arr)
         self._expand_cache = {}
         self._nbc_cache = {}
 
     def is_independent(self, subset):
-        return self._oracle.is_independent(subset)
+        return self._lattice.is_independent(subset)
 
     def is_nbc(self, subset):
         """subset must be sorted and independent."""
@@ -80,7 +89,7 @@ class CentralAlgebra:
             if c in subset:
                 continue
             tail = tuple(s for s in subset if s > c)
-            if self._oracle.in_span(c, tail):
+            if self._lattice.in_span(c, tail):
                 return False
         return True
 
@@ -98,22 +107,14 @@ class CentralAlgebra:
     def _circuit_through(self, c, tail):
         """The unique circuit inside {c} | tail with minimum c.
 
-        tail is independent and contains the span witness, so the
-        representation of form c over tail is unique and its support plus c
-        is a circuit.
+        tail is independent and spans form c, so the representation of c
+        over tail is unique and its support plus c is a circuit; t lies in
+        that support iff c can replace t, i.e. (tail - t) + c is independent.
         """
-        ech = SparseEchelon()
-        # bookkeeping columns record the combination in terms of tail rows
-        n = self.arr.ambient_dim
-        rows = self._oracle.rows
-        for pos, i in enumerate(tail):
-            row = dict(rows[i])
-            row[n + pos] = Fraction(1)
-            ech.insert(row)
-        res = ech.reduce_coordinates(rows[c])
-        support = [tail[col - n] for col, val in res.items() if col >= n and val]
-        if any(col < n for col in res):
-            raise InternalInconsistency("form not in span despite membership test")
+        support = [
+            t for t in tail
+            if self.is_independent(tuple(s for s in tail if s != t) + (c,))
+        ]
         return tuple(sorted([c] + support))
 
     def expand(self, subset):
@@ -135,7 +136,7 @@ class CentralAlgebra:
                 if c in subset:
                     continue
                 tail = tuple(s for s in subset if s > c)
-                if not self._oracle.in_span(c, tail):
+                if not self._lattice.in_span(c, tail):
                     continue
                 circuit = self._circuit_through(c, tail)
                 broken = circuit[1:]

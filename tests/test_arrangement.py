@@ -1,5 +1,6 @@
 import random
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from arrtop import (
     is_essential,
     is_lattice_generic,
     is_supersolvable,
+    nbc_basis,
     normalize,
     poincare_central,
     poincare_projective,
@@ -93,6 +95,19 @@ def test_restrict_wrong_ambient_rejected():
     arr = normalize([[1, 0], [0, 1]], 2)
     with pytest.raises(ZeroForm):
         restrict_to_subspace(arr, Subspace(((1, 0, 0), (0, 1, 0))))
+
+
+def test_genericity_wrong_ambient_rejected():
+    arr = braid3()
+    with pytest.raises(ZeroForm):
+        is_lattice_generic(arr, Subspace(((1, 2), (3, -1))), 0)
+    with pytest.raises(ZeroForm):
+        genericity_level(arr, Subspace(((1, 2), (3, -1))))
+    # as many basis vectors as the arrangement's ambient dimension, but
+    # longer: not the whole space
+    whole = Subspace(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)))
+    with pytest.raises(ZeroForm):
+        genericity_level(arr, whole)
 
 
 def test_lattice_boolean_rank2():
@@ -173,6 +188,35 @@ def test_lattice_matches_oracle_on_random_corpus():
     for arr in corpus:
         closed, mobius = _corpus_lattice_oracle(arr.forms)
         assert _lattice_table(arr) == (closed, mobius)
+        # subset ranks: the smallest codim of an oracle closed set holding
+        # the subset; circuits have at most rank + 1 elements
+        lat = intersection_lattice(arr)
+        n = arr.num_hyperplanes
+        rank = {}
+        for size in range(arr.rank + 2):
+            for subset in combinations(range(n), size):
+                rank[subset] = min(
+                    c for s, c in closed.items() if set(subset) <= set(s)
+                )
+                assert lat.closure_codim(subset) == rank[subset]
+        for subset in rank:
+            if len(subset) <= arr.rank:
+                for j in set(range(n)).difference(subset):
+                    joined = tuple(sorted(subset + (j,)))
+                    assert lat.in_span(j, subset) == (rank[joined] == rank[subset])
+        # NBC monomials: independent sets holding no broken circuit, i.e.
+        # no circuit with its smallest element removed
+        broken = [
+            set(s[1:]) for s, r in rank.items()
+            if r < len(s)
+            and all(rank[t] == len(t) for t in combinations(s, len(s) - 1))
+        ]
+        for q in range(arr.rank + 1):
+            expected = tuple(
+                s for s in combinations(range(n), q)
+                if rank[s] == q and not any(b <= set(s) for b in broken)
+            )
+            assert nbc_basis(arr, q).monomials == expected
 
 
 def test_supersolvable_matches_oracle_on_random_corpus():

@@ -253,6 +253,39 @@ def test_ragged_subspace_basis_is_malformed(tmp_path, capsys):
     assert payload["error"]["type"] == "ParseError"
 
 
+def test_subspace_of_other_ambient_dimension_is_malformed(tmp_path, capsys):
+    f = tmp_path / "subspace.json"
+    f.write_text('{"basis": [[1, 2], [3, -1]]}')
+    argv = ["genericity", path("braid3.json"), "--subspace", str(f)]
+    assert main(argv) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"]["type"] == "ZeroForm"
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5", "1e3", " 7"])
+def test_malformed_work_bound_env_is_malformed(monkeypatch, capsys, value):
+    from arrtop import graded_complex, holonomy_envelope
+
+    # the bound is read when the envelope is built, so start from cold caches
+    monkeypatch.setenv("ARRTOP_WORK_BOUND", value)
+    graded_complex.cache_clear()
+    holonomy_envelope.cache_clear()
+    assert main(["gr-check", path("braid3.json")]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"]["type"] == "ParseError"
+    assert "ARRTOP_WORK_BOUND" in payload["error"]["message"]
+
+
+def test_pi_p_negative_max_degree_is_out_of_range(capsys):
+    argv = [
+        "pi-p", path("braid3.json"),
+        "--exponents", "1,2,3", "--p", "2", "--max-degree", "-3",
+    ]
+    assert main(argv) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"]["type"] == "RankOutOfRange"
+
+
 def test_internal_inconsistency_exit_code(monkeypatch, capsys):
     def broken(arr):
         raise InternalInconsistency("identity failed")

@@ -221,6 +221,11 @@ def test_hattori_hilbert_series():
     assert den == linear_product([1, 1, 1], sign=-1)
 
 
+def test_hilbert_series_rejects_negative_degree():
+    with pytest.raises(RankOutOfRange):
+        homotopy_hilbert_series(ExponentData((1, 2, 3)), 2, -3)
+
+
 def test_hilbert_series_leading_coefficient_is_next_betti():
     exps = ExponentData((1, 1, 1, 1, 1))
     (_, _), series = homotopy_hilbert_series(exps, 2, 4)
