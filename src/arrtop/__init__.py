@@ -31,11 +31,9 @@ from .arrangement import (
 )
 from .exactalg import (
     IntPolynomial,
-    QMatrix,
     Rational,
     TruncatedSeries,
     poly_divide_exact,
-    row_reduce,
     series_of_rational,
 )
 from .homotopy import (

@@ -26,6 +26,8 @@ from .errors import (
 )
 from .exactalg import (
     IntPolynomial,
+    SparseEchelon,
+    int_entries,
     int_rank,
     poly_divide_exact,
 )
@@ -128,7 +130,9 @@ def normalize(raw_forms, ambient_dim, labels=None, multiplicities=None) -> Arran
             raise ZeroForm(
                 f"form {i} has length {len(raw)}, expected {ambient_dim}"
             )
-        vec = _primitive(tuple(int(x) for x in raw))
+        vec = _primitive(
+            int_entries(raw, ZeroForm, f"form {i} has a non-integer entry")
+        )
         if vec is None:
             raise ZeroForm(f"form {i} is zero")
         weight = multiplicities[i] if multiplicities is not None else 1
@@ -337,13 +341,16 @@ def essentialize(arr: Arrangement) -> Arrangement:
 
     Restricting every form to the coordinate subspace spanned by the pivot
     columns of the form matrix is injective on the row span, so all subset
-    ranks (hence the lattice) are preserved.
+    ranks (hence the lattice) are preserved.  A column is a pivot when it
+    is independent of the columns before it.
     """
     if is_essential(arr):
         return arr
-    from .exactalg import QMatrix, row_reduce
-
-    _, _, pivots = row_reduce(QMatrix.from_rows(arr.forms))
+    ech = SparseEchelon()
+    pivots = [
+        j for j in range(arr.ambient_dim)
+        if ech.insert({i: f[j] for i, f in enumerate(arr.forms) if f[j]})
+    ]
     new_forms = [tuple(f[j] for j in pivots) for f in arr.forms]
     return normalize(new_forms, len(pivots))
 
@@ -371,7 +378,10 @@ class Subspace:
     basis: tuple
 
     def __post_init__(self):
-        basis = tuple(tuple(int(x) for x in v) for v in self.basis)
+        basis = tuple(
+            int_entries(v, ZeroForm, "subspace basis has a non-integer entry")
+            for v in self.basis
+        )
         object.__setattr__(self, "basis", basis)
         if not basis:
             raise ZeroForm("subspace needs at least one basis vector")

@@ -1,13 +1,15 @@
-"""Exact arithmetic substrate: rationals, rational matrices, integer
-polynomials and truncated power series.
+"""Exact arithmetic substrate: sparse elimination over Q, integer Smith
+forms, integer polynomials and truncated power series.
 
-Everything here is immutable and pure.  No floating point anywhere: the
-ground field is Q via fractions.Fraction (already canonically reduced,
-arbitrary precision), integers are Python ints.
+No floating point anywhere: the ground field is Q via fractions.Fraction
+(already canonically reduced, arbitrary precision), integers are Python
+ints.  `SparseEchelon` is the one elimination kernel over Q; everything
+else here is immutable and pure.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,68 +26,14 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"exact arithmetic only: got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class QMatrix:
-    """Dense matrix over Q. entries[i][j] is row i, column j."""
-
-    rows: int
-    cols: int
-    entries: tuple
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows:
-            raise ValueError("row count mismatch")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("column count mismatch")
-
-    @classmethod
-    def from_rows(cls, rows) -> "QMatrix":
-        ent = tuple(tuple(_as_fraction(x) for x in row) for row in rows)
-        ncols = len(ent[0]) if ent else 0
-        return cls(len(ent), ncols, ent)
-
-    @classmethod
-    def identity(cls, n) -> "QMatrix":
-        return cls.from_rows(
-            [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        )
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix.from_rows(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
-    def row(self, i):
-        return self.entries[i]
-
-
-def row_reduce(m: QMatrix):
-    """Reduced row-echelon form over Q.
-
-    Returns (rank, reduced QMatrix, pivot column list).  Exact: pivots are
-    scaled to 1 and eliminated above and below.
-    """
-    work = [list(row) for row in m.entries]
-    nrows, ncols = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if work[i][c] != 0), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        pv = work[r][c]
-        work[r] = [x / pv for x in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return r, QMatrix.from_rows(work) if nrows else m, pivots
+def int_entries(values, error, message):
+    """values as a tuple of ints.  An entry that is not an integer (a
+    Fraction, float or str has no __index__) raises error(message) rather
+    than being truncated or parsed."""
+    try:
+        return tuple(operator.index(x) for x in values)
+    except TypeError:
+        raise error(message) from None
 
 
 # ---------------------------------------------------------------------------

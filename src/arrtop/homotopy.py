@@ -42,6 +42,7 @@ from .errors import (
 )
 from .exactalg import (
     IntPolynomial,
+    int_entries,
     linear_product,
     series_inverse,
     series_mul,
@@ -77,7 +78,9 @@ class ExponentData:
     exponents: tuple
 
     def __post_init__(self):
-        exps = tuple(int(x) for x in self.exponents)
+        exps = int_entries(
+            self.exponents, NonIntegerRank, "exponents must be positive integers"
+        )
         object.__setattr__(self, "exponents", exps)
         if not exps or any(x < 1 for x in exps):
             raise NonIntegerRank("exponents must be positive integers")
@@ -534,6 +537,8 @@ def _moebius_mu(n):
 def lcs_ranks(exponents: ExponentData, max_k):
     """Lower-central-series ranks phi_k with product of (1 - t^k)^phi_k equal
     to the product of (1 - d_i t), by power-sum Moebius inversion."""
+    if max_k < 0:
+        raise RankOutOfRange("max_k must be nonnegative")
     phis = []
     exps = exponents.exponents
     for m in range(1, max_k + 1):

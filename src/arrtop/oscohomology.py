@@ -34,9 +34,12 @@ WORK_BOUND_ENV = "ARRTOP_WORK_BOUND"
 
 
 def _check_work_bound(b1, degree, override=None):
-    """Refuse a tensor slice of dimension b1^degree above the work bound
-    (the override, else ARRTOP_WORK_BOUND, else the default).  A set,
-    nonempty ARRTOP_WORK_BOUND must be a positive decimal integer."""
+    """Refuse a negative degree, and a tensor slice of dimension b1^degree
+    above the work bound (the override, else ARRTOP_WORK_BOUND, else the
+    default).  A set, nonempty ARRTOP_WORK_BOUND must be a positive decimal
+    integer."""
+    if degree < 0:
+        raise RankOutOfRange("max_degree must be nonnegative")
     if override is not None:
         bound = override
     else:
@@ -68,8 +71,8 @@ def sort_sign(word):
 class CentralAlgebra:
     """Orlik-Solomon algebra of the central complement on NBC monomials.
 
-    Independence, span membership and circuits are read from the
-    intersection lattice; no linear algebra is done here."""
+    Independence and span membership are read from the intersection
+    lattice; no linear algebra is done here."""
 
     def __init__(self, arr: Arrangement):
         self.arr = arr
@@ -104,19 +107,6 @@ class CentralAlgebra:
             self._nbc_cache[q] = out
         return out
 
-    def _circuit_through(self, c, tail):
-        """The unique circuit inside {c} | tail with minimum c.
-
-        tail is independent and spans form c, so the representation of c
-        over tail is unique and its support plus c is a circuit; t lies in
-        that support iff c can replace t, i.e. (tail - t) + c is independent.
-        """
-        support = [
-            t for t in tail
-            if self.is_independent(tuple(s for s in tail if s != t) + (c,))
-        ]
-        return tuple(sorted([c] + support))
-
     def expand(self, subset):
         """NBC expansion of the monomial e_subset (sorted, distinct).
 
@@ -138,17 +128,17 @@ class CentralAlgebra:
                 tail = tuple(s for s in subset if s > c)
                 if not self._lattice.in_span(c, tail):
                     continue
-                circuit = self._circuit_through(c, tail)
-                broken = circuit[1:]
-                rest = tuple(s for s in subset if s not in broken)
-                _, base_sign = sort_sign(broken + rest)
+                # (c,) + tail is dependent, so its boundary lies in the
+                # Orlik-Solomon ideal and rewrites e_tail; NBC expansions
+                # are unique, so no minimal circuit is needed
+                dependent = (c,) + tail
+                rest = tuple(s for s in subset if s < c)
+                _, base_sign = sort_sign(tail + rest)
                 acc = {}
-                for r in range(1, len(circuit)):
-                    replaced = circuit[:r] + circuit[r + 1:]
+                for r in range(1, len(dependent)):
+                    replaced = dependent[:r] + dependent[r + 1:]
                     term_word = replaced + rest
                     sorted_word, sgn = sort_sign(term_word)
-                    if not sgn:
-                        continue
                     coeff = base_sign * ((-1) ** (r + 1)) * sgn
                     sub_scaled(acc, self.expand(sorted_word), -coeff)
                 result = acc
@@ -509,8 +499,6 @@ def holonomy_envelope(arr: Arrangement, max_degree, projective=True,
     hyperplane order.  The work bound still refuses b1^max_degree above
     the bound, although no tensor power of that size is built.
     """
-    if max_degree < 0:
-        raise RankOutOfRange("max_degree must be nonnegative")
     b1 = cohomology_view(arr, projective).dim(1)
     _check_work_bound(b1, max_degree, work_bound)
     relations = reduced_diagonal(arr, projective=projective).relation_basis

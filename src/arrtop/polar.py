@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .arrangement import (
     Arrangement,
+    intersection_lattice,
     is_essential,
     poincare_projective,
     projective_betti,
@@ -54,27 +55,6 @@ def _euler(poly):
     return poly(-1)
 
 
-def _unique_circuit_size(arr: Arrangement):
-    """Size of the single circuit of a corank-one essential arrangement.
-
-    With d = ambient_dim + 1 hyperplanes of full rank the dependency space
-    is one-dimensional; its support is the unique circuit.
-    """
-    from .exactalg import QMatrix, row_reduce
-
-    mat = QMatrix.from_rows(arr.forms).transpose()
-    _, reduced, pivots = row_reduce(mat)
-    free = [j for j in range(arr.num_hyperplanes) if j not in pivots]
-    if len(free) != 1:
-        return None
-    j = free[0]
-    support = 1
-    for r, p in enumerate(pivots):
-        if reduced.entries[r][j] != 0:
-            support += 1
-    return support
-
-
 def _classify(arr: Arrangement, degree):
     if degree == 0:
         return CLASS_ZERO
@@ -84,7 +64,14 @@ def _classify(arr: Arrangement, degree):
         # d independent forms in dimension d: the lattice is boolean
         return CLASS_BOOLEAN_B1
     if degree == 2 and d == ambient + 1 and is_essential(arr):
-        if _unique_circuit_size(arr) == 3:
+        # corank one: hyperplane i lies on the unique circuit exactly when
+        # the others still span
+        lat = intersection_lattice(arr)
+        circuit = [
+            i for i in range(d)
+            if lat.closure_codim(set(range(d)) - {i}) == arr.rank
+        ]
+        if len(circuit) == 3:
             return CLASS_NEARPENCIL_B2
     return CLASS_GENERAL
 

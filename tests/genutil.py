@@ -127,7 +127,8 @@ def euler_projective_oracle(forms):
     for c in central:
         quotient.append(c - carry)
         carry = quotient[-1]
-    assert carry == 0, "central Poincare polynomial not divisible by 1+t"
+    if carry != 0:
+        raise AssertionError("central Poincare polynomial not divisible by 1+t")
     quotient.pop()
     return sum(c * (-1) ** k for k, c in enumerate(quotient)), quotient
 

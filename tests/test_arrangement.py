@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -9,6 +10,7 @@ from arrtop import arrangement as arrangement_module
 from arrtop import (
     INFINITE,
     Arrangement,
+    ExponentData,
     Subspace,
     betti_agreement_order,
     characteristic_polynomial,
@@ -32,6 +34,7 @@ from arrtop import (
 from arrtop.errors import (
     EmptyArrangement,
     HyperplaneContainsSubspace,
+    NonIntegerRank,
     NotL0Generic,
     RankOutOfRange,
     SamplingFailed,
@@ -46,6 +49,7 @@ from genutil import (
     poincare_oracle,
     random_essential_arrangement,
     int_kernel_basis_oracle,
+    rank_oracle,
     supersolvable_oracle,
 )
 
@@ -54,6 +58,20 @@ def test_normalize_collapses_proportional():
     arr = normalize([[2, 0, 0], [1, 0, 0], [0, 1, 0]], 3)
     assert arr.forms == ((1, 0, 0), (0, 1, 0))
     assert arr.multiplicities == (2, 1)
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: normalize([[Fraction(1, 2), 1], [0, 1]], 2), ZeroForm),
+    (lambda: normalize([["3", 1], [0, 1]], 2), ZeroForm),
+    (lambda: normalize([[1.0, 0], [0, 1]], 2), ZeroForm),
+    (lambda: Subspace(((1, 0.5, 0),)), ZeroForm),
+    (lambda: ExponentData((1, 2.9, 3)), NonIntegerRank),
+    (lambda: ExponentData((1, Fraction(2), 3)), NonIntegerRank),
+], ids=["fraction-form", "string-form", "float-form", "float-basis",
+        "float-exponent", "fraction-exponent"])
+def test_constructors_refuse_non_integers(build, error):
+    with pytest.raises(error):
+        build()
 
 
 def test_normalize_boolean_unchanged():
@@ -335,6 +353,35 @@ def test_essentialize_idempotent_and_preserves_lattice():
     flats_before = {f.hyperplanes: lat_before.mobius(f) for f in lat_before.flats}
     flats_after = {f.hyperplanes: lat_after.mobius(f) for f in lat_after.flats}
     assert flats_before == flats_after
+
+
+def test_essentialize_keeps_greedy_pivot_columns():
+    """essentialize keeps exactly the coordinates whose column of the form
+    matrix is independent of the columns before it, checked against minor
+    ranks over a seeded corpus of forms drawn from a lower-rank span."""
+    rng = random.Random(61)
+    checked = 0
+    while checked < 30:
+        dim = rng.randint(2, 5)
+        span = [[rng.randint(-2, 2) for _ in range(dim)]
+                for _ in range(rng.randint(1, dim - 1))]
+        raw = []
+        for _ in range(rng.randint(1, 7)):
+            coeffs = [rng.randint(-2, 2) for _ in span]
+            raw.append([sum(c * v[j] for c, v in zip(coeffs, span)) for j in range(dim)])
+        raw = [row for row in raw if any(row)]
+        if not raw:
+            continue
+        arr = normalize(raw, dim)
+        columns = list(zip(*arr.forms))
+        pivots = []
+        for j, column in enumerate(columns):
+            if rank_oracle([columns[k] for k in pivots] + [column]) > len(pivots):
+                pivots.append(j)
+        expected = normalize([[f[j] for j in pivots] for f in arr.forms], len(pivots))
+        assert not is_essential(arr)
+        assert essentialize(arr) == expected
+        checked += 1
 
 
 def test_essentialize_single_hyperplane():

@@ -286,6 +286,12 @@ def test_pi_p_negative_max_degree_is_out_of_range(capsys):
     assert payload["error"]["type"] == "RankOutOfRange"
 
 
+def test_lcs_negative_max_k_is_out_of_range(capsys):
+    assert main(["lcs", path("braid3.json"), "--max-k", "-1"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"]["type"] == "RankOutOfRange"
+
+
 def test_internal_inconsistency_exit_code(monkeypatch, capsys):
     def broken(arr):
         raise InternalInconsistency("identity failed")

@@ -226,6 +226,13 @@ def test_hilbert_series_rejects_negative_degree():
         homotopy_hilbert_series(ExponentData((1, 2, 3)), 2, -3)
 
 
+def test_lcs_and_integer_audit_reject_negative_degree():
+    with pytest.raises(RankOutOfRange):
+        lcs_ranks(ExponentData((1, 2, 3)), -1)
+    with pytest.raises(RankOutOfRange):
+        integer_audit(braid3(), -1)
+
+
 def test_hilbert_series_leading_coefficient_is_next_betti():
     exps = ExponentData((1, 1, 1, 1, 1))
     (_, _), series = homotopy_hilbert_series(exps, 2, 4)

@@ -1,6 +1,7 @@
 import os
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,6 +70,37 @@ def test_triangle_rewriting():
     ]
     assert int_rank(rows) == 2
     del index
+
+
+def test_expand_is_reduction_modulo_the_os_ideal():
+    """expand fixes NBC monomials and kills the Orlik-Solomon ideal: the
+    boundary of every dependent monomial, times any monomial, expands to
+    zero.  Together these pin expand down, since NBC monomials are a basis
+    of the quotient by that ideal."""
+    rng = random.Random(12)
+    braid4 = normalize(
+        [[(k == i) - (k == j) for k in range(5)] for i, j in combinations(range(5), 2)],
+        5,
+    )
+    corpus = [braid3(), braid4, generic4(), near_pencil(3)]
+    corpus += [random_essential_arrangement(rng, 7) for _ in range(4)]
+    checks = 0
+    for arr in corpus:
+        alg = central_algebra(arr)
+        n = arr.num_hyperplanes
+        for q in range(arr.rank + 1):
+            for s in nbc_basis(arr, q).monomials:
+                assert alg.expand(s) == {s: 1}
+        for size in range(2, arr.rank + 2):
+            for dep in combinations(range(n), size):
+                if alg.is_independent(dep):
+                    continue
+                boundary = alg.boundary_expansion(dep)
+                for t_size in range(arr.rank + 2 - size):
+                    for t in combinations(range(n), t_size):
+                        assert alg.multiply(boundary, alg.expand(t)) == {}
+                        checks += 1
+    assert checks > 1000
 
 
 def test_cup_identity_in_degree_one():

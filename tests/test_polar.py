@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -22,7 +22,9 @@ from arrtop.errors import (
     NonIntegerMu,
     NonIsolated,
     PreconditionError,
+    ZeroForm,
 )
+from arrtop.polar import CLASS_NEARPENCIL_B2, _classify
 from genutil import (
     boolean_arrangement,
     braid3,
@@ -30,6 +32,7 @@ from genutil import (
     generic4,
     near_pencil,
     random_essential_arrangement,
+    rank_oracle,
 )
 
 
@@ -47,6 +50,36 @@ def test_near_pencil_degree_two():
         rep = polar_degree(near_pencil(n))
         assert rep.degree == 2
         assert rep.classification == "NEARPENCIL_B2"
+
+
+def test_near_pencil_class_matches_brute_force_circuit():
+    """A corank-one essential arrangement is classed as a near-pencil exactly
+    when its unique circuit, the smallest dependent set by minor ranks, has
+    three hyperplanes."""
+    rng = random.Random(17)
+    sizes = []
+    while len(sizes) < 40:
+        n = rng.randint(2, 5)
+        raw = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        support = rng.sample(range(n), rng.randint(2, n))
+        raw.append([
+            sum(rng.choice([-2, -1, 1, 2]) * raw[i][j] for i in support)
+            for j in range(n)
+        ])
+        try:
+            arr = normalize(raw, n)
+        except ZeroForm:
+            continue
+        if arr.num_hyperplanes != n + 1 or arr.rank != n:
+            continue
+        size = next(
+            k for k in range(2, n + 2)
+            if any(rank_oracle([arr.forms[i] for i in s]) < k
+                   for s in combinations(range(n + 1), k))
+        )
+        assert (_classify(arr, 2) == CLASS_NEARPENCIL_B2) == (size == 3)
+        sizes.append(size)
+    assert 3 in sizes and len(set(sizes)) > 1
 
 
 def test_braid_degree():
