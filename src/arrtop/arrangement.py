@@ -94,6 +94,32 @@ class Arrangement:
     labels: tuple = field(default=None, compare=False)
     multiplicities: tuple = field(default=None, compare=False)
 
+    def __post_init__(self):
+        """Refuse what normalize() would not produce: no forms
+        (EmptyArrangement), a non-integer ambient dimension or entry, a form
+        of the wrong length, a zero form or a proportional pair (ZeroForm).
+        Forms need not be primitive."""
+        if not self.forms:
+            raise EmptyArrangement("no forms given")
+        int_entries((self.ambient_dim,), ZeroForm, "ambient_dim is not an integer")
+        forms = tuple(
+            int_entries(f, ZeroForm, f"form {i} has a non-integer entry")
+            for i, f in enumerate(self.forms)
+        )
+        seen = {}
+        for i, f in enumerate(forms):
+            if len(f) != self.ambient_dim:
+                raise ZeroForm(
+                    f"form {i} has length {len(f)}, expected {self.ambient_dim}"
+                )
+            vec = _primitive(f)
+            if vec is None:
+                raise ZeroForm(f"form {i} is zero")
+            if vec in seen:
+                raise ZeroForm(f"forms {seen[vec]} and {i} are proportional")
+            seen[vec] = i
+        object.__setattr__(self, "forms", forms)
+
     @property
     def num_hyperplanes(self):
         return len(self.forms)
@@ -142,8 +168,6 @@ def normalize(raw_forms, ambient_dim, labels=None, multiplicities=None) -> Arran
         else:
             seen[vec] = (weight, labels[i] if labels is not None else None)
             order.append(vec)
-    if not order:
-        raise EmptyArrangement("no forms given")
     mults = tuple(seen[v][0] for v in order)
     labs = tuple(seen[v][1] for v in order)
     return Arrangement(

@@ -1,9 +1,12 @@
 """Exact arithmetic substrate: sparse elimination over Q, integer Smith
 forms, integer polynomials and truncated power series.
 
-No floating point anywhere: the ground field is Q via fractions.Fraction
-(already canonically reduced, arbitrary precision), integers are Python
-ints.  `SparseEchelon` is the one elimination kernel over Q; everything
+No floating point anywhere: the ground field is Q, integers are Python
+ints.  `SparseEchelon` is the one elimination kernel over Q.  It holds an
+exact value as an int when it is integral and as a fractions.Fraction
+(canonically reduced, arbitrary precision) only when it is not: on the
+matrices that arise here almost every entry is an integer, and int
+arithmetic is many times cheaper than Fraction arithmetic.  Everything
 else here is immutable and pure.
 """
 
@@ -37,15 +40,25 @@ def int_entries(values, error, message):
 
 
 # ---------------------------------------------------------------------------
-# sparse exact elimination (rows as {column: Fraction} dicts)
+# sparse exact elimination (rows as {column: int or Fraction} dicts)
+
+def narrowed(vec):
+    """vec with every integral Fraction stored as an int (in place)."""
+    for key, val in vec.items():
+        if type(val) is Fraction and val.denominator == 1:
+            vec[key] = val.numerator
+    return vec
+
 
 def sub_scaled(acc, vec, coeff):
     """acc -= coeff * vec in place, for sparse {key: value} vectors; entries
     that cancel are dropped, so acc never stores a zero.
 
-    Subtracting rather than adding lets elimination pass the pivot entry as
-    it is; negating a Fraction on every elimination step measurably slows
-    the lattice build."""
+    An integral Fraction coefficient is narrowed to an int once, so that
+    integer vectors stay on int arithmetic.  Subtracting rather than adding
+    lets elimination pass the pivot entry as it is."""
+    if type(coeff) is Fraction and coeff.denominator == 1:
+        coeff = coeff.numerator
     for key, val in vec.items():
         nv = acc.get(key, 0) - coeff * val
         if nv:
@@ -57,10 +70,12 @@ def sub_scaled(acc, vec, coeff):
 class SparseEchelon:
     """Incremental echelon basis of a row space over Q.
 
-    Rows are dicts column -> nonzero Fraction.  Each inserted row is reduced
-    against the current pivots (pivot column = smallest column of the row,
-    pivot entry normalized to 1), so membership tests and coordinate
-    reductions are a single forward pass.
+    Rows are dicts column -> nonzero exact value, an int when it is integral
+    and a Fraction otherwise; inserted rows may mix both.  Each inserted row
+    is reduced against the current pivots (pivot column = smallest column of
+    the row, pivot entry normalized to 1), so membership tests and
+    coordinate reductions are a single forward pass.  Stored pivot rows and
+    returned residuals hold ints wherever their values are integral.
     """
 
     def __init__(self):
@@ -79,7 +94,7 @@ class SparseEchelon:
             if piv is None:
                 break
             sub_scaled(v, piv, v[c])
-        return v
+        return narrowed(v)
 
     def reduce_coordinates(self, vec):
         """Eliminate every pivot column from vec, not just a leading prefix.
@@ -92,7 +107,7 @@ class SparseEchelon:
         while True:
             hits = [c for c in v if c in self.pivot_rows]
             if not hits:
-                return v
+                return narrowed(v)
             c = min(hits)
             sub_scaled(v, self.pivot_rows[c], v[c])
 
@@ -102,8 +117,15 @@ class SparseEchelon:
         if not v:
             return False
         c = min(v)
-        inv = 1 / Fraction(v[c])
-        self.pivot_rows[c] = {col: val * inv for col, val in v.items()}
+        lead = v[c]
+        if lead == 1:
+            row = v
+        elif lead == -1:  # an integer row stays integer
+            row = {col: -val for col, val in v.items()}
+        else:
+            inv = 1 / Fraction(lead)
+            row = narrowed({col: val * inv for col, val in v.items()})
+        self.pivot_rows[c] = row
         return True
 
     def contains(self, vec) -> bool:
@@ -134,9 +156,7 @@ def sparse_compose(rows_a, rows_b):
 
 def int_rank(vectors) -> int:
     """Rank over Q of a list of integer vectors."""
-    return sparse_rank(
-        [{j: Fraction(x) for j, x in enumerate(v) if x} for v in vectors]
-    )
+    return sparse_rank([{j: x for j, x in enumerate(v) if x} for v in vectors])
 
 
 def smith_invariant_factors(rows):

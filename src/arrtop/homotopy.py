@@ -236,7 +236,7 @@ def _delta_rows(view, env, q, t, sign=1, left=False):
         parts = {}  # T -> coordinates in U^(s+1)
         for tt, j, c in transposed[r]:
             part = parts.setdefault(tt, {})
-            sub_scaled(part, env.generator_product(j, s, w, left=not left), -c)
+            sub_scaled(part, env._product(j, s, w, left=not left), -c)
         rows.append({
             w2 * dim_low + tt if left else tt * dim_u_next + w2: f
             for tt, part in parts.items()
@@ -316,7 +316,7 @@ def torus_graded_complex(n, max_internal_degree=4) -> GradedChainComplex:
                         # is minus the generator
                         coeff = -((-1) ** r)
                         row[col] = row.get(col, 0) + coeff
-                    rows.append({c: Fraction(v) for c, v in row.items() if v})
+                    rows.append({c: v for c, v in row.items() if v})
             blocks[(q, t)] = rows
     complex_ = GradedChainComplex(gen_ranks, u_dims, max_internal_degree, blocks)
     complex_.check_square_zero()

@@ -27,7 +27,7 @@ from .arrangement import (
 from .errors import (
     InternalInconsistency, ParseError, RankOutOfRange, WorkBoundExceeded,
 )
-from .exactalg import SparseEchelon, int_rank, sub_scaled
+from .exactalg import SparseEchelon, int_rank, narrowed, sub_scaled
 
 DEFAULT_WORK_BOUND = 10 ** 6
 WORK_BOUND_ENV = "ARRTOP_WORK_BOUND"
@@ -186,8 +186,8 @@ class _Basis:
         self._ncols = n
         self._ech = SparseEchelon()
         for pos, exp in enumerate(self.expansions):
-            row = {self._index[m]: Fraction(c) for m, c in exp.items()}
-            row[n + pos] = Fraction(1)
+            row = {self._index[m]: c for m, c in exp.items()}
+            row[n + pos] = 1
             residual = self._ech.reduce(row)
             if not residual or min(residual) >= n:
                 raise InternalInconsistency("cohomology basis candidates are dependent")
@@ -198,10 +198,11 @@ class _Basis:
         return len(self.labels)
 
     def represent(self, expansion):
-        """Coordinates of an NBC expansion in this basis (exact)."""
-        vec = {self._index[m]: Fraction(c) for m, c in expansion.items()}
+        """Coordinates of an NBC expansion in this basis (exact: an int where
+        integral, else a Fraction)."""
+        vec = {self._index[m]: c for m, c in expansion.items()}
         res = self._ech.reduce_coordinates(vec)
-        coords = [Fraction(0)] * self.dim
+        coords = [0] * self.dim
         for col, val in res.items():
             if col < self._ncols:
                 raise InternalInconsistency("vector does not lie in the basis span")
@@ -445,7 +446,7 @@ class UEnvelope:
         # degree one: U_0 (x) H_1 with no relations
         self._add_degree(SparseEchelon(), list(range(b1)))
         relations = [
-            [(divmod(c, b1), Fraction(v)) for c, v in enumerate(row) if v]
+            [(divmod(c, b1), v) for c, v in enumerate(row) if v]
             for row in relation_rows
         ]
         for k in range(2, self.max_degree + 1):
@@ -455,7 +456,7 @@ class UEnvelope:
                 for rel in relations:
                     row = {}
                     for (a, b), c in rel:
-                        prefix = self.generator_product(a, k - 2, u, left=False)
+                        prefix = self._product(a, k - 2, u, left=False)
                         sub_scaled(row, {p * b1 + b: v for p, v in prefix.items()}, -c)
                     ech.insert(row)
             total = self.dims[k - 1] * b1
@@ -470,6 +471,14 @@ class UEnvelope:
         or of (basis word) * x_j when left is false.
 
         Returns {position: Fraction}."""
+        return {
+            p: Fraction(v) for p, v in self._product(j, k, word_pos, left).items()
+        }
+
+    def _product(self, j, k, word_pos, left=True):
+        """generator_product as the kernel holds it, for the package's own
+        callers: an int where integral, else a Fraction.  Cached; callers
+        must not mutate the dict."""
         key = (left, j, k, word_pos)
         out = self._mult_cache.get(key)
         if out is None:
@@ -478,11 +487,12 @@ class UEnvelope:
             if left and k:
                 prefix, i = divmod(self._columns[k][word_pos], self.b1)
                 out = {}
-                for p, c in self.generator_product(j, k - 1, prefix).items():
-                    sub_scaled(out, self.generator_product(i, k, p, left=False), -c)
+                for p, c in self._product(j, k - 1, prefix).items():
+                    sub_scaled(out, self._product(i, k, p, left=False), -c)
+                narrowed(out)
             else:  # at degree 0 the left and right products are both x_j
                 col = word_pos * self.b1 + j
-                res = self._echelons[k + 1].reduce_coordinates({col: Fraction(1)})
+                res = self._echelons[k + 1].reduce_coordinates({col: 1})
                 positions = self._positions[k + 1]
                 out = {positions[c]: v for c, v in res.items()}
             self._mult_cache[key] = out

@@ -7,7 +7,6 @@ from itertools import combinations
 
 from arrtop import Arrangement, Subspace, is_essential, normalize
 from arrtop.errors import EmptyArrangement, ZeroForm
-from arrtop.exactalg import SparseEchelon
 from arrtop.oscohomology import cohomology_view, reduced_diagonal
 
 
@@ -134,6 +133,62 @@ def euler_projective_oracle(forms):
 
 
 # ---------------------------------------------------------------------------
+# all-Fraction elimination reference
+
+class FractionEchelon:
+    """Reference for arrtop.exactalg.SparseEchelon: the same incremental
+    echelon (smallest column as pivot, pivot entry 1), with every value
+    held as a Fraction."""
+
+    def __init__(self):
+        self.pivot_rows = {}
+
+    @property
+    def rank(self):
+        return len(self.pivot_rows)
+
+    @staticmethod
+    def _sub_scaled(acc, vec, coeff):
+        for key, val in vec.items():
+            nv = acc.get(key, 0) - coeff * val
+            if nv:
+                acc[key] = nv
+            else:
+                acc.pop(key, None)
+
+    def reduce(self, vec):
+        v = {c: Fraction(x) for c, x in vec.items() if x}
+        while v:
+            c = min(v)
+            piv = self.pivot_rows.get(c)
+            if piv is None:
+                break
+            self._sub_scaled(v, piv, v[c])
+        return v
+
+    def reduce_coordinates(self, vec):
+        v = {c: Fraction(x) for c, x in vec.items() if x}
+        while True:
+            hits = [c for c in v if c in self.pivot_rows]
+            if not hits:
+                return v
+            c = min(hits)
+            self._sub_scaled(v, self.pivot_rows[c], v[c])
+
+    def insert(self, vec):
+        v = self.reduce(vec)
+        if not v:
+            return False
+        c = min(v)
+        inv = 1 / v[c]
+        self.pivot_rows[c] = {col: val * inv for col, val in v.items()}
+        return True
+
+    def contains(self, vec):
+        return not self.reduce(vec)
+
+
+# ---------------------------------------------------------------------------
 # enveloping-algebra oracle inside the full tensor powers
 
 class TensorEnvelope:
@@ -143,7 +198,7 @@ class TensorEnvelope:
     degree k-2 times every relation.  Words are encoded big-endian in base
     b1; the smallest column is the pivot, so the basis words are the
     lexicographically normal words.  Same interface as
-    arrtop.oscohomology.UEnvelope."""
+    arrtop.oscohomology.UEnvelope, computed on FractionEchelon."""
 
     def __init__(self, max_degree, b1, relation_rows):
         self.max_degree = max_degree
@@ -167,7 +222,7 @@ class TensorEnvelope:
         ]
         prev = None
         for k in range(2, max_degree + 1):
-            ech = SparseEchelon()
+            ech = FractionEchelon()
             if prev is not None:
                 for row in prev.pivot_rows.values():
                     for j in range(b1):
@@ -204,6 +259,10 @@ class TensorEnvelope:
         res = self._echelons[k + 1].reduce_coordinates({idx: Fraction(1)})
         positions = self._positions[k + 1]
         return {positions[c]: v for c, v in res.items()}
+
+    # the name under which arrtop's own callers (homotopy._delta_rows) read
+    # products; here the values are Fractions throughout
+    _product = generator_product
 
 
 def envelope_oracle(arr, degree, projective=True) -> TensorEnvelope:

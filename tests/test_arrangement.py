@@ -74,6 +74,19 @@ def test_constructors_refuse_non_integers(build, error):
         build()
 
 
+@pytest.mark.parametrize("dim, forms", [
+    (2, ((0, 0), (0, 1))),
+    (2, ((Fraction(1), 0), (0, 1))),
+    (2, ((1, 0, 0), (0, 1))),
+    (2, ((1, 0), (2, 0), (0, 1))),
+    ("2", ((1, 0), (0, 1))),
+], ids=["zero-form", "fraction-entry", "wrong-length", "proportional-pair",
+        "string-dim"])
+def test_direct_construction_validates_forms(dim, forms):
+    with pytest.raises(ZeroForm):
+        poincare_central(Arrangement(dim, forms))
+
+
 def test_normalize_boolean_unchanged():
     arr = normalize([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
     assert arr.forms == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -93,6 +106,8 @@ def test_normalize_rejects_zero_form():
 def test_normalize_rejects_empty():
     with pytest.raises(EmptyArrangement):
         normalize([], 3)
+    with pytest.raises(EmptyArrangement):
+        Arrangement(3, ())
 
 
 def test_normalize_keeps_first_seen_label():

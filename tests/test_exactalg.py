@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arrtop.exactalg import (
     IntPolynomial,
+    SparseEchelon,
     TruncatedSeries,
     int_rank,
     linear_product,
@@ -13,7 +15,7 @@ from arrtop.exactalg import (
     smith_invariant_factors,
 )
 from arrtop.errors import InexactDivision, ZeroConstantTerm
-from genutil import rank_oracle
+from genutil import FractionEchelon, rank_oracle
 
 
 def test_int_rank_proportional_rows():
@@ -32,6 +34,41 @@ def test_rank_equals_transpose_rank():
     for _ in range(10):
         rows = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(6)]
         assert int_rank(rows) == int_rank(list(zip(*rows)))
+
+
+def _narrowed(vec):
+    return all(type(v) is int or v.denominator != 1 for v in vec.values())
+
+
+_values = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)),
+)
+_rows = st.lists(
+    st.dictionaries(st.integers(0, 9), _values, max_size=6).map(
+        lambda row: {c: v for c, v in row.items() if v}),
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rows, _rows)
+def test_sparse_echelon_matches_fraction_reference(rows, queries):
+    # mixed int / Fraction rows with non-unit pivots against the
+    # all-Fraction reference; values compare equal across the two types
+    fast, ref = SparseEchelon(), FractionEchelon()
+    for row in rows:
+        assert fast.insert(row) == ref.insert(row)
+        assert fast.rank == ref.rank
+    assert set(fast.pivot_rows) == set(ref.pivot_rows)
+    assert fast.pivot_rows == ref.pivot_rows
+    assert all(_narrowed(row) for row in fast.pivot_rows.values())
+    for vec in rows + queries:
+        reduced = fast.reduce(vec)
+        coords = fast.reduce_coordinates(vec)
+        assert reduced == ref.reduce(vec) and _narrowed(reduced)
+        assert coords == ref.reduce_coordinates(vec) and _narrowed(coords)
+        assert fast.contains(vec) == ref.contains(vec)
 
 
 def test_geometric_series():

@@ -22,11 +22,13 @@ from arrtop import (
     reduced_diagonal,
     right_cup_dual,
     series_of_rational,
+    torus_graded_complex,
 )
 from arrtop.cli import parse_arrangement
 from arrtop.errors import WorkBoundExceeded
-from arrtop.exactalg import IntPolynomial, int_rank, linear_product
-from arrtop.homotopy import _delta_rows
+from arrtop import exactalg, homotopy, oscohomology
+from arrtop.exactalg import IntPolynomial, int_rank, linear_product, sub_scaled
+from arrtop.homotopy import _delta_rows, is_acyclic
 from arrtop.oscohomology import central_algebra, cohomology_view, sort_sign
 from genutil import (
     boolean_arrangement,
@@ -312,6 +314,37 @@ def test_envelope_generator_products_consistent():
                 assert isinstance(coeff, Fraction)
                 seen.add(pos)
     assert seen == set(range(env.dims[2]))
+
+
+def test_integer_data_stays_int(monkeypatch):
+    # the braid3 envelope, the assembly of its complex and the torus ranks
+    # meet only unit pivots, so no Fraction may reach the kernel there: a
+    # Fraction(...) wrapper on any input (cohomology bases, relations,
+    # product seeds, complex blocks, int_rank) would put the elimination
+    # back on Fraction arithmetic.  (The braid3 block ranks meet pivots 2.)
+    fractions_seen = []
+
+    def spy(acc, vec, coeff):
+        if type(coeff) is Fraction or any(
+                type(v) is Fraction for d in (acc, vec) for v in d.values()):
+            fractions_seen.append((acc, vec, coeff))
+        sub_scaled(acc, vec, coeff)
+
+    for module in (exactalg, oscohomology, homotopy):
+        monkeypatch.setattr(module, "sub_scaled", spy)
+    # forms scaled by 3: a cache key no other test builds
+    arr = Arrangement(3, tuple(tuple(3 * x for x in f) for f in braid3().forms))
+    env = holonomy_envelope(arr, 4)
+    complexes = [graded_complex(arr, 4), torus_graded_complex(3, 4)]
+    assert is_acyclic(complexes[1])
+    assert not fractions_seen
+    for ech in env._echelons.values():
+        for row in ech.pivot_rows.values():
+            assert all(type(v) is int for v in row.values())
+    for complex_ in complexes:
+        for rows in complex_.blocks.values():
+            for row in rows:
+                assert all(type(v) is int for v in row.values())
 
 
 def test_right_cup_dual_degree_one_is_identity_pairing():
