@@ -96,15 +96,19 @@ class Arrangement:
 
     def __post_init__(self):
         """Refuse what normalize() would not produce: no forms
-        (EmptyArrangement), a non-integer ambient dimension or entry, a form
-        of the wrong length, a zero form or a proportional pair (ZeroForm).
-        Forms need not be primitive."""
+        (EmptyArrangement), forms that are not a sequence, a non-integer
+        ambient dimension or entry, a form of the wrong length, a zero form
+        or a proportional pair (ZeroForm).  Forms need not be primitive."""
         if not self.forms:
             raise EmptyArrangement("no forms given")
         int_entries((self.ambient_dim,), ZeroForm, "ambient_dim is not an integer")
+        try:
+            rows = tuple(self.forms)
+        except TypeError:
+            raise ZeroForm("forms is not a sequence of forms") from None
         forms = tuple(
             int_entries(f, ZeroForm, f"form {i} has a non-integer entry")
-            for i, f in enumerate(self.forms)
+            for i, f in enumerate(rows)
         )
         seen = {}
         for i, f in enumerate(forms):

@@ -6,8 +6,12 @@ ints.  `SparseEchelon` is the one elimination kernel over Q.  It holds an
 exact value as an int when it is integral and as a fractions.Fraction
 (canonically reduced, arbitrary precision) only when it is not: on the
 matrices that arise here almost every entry is an integer, and int
-arithmetic is many times cheaper than Fraction arithmetic.  Everything
-else here is immutable and pure.
+arithmetic is many times cheaper than Fraction arithmetic.  A batch of
+rows is inserted sparsest first (Markowitz's ordering), so that early long
+rows do not fill in every later pivot row; the rank, the pivot columns,
+`contains` and `reduce_coordinates` depend only on the row space, so the
+order changes none of them, only the stored pivot rows.  Everything else
+here is immutable and pure.
 """
 
 from __future__ import annotations
@@ -76,6 +80,12 @@ class SparseEchelon:
     the row, pivot entry normalized to 1), so membership tests and
     coordinate reductions are a single forward pass.  Stored pivot rows and
     returned residuals hold ints wherever their values are integral.
+
+    `extend` inserts a batch shortest row first.  The pivot columns are the
+    leading columns of the row space, so they, the rank, `contains` and
+    `reduce_coordinates` (whose residual is the unique representative on
+    the non-pivot columns) do not depend on the insertion order; the stored
+    pivot rows and the residuals of `reduce` do.
     """
 
     def __init__(self):
@@ -128,14 +138,18 @@ class SparseEchelon:
         self.pivot_rows[c] = row
         return True
 
+    def extend(self, rows):
+        """Insert a batch of rows, fewest entries first (a stable sort)."""
+        for row in sorted(rows, key=len):
+            self.insert(row)
+
     def contains(self, vec) -> bool:
         return not self.reduce(vec)
 
 
 def sparse_rank(rows) -> int:
     ech = SparseEchelon()
-    for r in rows:
-        ech.insert(r)
+    ech.extend(rows)
     return ech.rank
 
 

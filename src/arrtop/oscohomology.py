@@ -402,6 +402,9 @@ class UEnvelope:
     the column order is the lexicographic order of those words.  With the
     smallest column as pivot, the non-pivot columns are the normal words of
     degree k (a normal word's prefix is normal), listed in basis_words[k].
+    The relation rows u (x) r of a degree are eliminated as one batch,
+    sparsest first; the pivot columns, hence the normal words, and every
+    normal-form reduction depend only on the row space, not on that order.
     Right multiplication by x_j is one normal-form reduction in the next
     degree's echelon; left multiplication recurses on the prefix,
     x_j (u x_i) = (x_j u) x_i.
@@ -450,15 +453,17 @@ class UEnvelope:
             for row in relation_rows
         ]
         for k in range(2, self.max_degree + 1):
-            ech = SparseEchelon()
             # u (x) r for r = sum c_ab x_a x_b maps to sum c_ab NF(u x_a) (x) x_b
+            rows = []
             for u in range(self.dims[k - 2]):
                 for rel in relations:
                     row = {}
                     for (a, b), c in rel:
                         prefix = self._product(a, k - 2, u, left=False)
                         sub_scaled(row, {p * b1 + b: v for p, v in prefix.items()}, -c)
-                    ech.insert(row)
+                    rows.append(row)
+            ech = SparseEchelon()
+            ech.extend(rows)
             total = self.dims[k - 1] * b1
             pivots = ech.pivot_rows
             self._add_degree(ech, [c for c in range(total) if c not in pivots])

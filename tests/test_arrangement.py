@@ -80,8 +80,10 @@ def test_constructors_refuse_non_integers(build, error):
     (2, ((1, 0, 0), (0, 1))),
     (2, ((1, 0), (2, 0), (0, 1))),
     ("2", ((1, 0), (0, 1))),
+    (2, 5),
+    (2, (5, (0, 1))),
 ], ids=["zero-form", "fraction-entry", "wrong-length", "proportional-pair",
-        "string-dim"])
+        "string-dim", "non-iterable-forms", "non-iterable-form"])
 def test_direct_construction_validates_forms(dim, forms):
     with pytest.raises(ZeroForm):
         poincare_central(Arrangement(dim, forms))

@@ -71,6 +71,45 @@ def test_sparse_echelon_matches_fraction_reference(rows, queries):
         assert fast.contains(vec) == ref.contains(vec)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_rows, _rows, st.randoms(use_true_random=False))
+def test_batch_insertion_order_changes_only_pivot_rows(rows, probes, rng):
+    """The rank, the pivot columns (the leading columns of the row space),
+    `contains` and `reduce_coordinates` (the unique representative modulo
+    the row space supported on non-pivot columns) depend only on the row
+    space, so neither the sparsest-first order of `extend` nor any other
+    insertion order may change them; only the stored pivot rows differ.
+    Rows mix ints and Fractions and have non-unit leads."""
+    batch, shuffled, sequential = SparseEchelon(), SparseEchelon(), SparseEchelon()
+    batch.extend(rows)
+    permuted = list(rows)
+    rng.shuffle(permuted)
+    shuffled.extend(permuted)
+    ref = FractionEchelon()
+    for row in rows:
+        sequential.insert(row)
+        ref.insert(row)
+    for ech in (batch, shuffled, sequential):
+        assert ech.rank == ref.rank
+        assert set(ech.pivot_rows) == set(ref.pivot_rows)
+        for vec in rows + probes:
+            assert ech.contains(vec) == ref.contains(vec)
+            coords = ech.reduce_coordinates(vec)
+            assert coords == ref.reduce_coordinates(vec) and _narrowed(coords)
+
+
+def test_extend_inserts_shortest_rows_first():
+    # generation order would store the long row as the pivot row of
+    # column 0; sparsest first stores the short one there
+    ech = SparseEchelon()
+    ech.extend([{0: 1, 1: 1, 2: 1, 3: 1}, {0: 1, 1: 1}])
+    assert ech.pivot_rows == {0: {0: 1, 1: 1}, 2: {2: 1, 3: 1}}
+    ech = SparseEchelon()
+    ech.extend([{0: 2, 1: 1}, {0: 3, 2: 1}])  # a stable sort: ties keep order
+    assert ech.pivot_rows == {0: {0: 1, 1: Fraction(1, 2)},
+                              1: {1: 1, 2: Fraction(-2, 3)}}
+
+
 def test_geometric_series():
     s = series_of_rational(IntPolynomial.one(), IntPolynomial((1, -1)), 3)
     assert s.integer_coefficients() == [1, 1, 1, 1]
