@@ -268,14 +268,25 @@ class IntersectionLattice:
     def in_span(self, index, subset) -> bool:
         return self._containing[index] >> self._closure(subset) & 1 == 1
 
+    def basis(self, flat):
+        """codim(flat) independent hyperplanes of the flat, greedily in
+        index order."""
+        basis = []
+        for i in flat.hyperplanes:
+            if len(basis) == flat.codim:
+                break
+            if not self.in_span(i, basis):
+                basis.append(i)
+        return basis
+
 
 def _eliminate(residual, pivot, col):
     """Primitive direction of `residual` modulo `pivot`, fraction-free.
 
     Both are primitive integer vectors supported off the pivot columns of a
-    flat, not proportional to each other; `pivot` has its leading entry at
-    `col`.  The result is primitive with a positive leading entry and is
-    supported off those columns and `col`.
+    flat; `pivot` has its leading entry at `col`.  The result is primitive
+    with a positive leading entry and is supported off those columns and
+    `col`, or None when the two are proportional.
     """
     a, b = pivot[col], residual[col]
     if not b:
@@ -450,17 +461,35 @@ def restrict_to_subspace(arr: Arrangement, u: Subspace) -> Arrangement:
 
 
 def is_lattice_generic(arr: Arrangement, u: Subspace, level) -> bool:
-    """True iff every flat of codim <= level+1 meets the subspace with the
-    same codimension, computed by exact ranks of restricted covectors."""
+    """True iff every flat of codim <= level+1 meets the subspace U with the
+    same codimension.
+
+    A flat X keeps its codimension on U iff span(X) meets the annihilator
+    of U only in 0, that is iff the forms of X, restricted to U, span a
+    space of dimension codim X.  Spans only grow up the lattice, and in a
+    geometric lattice every flat of codim <= level+1 lies below one of
+    codim exactly level+1 (one exists, as level < rank), so only those are
+    tested.  Restriction is linear, so the restricted span of X is that of
+    any basis of X: codim X independent hyperplanes of X, read off the
+    lattice.  Their restricted forms are tested for independence by the
+    lattice's fraction-free elimination.
+    """
     if not 0 <= level < arr.rank:
         raise RankOutOfRange(f"level must lie in [0, rank), got {level}")
-    restricted = _restricted_forms(arr, u)
+    restricted = [_primitive(r) for r in _restricted_forms(arr, u)]
+    if None in restricted:
+        # a hyperplane holding U: its flat of codim 1 drops to codim 0
+        return False
     lat = intersection_lattice(arr)
-    for codim in range(1, min(level + 1, lat.rank) + 1):
-        for flat in lat.flats_of_codim(codim):
-            sub = [restricted[i] for i in flat.hyperplanes]
-            if int_rank(sub) != codim:
-                return False
+    for flat in lat.flats_of_codim(level + 1):
+        pivots = []
+        for i in lat.basis(flat):
+            row = restricted[i]
+            for pivot, col in pivots:
+                row = _eliminate(row, pivot, col)
+                if row is None:
+                    return False
+            pivots.append((row, next(c for c, x in enumerate(row) if x)))
     return True
 
 

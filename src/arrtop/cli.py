@@ -14,11 +14,12 @@ Subspace file grammar (JSON): {"basis": [[...], ...]}.
 Every number in either file must be a JSON integer: booleans, floats and
 numeric strings are malformed input.
 
-Exit codes: 0 success, 2 malformed input, 3 violated precondition (for
-example `exponents` on a non-supersolvable arrangement), 4 internal
-inconsistency (an identity every valid input satisfies failed, which points
-at a defect in arrtop itself).  Every report embeds the input digest and
-tool version; identical inputs produce byte identical reports.
+Exit codes: 0 success, 2 malformed input or arguments, 3 violated
+precondition (for example `exponents` on a non-supersolvable arrangement), 4
+internal inconsistency (an identity every valid input satisfies failed, which
+points at a defect in arrtop itself).  Every error is a JSON object on
+stdout.  Every report embeds the input digest and tool version; identical
+inputs produce byte identical reports.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import __version__
 from .arrangement import (
@@ -325,8 +327,16 @@ def _report_payload(arr, seed):
     return payload
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument error raises ParseError, which main() reports as a JSON
+    error with exit code 2, instead of printing usage and exiting."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="arrtop",
         description="Exact invariants of complex hyperplane arrangements",
     )
@@ -367,9 +377,15 @@ def build_parser():
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser():
+    """The parser main() uses, built on first use and then kept: parsing
+    does not change it."""
+    return build_parser()
+
+
 def run_command(argv):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     command = args.command
 
     if command == "pi-p":

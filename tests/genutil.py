@@ -3,6 +3,7 @@ independent of the library code paths they check, plus seeded generators
 for random arrangements and subspaces."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from arrtop import Arrangement, Subspace, is_essential, normalize
@@ -106,6 +107,31 @@ def supersolvable_oracle(closed):
     top = max(masks, key=lambda m: masks[m])
     exps = chain(top) if masks[top] else None
     return sorted(exps) if exps is not None else None
+
+
+def genericity_oracle(forms, basis):
+    """Lattice genericity of the subspace spanned by basis, level by level:
+    entry k is True iff every flat of codim <= k+1 (from lattice_oracle)
+    keeps its codim on the subspace, its forms restricted to the basis
+    ranked by minors.  One entry per level 0 <= k < rank."""
+    closed, _ = _lattice_oracle_of(tuple(map(tuple, forms)))
+    restricted = [
+        [sum(a * b for a, b in zip(form, v)) for v in basis] for form in forms
+    ]
+    kept = {
+        codim: all(
+            rank_oracle([restricted[i] for i in s]) == codim
+            for s, c in closed.items() if c == codim
+        )
+        for codim in set(closed.values())
+    }
+    rank = max(closed.values())
+    return [all(kept[c] for c in range(1, k + 2)) for k in range(rank)]
+
+
+@lru_cache(maxsize=None)
+def _lattice_oracle_of(forms):
+    return lattice_oracle(forms)
 
 
 def poincare_oracle(forms):

@@ -1,3 +1,5 @@
+import json
+import os
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -44,6 +46,7 @@ from arrtop.exactalg import IntPolynomial, linear_product
 from genutil import (
     boolean_arrangement,
     braid3,
+    genericity_oracle,
     lattice_oracle,
     near_pencil,
     poincare_oracle,
@@ -473,6 +476,68 @@ def test_genericity_requires_level_zero():
     u = Subspace(((0, 1, 0), (0, 0, 1)))
     with pytest.raises((NotL0Generic, HyperplaneContainsSubspace)):
         genericity_level(arr, u)
+
+
+def test_genericity_against_oracle():
+    """is_lattice_generic at every level, and genericity_level, against the
+    brute-force oracle, on seeded arrangements (essential or not) and
+    subspaces of every dimension with entries in {-1, 0, 1}, so that many
+    are not generic."""
+    rng = random.Random(2029)
+    arrangements = seen = negatives = non_essential = 0
+    while arrangements < 50:
+        dim = rng.choice([2, 3, 4])
+        raw = [[rng.randint(-2, 2) for _ in range(dim)]
+               for _ in range(rng.randint(2, 7))]
+        try:
+            arr = normalize(raw, dim)
+        except (ZeroForm, EmptyArrangement):
+            continue
+        arrangements += 1
+        non_essential += not is_essential(arr)
+        for k in [k for k in range(1, dim + 1) for _ in range(3)]:
+            vecs = [tuple(rng.choice((-1, 0, 1)) for _ in range(dim))
+                    for _ in range(k)]
+            if rank_oracle(vecs) != k:
+                continue
+            u = Subspace(tuple(vecs))
+            expected = genericity_oracle(arr.forms, u.basis)
+            assert [is_lattice_generic(arr, u, level)
+                    for level in range(arr.rank)] == expected
+            if k == dim:
+                assert genericity_level(arr, u) is INFINITE
+            elif not expected[0]:
+                with pytest.raises(NotL0Generic):
+                    genericity_level(arr, u)
+            else:
+                top = expected.index(False) if False in expected else arr.rank
+                assert genericity_level(arr, u) == top - 1
+            seen += len(expected)
+            negatives += expected.count(False)
+    assert non_essential >= 5
+    assert negatives >= seen // 4
+
+
+def test_sampled_subspaces_are_pinned():
+    """The bases sample_generic_subspace draws for the tests/data
+    arrangements, at the default seed and two others and every dimension,
+    recorded when every flat of codim <= level+1 was ranked on every draw:
+    testing only the flats of codim level+1 must accept and reject the
+    same draws (several of these bases come after rejected ones)."""
+    from arrtop.cli import parse_arrangement
+    from arrtop.polar import DEFAULT_SEED
+
+    data = os.path.join(os.path.dirname(__file__), "data")
+    with open(os.path.join(data, "sampled_subspaces.json")) as fh:
+        pinned = json.load(fh)
+    names = {key.split("/")[0] for key in pinned}
+    assert names == {"boolean3", "braid3", "generic4", "hattori4", "nearpencil3"}
+    for key, basis in pinned.items():
+        name, seed, dim = key.split("/")
+        assert int(seed) in (DEFAULT_SEED, 7, 11)
+        arr = parse_arrangement(os.path.join(data, f"{name}.json"))
+        u = sample_generic_subspace(arr, int(dim), int(seed))
+        assert [list(v) for v in u.basis] == basis, key
 
 
 def _degenerate_candidate(rng, arr, dim):

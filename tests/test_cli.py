@@ -4,6 +4,8 @@ import os
 import pytest
 
 from arrtop.cli import (
+    _parser,
+    build_parser,
     load_arrangement_file,
     main,
     parse_arrangement,
@@ -174,6 +176,54 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["polar-degree", str(missing)]) == 2
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"]["type"] == "ParseError"
+
+
+ARGUMENT_ERRORS = {
+    "no-command": ([], "required: command"),
+    "unknown-command": (["frobnicate", "x.json"], "invalid choice: 'frobnicate'"),
+    "missing-file": (["report"], "required: file"),
+    "non-integer-option": (["gr-check", "{braid3}", "--max-degree", "abc"],
+                           "invalid int value: 'abc'"),
+    "unknown-option": (["report", "{braid3}", "--bogus"],
+                       "unrecognized arguments: --bogus"),
+}
+
+
+@pytest.mark.parametrize("argv,needle", ARGUMENT_ERRORS.values(),
+                         ids=list(ARGUMENT_ERRORS))
+def test_argument_errors_are_json_parse_errors(capsys, argv, needle):
+    argv = [a.format(braid3=path("braid3.json")) for a in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["error"]["type"] == "ParseError"
+    assert needle in payload["error"]["message"]
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["report", "--help"])
+    assert info.value.code == 0
+    assert "usage: arrtop report" in capsys.readouterr().out
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+
+    def counting():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr("arrtop.cli.build_parser", counting)
+    _parser.cache_clear()
+    assert main(["lattice", path("boolean3.json")]) == 0
+    assert main(["poincare", path("boolean3.json")]) == 0
+    assert main(["report"]) == 2
+    assert len(built) == 1
+    _parser.cache_clear()
+    # outside callers still get a parser of their own
+    assert build_parser() is not build_parser()
 
 
 def test_golden_polar_report():
