@@ -69,16 +69,18 @@ INFINITE = _Infinite()
 
 
 def _primitive(form):
-    g = 0
-    for x in form:
-        g = gcd(g, abs(x))
+    """The tuple of ints `form` scaled primitive with a positive leading
+    entry, or None when it is zero.  One gcd call; the sign of the first
+    nonzero entry is folded into the divisor, and a form that is already
+    primitive and positive comes back unchanged."""
+    g = gcd(*form)
     if g == 0:
         return None
-    vec = tuple(x // g for x in form)
-    lead = next(x for x in vec if x)
-    if lead < 0:
-        vec = tuple(-x for x in vec)
-    return vec
+    if next(filter(None, form)) < 0:
+        g = -g
+    if g == 1:
+        return form
+    return tuple(x // g for x in form)
 
 
 @dataclass(frozen=True)
@@ -258,9 +260,13 @@ class IntersectionLattice:
             mask &= self._containing[i]
         return (mask & -mask).bit_length() - 1
 
+    def closure(self, subset) -> Flat:
+        """Smallest flat holding every hyperplane of subset."""
+        return self.flats[self._closure(subset)]
+
     def closure_codim(self, subset) -> int:
         """Rank of a set of hyperplane indices."""
-        return self.flats[self._closure(subset)].codim
+        return self.closure(subset).codim
 
     def is_independent(self, subset) -> bool:
         return self.closure_codim(subset) == len(subset)
@@ -281,17 +287,22 @@ class IntersectionLattice:
 
 
 def _eliminate(residual, pivot, col):
-    """Primitive direction of `residual` modulo `pivot`, fraction-free.
+    """Primitive direction of `residual` modulo `pivot`, fraction-free, one
+    coordinate shorter.
 
-    Both are primitive integer vectors supported off the pivot columns of a
-    flat; `pivot` has its leading entry at `col`.  The result is primitive
-    with a positive leading entry and is supported off those columns and
-    `col`, or None when the two are proportional.
+    Both are primitive integer vectors of equal length; `pivot` has its
+    leading entry at `col`.  The combination that clears `col` is made
+    primitive with a positive leading entry, and entry `col`, now zero, is
+    dropped.  Dropping a coordinate that is zero in every residual keeps
+    equality, proportionality and primitivity, so a chain of eliminations
+    works in coordinates that shrink by one per step.  None when the two
+    are proportional.
     """
     a, b = pivot[col], residual[col]
     if not b:
-        return residual
-    return _primitive(tuple(a * x - b * y for x, y in zip(residual, pivot)))
+        return residual[:col] + residual[col + 1:]
+    v = tuple(a * x - b * y for x, y in zip(residual, pivot))
+    return _primitive(v[:col] + v[col + 1:])
 
 
 @lru_cache(maxsize=None)
@@ -299,13 +310,15 @@ def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
     """Enumerate flats cover by cover, then run the Moebius recursion.
 
     Each flat X of the current frontier keeps, for every hyperplane j
-    outside it, the primitive integer direction of form j modulo span(X)
-    (the unique representative supported off the pivot columns of span(X)).
-    The covers of X are the lines of V*/span(X) that forms span: the
-    hyperplanes outside X sharing one direction, added to X, make one cover
-    of codimension codim(X) + 1 (Orlik-Terao, Arrangements of Hyperplanes,
-    ch. 2).  A new cover's residuals come from X's by one fraction-free
-    elimination against that direction.  Only the current and the next
+    outside it, the primitive integer direction of form j modulo span(X):
+    the unique representative supported off the pivot columns of span(X),
+    with those columns dropped, so a flat of codim c holds residuals of
+    length ambient_dim - c.  The covers of X are the lines of V*/span(X)
+    that forms span: the hyperplanes outside X sharing one direction, added
+    to X, make one cover of codimension codim(X) + 1 (Orlik-Terao,
+    Arrangements of Hyperplanes, ch. 2).  A new cover's residuals come from
+    X's by one fraction-free elimination against that direction, which
+    drops that direction's leading column.  Only the current and the next
     frontier hold residuals.  The Moebius recursion finds the flats below
     each flat with bitmasks, one per hyperplane, over the flats holding it
     (built by IntersectionLattice, which answers subset ranks from them).
@@ -325,7 +338,8 @@ def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
                 if cover in flats:
                     continue
                 flats[cover] = codim
-                col = next(c for c, x in enumerate(direction) if x)
+                # the first nonzero entry's value first occurs at its column
+                col = direction.index(next(filter(None, direction)))
                 nxt[cover] = {
                     j: _eliminate(r, direction, col)
                     for j, r in residuals.items()
@@ -472,7 +486,9 @@ def is_lattice_generic(arr: Arrangement, u: Subspace, level) -> bool:
     tested.  Restriction is linear, so the restricted span of X is that of
     any basis of X: codim X independent hyperplanes of X, read off the
     lattice.  Their restricted forms are tested for independence by the
-    lattice's fraction-free elimination.
+    lattice's fraction-free elimination: pivot k, counted from 0, is
+    built after k eliminations, so it lives in the same shortened
+    coordinates as each later row that reaches it.
     """
     if not 0 <= level < arr.rank:
         raise RankOutOfRange(f"level must lie in [0, rank), got {level}")
@@ -489,7 +505,7 @@ def is_lattice_generic(arr: Arrangement, u: Subspace, level) -> bool:
                 row = _eliminate(row, pivot, col)
                 if row is None:
                     return False
-            pivots.append((row, next(c for c, x in enumerate(row) if x)))
+            pivots.append((row, row.index(next(filter(None, row)))))
     return True
 
 

@@ -51,6 +51,7 @@ from .errors import (
     NotSupersolvable,
     ParseError,
     PreconditionError,
+    WorkBoundExceeded,
 )
 from .homotopy import (
     SectionData,
@@ -321,6 +322,9 @@ def _report_payload(arr, seed):
     except NotSupersolvable as exc:
         payload["supersolvable"] = False
         payload["not_supersolvable_level"] = exc.level
+    except WorkBoundExceeded:
+        # a refused lcs says nothing about supersolvability
+        raise
     except PreconditionError:
         payload["supersolvable"] = False
     payload["gr_check"] = _gr_check_payload(arr, 3, False)

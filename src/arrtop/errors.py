@@ -71,7 +71,8 @@ class SamplingFailed(PreconditionError):
 # Orlik-Solomon / enveloping algebra
 
 class WorkBoundExceeded(PreconditionError):
-    """Tensor-slice dimension exceeds the configured work bound."""
+    """A stage's work size (a tensor-slice dimension, or lcs max_k^2)
+    exceeds the configured work bound."""
 
 
 # polar / singularity formulas

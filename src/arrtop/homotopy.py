@@ -39,6 +39,7 @@ from .errors import (
     NotProperSection,
     NotSupersolvable,
     RankOutOfRange,
+    WorkBoundExceeded,
 )
 from .exactalg import (
     IntPolynomial,
@@ -54,6 +55,7 @@ from .exactalg import (
 )
 from .oscohomology import (
     _check_work_bound,
+    _work_bound,
     cohomology_view,
     holonomy_envelope,
     reduced_diagonal,
@@ -92,19 +94,22 @@ class ExponentData:
         return len(self.exponents)
 
 
-def _is_modular(lat, codims, flat):
-    """Modularity of a flat: codim X + codim Y = rank(X | Y) + codim(X & Y)
-    for every flat Y.  The join's rank is the codim of its closure in the
-    lattice; the intersection of two closed index sets is closed, so its
-    codim is read from `codims` (hyperplane tuple -> codim)."""
-    fs = set(flat.hyperplanes)
-    rf = flat.codim
-    for other in lat.flats:
-        join = lat.closure_codim(fs.union(other.hyperplanes))
-        meet = codims.get(tuple(sorted(fs.intersection(other.hyperplanes))))
-        if meet is None:
+def _is_modular(lat, closed, coatom):
+    """Modularity of a coatom X by the line criterion: a hyperplane of a
+    geometric lattice is modular iff it meets every line (Oxley, Matroid
+    Theory, 6.9).  A line with at most one atom outside X already holds an
+    atom of X, so X is modular iff every two hyperplanes outside X span a
+    line holding a hyperplane of X.  That line is their closure in the
+    lattice; the intersection of two closed index sets is closed, so each
+    meet is checked against `closed`, the hyperplane tuples of the flats."""
+    fs = set(coatom.hyperplanes)
+    # the top flat holds every hyperplane
+    outside = [i for i in lat.flats[-1].hyperplanes if i not in fs]
+    for pair in combinations(outside, 2):
+        meet = tuple(k for k in lat.closure(pair).hyperplanes if k in fs)
+        if meet not in closed:
             raise InternalInconsistency("intersection of two flats is not a flat")
-        if rf + other.codim != join + meet:
+        if not meet:
             return False
     return True
 
@@ -114,10 +119,10 @@ def _chain_exponents(sub: Arrangement):
     if r == 1:
         return [sub.num_hyperplanes]
     lat = intersection_lattice(sub)
-    codims = {f.hyperplanes: f.codim for f in lat.flats}
+    closed = {f.hyperplanes for f in lat.flats}
     failures = []
     for coatom in lat.flats_of_codim(r - 1):
-        if not _is_modular(lat, codims, coatom):
+        if not _is_modular(lat, closed, coatom):
             continue
         local = Arrangement(
             sub.ambient_dim, tuple(sub.forms[i] for i in coatom.hyperplanes)
@@ -536,9 +541,16 @@ def _moebius_mu(n):
 
 def lcs_ranks(exponents: ExponentData, max_k):
     """Lower-central-series ranks phi_k with product of (1 - t^k)^phi_k equal
-    to the product of (1 - d_i t), by power-sum Moebius inversion."""
+    to the product of (1 - d_i t), by power-sum Moebius inversion.  The
+    work grows about as max_k^2, so a max_k whose square exceeds the work
+    bound (see oscohomology._work_bound) is refused."""
     if max_k < 0:
         raise RankOutOfRange("max_k must be nonnegative")
+    bound = _work_bound()
+    if max_k ** 2 > bound:
+        raise WorkBoundExceeded(
+            f"lcs: max_k^2 = {max_k}^2 exceeds work bound {bound}"
+        )
     phis = []
     exps = exponents.exponents
     for m in range(1, max_k + 1):

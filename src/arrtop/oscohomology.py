@@ -33,22 +33,26 @@ DEFAULT_WORK_BOUND = 10 ** 6
 WORK_BOUND_ENV = "ARRTOP_WORK_BOUND"
 
 
+def _work_bound(override=None):
+    """The work bound: the override, else ARRTOP_WORK_BOUND, else the
+    default.  A set, nonempty ARRTOP_WORK_BOUND must be a positive decimal
+    integer."""
+    if override is not None:
+        return override
+    env = _os.environ.get(WORK_BOUND_ENV) or str(DEFAULT_WORK_BOUND)
+    if not (env.isascii() and env.isdigit() and int(env) > 0):
+        raise ParseError(
+            f"{WORK_BOUND_ENV} must be a positive integer, got {env!r}"
+        )
+    return int(env)
+
+
 def _check_work_bound(b1, degree, override=None):
     """Refuse a negative degree, and a tensor slice of dimension b1^degree
-    above the work bound (the override, else ARRTOP_WORK_BOUND, else the
-    default).  A set, nonempty ARRTOP_WORK_BOUND must be a positive decimal
-    integer."""
+    above the work bound (see _work_bound)."""
     if degree < 0:
         raise RankOutOfRange("max_degree must be nonnegative")
-    if override is not None:
-        bound = override
-    else:
-        env = _os.environ.get(WORK_BOUND_ENV) or str(DEFAULT_WORK_BOUND)
-        if not (env.isascii() and env.isdigit() and int(env) > 0):
-            raise ParseError(
-                f"{WORK_BOUND_ENV} must be a positive integer, got {env!r}"
-            )
-        bound = int(env)
+    bound = _work_bound(override)
     if b1 > 1 and b1 ** degree > bound:
         raise WorkBoundExceeded(
             f"tensor slice dimension {b1}^{degree} exceeds bound {bound}"

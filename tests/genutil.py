@@ -109,6 +109,21 @@ def supersolvable_oracle(closed):
     return sorted(exps) if exps is not None else None
 
 
+def modular_oracle(closed, flat):
+    """Modularity of a flat by the full definition: codim X + codim Y =
+    codim(X v Y) + codim(X & Y) for every flat Y.  closed maps every closed
+    index set to its codim (as lattice_oracle returns it); the join is the
+    smallest closed set holding both, the meet their intersection."""
+    x = set(flat)
+    for y, codim_y in closed.items():
+        union = x.union(y)
+        join = min(c for s, c in closed.items() if union <= set(s))
+        meet = closed[tuple(sorted(x.intersection(y)))]
+        if closed[flat] + codim_y != join + meet:
+            return False
+    return True
+
+
 def genericity_oracle(forms, basis):
     """Lattice genericity of the subspace spanned by basis, level by level:
     entry k is True iff every flat of codim <= k+1 (from lattice_oracle)

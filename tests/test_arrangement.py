@@ -38,6 +38,7 @@ from arrtop.errors import (
     HyperplaneContainsSubspace,
     NonIntegerRank,
     NotL0Generic,
+    NotSupersolvable,
     RankOutOfRange,
     SamplingFailed,
     ZeroForm,
@@ -294,6 +295,49 @@ def test_lattice_permutes_with_hyperplanes(data):
     for s, original in back.items():
         assert p_codims[s] == codims[original]
         assert p_mobius[s] == mobius[original]
+
+
+def _exponents_or_level(arr):
+    try:
+        return supersolvable_exponents(essentialize(arr)).exponents
+    except NotSupersolvable as exc:
+        return ("refused", exc.level)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_lattice_invariant_under_unimodular_coordinate_change(data):
+    # forms f become f M for M in GL_n(Z), a product of elementary matrices
+    # I + c e_ij: the same hyperplanes in other coordinates, with larger
+    # entries for the fraction-free elimination to carry
+    dim = data.draw(st.integers(2, 5))
+    raw = data.draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=dim, max_size=dim),
+        min_size=1, max_size=8,
+    ))
+    try:
+        arr = normalize(raw, dim)
+    except (ZeroForm, EmptyArrangement):
+        return
+    m = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    steps = data.draw(st.lists(
+        st.tuples(
+            st.integers(0, dim - 1), st.integers(0, dim - 1), st.integers(-4, 4)
+        ),
+        max_size=12,
+    ))
+    for i, j, c in steps:
+        if i != j:
+            # right-multiply by I + c e_ij: column j gains c times column i
+            for row in m:
+                row[j] += c * row[i]
+    moved = Arrangement(dim, tuple(
+        tuple(sum(f[k] * m[k][j] for k in range(dim)) for j in range(dim))
+        for f in arr.forms
+    ))
+    assert _lattice_table(moved) == _lattice_table(arr)
+    assert poincare_central(moved) == poincare_central(arr)
+    assert _exponents_or_level(moved) == _exponents_or_level(arr)
 
 
 def test_poincare_central_cases():

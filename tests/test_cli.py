@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -239,10 +241,13 @@ def test_golden_polar_report():
     }
 
 
-def test_golden_full_report_byte_identical(capsys):
-    with open(path("golden_report_braid3.json")) as fh:
+@pytest.mark.parametrize(
+    "name", ["boolean3", "braid3", "generic4", "hattori4", "nearpencil3"]
+)
+def test_golden_full_report_byte_identical(capsys, name):
+    with open(path(f"golden_report_{name}.json")) as fh:
         golden = fh.read()
-    assert main(["report", path("braid3.json")]) == 0
+    assert main(["report", path(f"{name}.json")]) == 0
     assert capsys.readouterr().out == golden
 
 
@@ -340,6 +345,54 @@ def test_lcs_negative_max_k_is_out_of_range(capsys):
     assert main(["lcs", path("braid3.json"), "--max-k", "-1"]) == 3
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"]["type"] == "RankOutOfRange"
+
+
+def test_lcs_max_k_beyond_work_bound_is_refused_at_once():
+    # without the bound this call runs for minutes; max_k^2 is checked first
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    env.pop("ARRTOP_WORK_BOUND", None)
+    argv = ["lcs", path("braid3.json"), "--max-k", "100000000"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "arrtop.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "WorkBoundExceeded"
+    assert "lcs" in error["message"] and "100000000" in error["message"]
+
+
+def test_lcs_work_bound_reads_the_environment(monkeypatch, capsys):
+    monkeypatch.delenv("ARRTOP_WORK_BOUND", raising=False)
+    assert main(["lcs", path("braid3.json"), "--max-k", "1000"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["results"]["lcs_ranks"]) == 1000
+    monkeypatch.setenv("ARRTOP_WORK_BOUND", "100")
+    assert main(["lcs", path("braid3.json"), "--max-k", "10"]) == 0
+    capsys.readouterr()
+    assert main(["lcs", path("braid3.json"), "--max-k", "11"]) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "WorkBoundExceeded"
+    assert error["message"] == "lcs: max_k^2 = 11^2 exceeds work bound 100"
+    monkeypatch.setenv("ARRTOP_WORK_BOUND", "abc")
+    assert main(["lcs", path("braid3.json")]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "ParseError"
+
+
+def test_report_does_not_call_a_refused_lcs_unsupersolvable(
+    monkeypatch, capsys, tmp_path
+):
+    # a pencil of three lines has b1 = 2, so its degree-3 envelope (2^3)
+    # fits a bound of 10 while the report's lcs to max_k 4 (4^2) does not
+    f = tmp_path / "pencil3.json"
+    f.write_text('{"ambient_dim": 2, "forms": [[1, 0], [0, 1], [1, 1]]}')
+    monkeypatch.setenv("ARRTOP_WORK_BOUND", "10")
+    assert main(["report", str(f)]) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "WorkBoundExceeded"
+    assert error["message"].startswith("lcs:")
+    monkeypatch.setenv("ARRTOP_WORK_BOUND", "16")
+    assert main(["report", str(f)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["supersolvable"] is True
 
 
 def test_internal_inconsistency_exit_code(monkeypatch, capsys):

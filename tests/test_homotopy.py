@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 
@@ -6,6 +7,7 @@ import pytest
 
 from arrtop import (
     INFINITE,
+    Arrangement,
     ExponentData,
     SectionData,
     asphericity_test,
@@ -17,6 +19,7 @@ from arrtop import (
     homotopy_cokernel_ranks,
     homotopy_hilbert_series,
     integer_audit,
+    intersection_lattice,
     is_acyclic,
     is_supersolvable,
     lcs_ranks,
@@ -28,15 +31,25 @@ from arrtop import (
     verify_resolution,
 )
 from arrtop.errors import (
+    EmptyArrangement,
     FrameworkNotApplicable,
     NonIntegerRank,
     NotProperSection,
     NotSupersolvable,
     RankOutOfRange,
+    ZeroForm,
 )
 from arrtop.exactalg import linear_product
+from arrtop.homotopy import _is_modular
 from arrtop import Subspace, genericity_level
-from genutil import boolean_arrangement, braid3, generic4, near_pencil
+from genutil import (
+    boolean_arrangement,
+    braid3,
+    generic4,
+    lattice_oracle,
+    modular_oracle,
+    near_pencil,
+)
 
 
 def test_minimal_cell_counts():
@@ -101,6 +114,64 @@ def test_fan_times_line_is_supersolvable():
     env = holonomy_envelope(fan, 3)
     assert env.dims == [1, 4, 13, 40]  # 1/((1-t)(1-3t))
     assert is_acyclic(graded_complex(fan, 4))
+
+
+def _modularity_corpus(seed, count):
+    """Seeded arrangements of rank >= 3 with up to 6 hyperplanes in C^3 or
+    C^4 and entries in [-2, 2]; about a third get one extra coordinate
+    that repeats an existing one or is zero, which makes them
+    non-essential.  More hyperplanes slow the minor-expansion oracle
+    sharply."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        dim = rng.randint(3, 4)
+        raw = [
+            [rng.randint(-2, 2) for _ in range(dim)]
+            for _ in range(rng.randint(4, 6))
+        ]
+        if rng.random() < 0.35:
+            k = rng.randrange(dim + 1)
+            raw = [row + [row[k] if k < dim else 0] for row in raw]
+        try:
+            arr = normalize(raw, len(raw[0]))
+        except (ZeroForm, EmptyArrangement):
+            continue
+        if arr.rank >= 3:
+            out.append(arr)
+    return out
+
+
+def _coatom_verdicts(arr):
+    """(line criterion, full definition) for every coatom of arr."""
+    closed, _ = lattice_oracle(arr.forms)
+    lat = intersection_lattice(arr)
+    assert {f.hyperplanes: f.codim for f in lat.flats} == closed
+    flats = {f.hyperplanes for f in lat.flats}
+    return [
+        (_is_modular(lat, flats, x), modular_oracle(closed, x.hyperplanes))
+        for x in lat.flats_of_codim(arr.rank - 1)
+    ]
+
+
+def test_coatom_modularity_matches_full_definition():
+    corpus = _modularity_corpus(2027, 50)
+    assert any(arr.rank < arr.ambient_dim for arr in corpus)
+    verdicts = []
+    for arr in corpus:
+        verdicts += _coatom_verdicts(arr)
+        # the sub-arrangements _chain_exponents recurses into: the
+        # hyperplanes of one coatom, non-essential in the same ambient space
+        lat = intersection_lattice(arr)
+        for x in lat.flats_of_codim(arr.rank - 1):
+            sub = Arrangement(
+                arr.ambient_dim, tuple(arr.forms[i] for i in x.hyperplanes)
+            )
+            verdicts += _coatom_verdicts(sub)
+    for fast, full in verdicts:
+        assert fast == full
+    assert any(full for _, full in verdicts)
+    assert not all(full for _, full in verdicts)
 
 
 def test_torus_complex_ranks_and_acyclicity():
