@@ -196,17 +196,17 @@ class Flat:
 
 
 class IntersectionLattice:
-    """All flats of a central arrangement with Moebius values.
+    """All flats of a central arrangement with their Moebius values.
 
     Flats are identified with closed index sets, ordered by inclusion of
     those sets (equivalently reverse inclusion of subspaces).  The empty
     flat (the whole space) is the bottom element.  Flats are kept sorted by
-    (codim, hyperplanes).  One bitmask per hyperplane, over the flats
-    holding it, answers subset ranks and, when no Moebius values are
-    given, drives the Moebius recursion.
+    (codim, hyperplanes).  mobius maps each flat's hyperplane tuple to its
+    Moebius value.  One bitmask per hyperplane, over the flats holding it,
+    answers closures and subset ranks.
     """
 
-    def __init__(self, flats, mobius=None):
+    def __init__(self, flats, mobius):
         self.flats = tuple(sorted(flats, key=lambda f: (f.codim, f.hyperplanes)))
         self._by_codim = {}
         for f in self.flats:
@@ -216,22 +216,6 @@ class IntersectionLattice:
         for k, f in enumerate(self.flats):
             for i in f.hyperplanes:
                 self._containing[i] |= 1 << k
-        if mobius is None:
-            values = [1]
-            for k, f in enumerate(self.flats[1:], start=1):
-                outside = 0
-                for i in set(range(len(self._containing))).difference(f.hyperplanes):
-                    outside |= self._containing[i]
-                # a flat lies below f iff it holds no hyperplane outside f;
-                # only flats before f can lie strictly below it
-                below = ((1 << k) - 1) & ~outside
-                acc = 0
-                while below:
-                    low = below & -below
-                    acc += values[low.bit_length() - 1]
-                    below ^= low
-                values.append(-acc)
-            mobius = zip((f.hyperplanes for f in self.flats), values)
         self._mobius = dict(mobius)
 
     @property
@@ -307,7 +291,7 @@ def _eliminate(residual, pivot, col):
 
 @lru_cache(maxsize=None)
 def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
-    """Enumerate flats cover by cover, then run the Moebius recursion.
+    """Enumerate flats cover by cover, with their Moebius values.
 
     Each flat X of the current frontier keeps, for every hyperplane j
     outside it, the primitive integer direction of form j modulo span(X):
@@ -319,15 +303,20 @@ def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
     Arrangements of Hyperplanes, ch. 2).  A new cover's residuals come from
     X's by one fraction-free elimination against that direction, which
     drops that direction's leading column.  Only the current and the next
-    frontier hold residuals.  The Moebius recursion finds the flats below
-    each flat with bitmasks, one per hyperplane, over the flats holding it
-    (built by IntersectionLattice, which answers subset ranks from them).
+    frontier hold residuals.  A flat of codim rank - 1 has one cover, the
+    top flat holding every hyperplane, so it gets no residuals.
+
+    Moebius values come from Weisner's theorem (Trans. AMS 38, 1935;
+    Stanley, Enumerative Combinatorics I, 3.9): for an atom a below X,
+    mu(X) = -sum mu(Y) over the flats Y covered by X that miss a.  With a
+    the smallest hyperplane of X, each (flat, cover) pair met adds its
+    term; a flat's value is complete before its own covers are met.
     """
+    rank = arr.rank
     flats = {(): 0}
+    mobius = {(): 1}
     frontier = {(): {j: _primitive(f) for j, f in enumerate(arr.forms)}}
-    codim = 0
-    while frontier:
-        codim += 1
+    for codim in range(1, rank):
         nxt = {}
         for flat, residuals in frontier.items():
             covers = {}
@@ -335,23 +324,32 @@ def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
                 covers.setdefault(direction, []).append(j)
             for direction, group in covers.items():
                 cover = tuple(sorted(flat + tuple(group)))
-                if cover in flats:
-                    continue
-                flats[cover] = codim
-                # the first nonzero entry's value first occurs at its column
-                col = direction.index(next(filter(None, direction)))
-                nxt[cover] = {
-                    j: _eliminate(r, direction, col)
-                    for j, r in residuals.items()
-                    if r != direction
-                }
+                if cover not in flats:
+                    flats[cover] = codim
+                    mobius[cover] = 0
+                    if codim < rank - 1:
+                        # the first nonzero entry's value first occurs at
+                        # its column
+                        col = direction.index(next(filter(None, direction)))
+                        nxt[cover] = {
+                            j: _eliminate(r, direction, col)
+                            for j, r in residuals.items()
+                            if r != direction
+                        }
+                # the flat misses the cover's smallest hyperplane
+                if flat[:1] != cover[:1]:
+                    mobius[cover] -= mobius[flat]
         frontier = nxt
-    top = max(flats.values())
-    if top != arr.rank:
+    top = tuple(range(arr.num_hyperplanes))
+    if top in flats or rank - 1 not in flats.values():
         raise InternalInconsistency(
-            f"lattice top has codim {top}, arrangement rank is {arr.rank}"
+            f"lattice enumeration does not reach codim {rank}, the arrangement rank"
         )
-    return IntersectionLattice([Flat(s, c) for s, c in flats.items()])
+    flats[top] = rank
+    mobius[top] = -sum(
+        mobius[f] for f, c in flats.items() if c == rank - 1 and f[:1] != (0,)
+    )
+    return IntersectionLattice([Flat(s, c) for s, c in flats.items()], mobius)
 
 
 def poincare_central(arr: Arrangement) -> IntPolynomial:

@@ -37,6 +37,7 @@ from .arrangement import (
     Arrangement,
     Subspace,
     betti_agreement_order,
+    essentialize,
     genericity_level,
     generic_section_betti,
     intersection_lattice,
@@ -51,7 +52,6 @@ from .errors import (
     NotSupersolvable,
     ParseError,
     PreconditionError,
-    WorkBoundExceeded,
 )
 from .homotopy import (
     SectionData,
@@ -315,18 +315,16 @@ def _report_payload(arr, seed):
         "poincare_projective": _poincare_payload(arr, True),
         "polar": _polar_payload(arr, seed),
     }
+    # supersolvability and the exponents are lattice invariants, and
+    # essentialize keeps the lattice
+    ess = essentialize(arr)
     try:
-        payload["exponents"] = _exponents_payload(arr)
-        payload["lcs"] = _lcs_payload(arr, 4)
+        payload["exponents"] = _exponents_payload(ess)
+        payload["lcs"] = _lcs_payload(ess, 4)
         payload["supersolvable"] = True
     except NotSupersolvable as exc:
         payload["supersolvable"] = False
         payload["not_supersolvable_level"] = exc.level
-    except WorkBoundExceeded:
-        # a refused lcs says nothing about supersolvability
-        raise
-    except PreconditionError:
-        payload["supersolvable"] = False
     payload["gr_check"] = _gr_check_payload(arr, 3, False)
     return payload
 

@@ -120,28 +120,28 @@ def _chain_exponents(sub: Arrangement):
         return [sub.num_hyperplanes]
     lat = intersection_lattice(sub)
     closed = {f.hyperplanes for f in lat.flats}
-    failures = []
     for coatom in lat.flats_of_codim(r - 1):
-        if not _is_modular(lat, closed, coatom):
-            continue
-        local = Arrangement(
-            sub.ambient_dim, tuple(sub.forms[i] for i in coatom.hyperplanes)
-        )
-        try:
+        if _is_modular(lat, closed, coatom):
+            local = Arrangement(
+                sub.ambient_dim, tuple(sub.forms[i] for i in coatom.hyperplanes)
+            )
             exps = _chain_exponents(local)
-        except NotSupersolvable as exc:
-            failures.append(exc.level)
-            continue
-        exps.append(sub.num_hyperplanes - local.num_hyperplanes)
-        return exps
-    raise NotSupersolvable(min(failures) if failures else r)
+            exps.append(sub.num_hyperplanes - local.num_hyperplanes)
+            return exps
+    raise NotSupersolvable(r)
 
 
 @lru_cache(maxsize=None)
 def supersolvable_exponents(arr: Arrangement) -> ExponentData:
-    """Exponents read off a maximal modular chain (greedy over coatoms with
-    full backtracking).  Raises NotSupersolvable with the rank level at
-    which every branch ran out of modular coatoms."""
+    """Exponents read off a maximal modular chain through the first
+    modular coatom of each interval.  Raises NotSupersolvable with the rank
+    level of the first interval that has no modular coatom.
+
+    Other branches would end the same way: two modular coatoms X1, X2 of a
+    rank-r lattice meet in a modular flat of rank r - 2 (Brylawski, Trans.
+    AMS 203, 1975), a modular coatom of both [0, X1] and [0, X2], so by
+    induction on the rank every branch reaches the same verdict and level.
+    """
     if not is_essential(arr):
         raise NotEssential("supersolvable recognition expects an essential arrangement")
     exps = sorted(_chain_exponents(arr))

@@ -75,39 +75,49 @@ def sort_sign(word):
 class CentralAlgebra:
     """Orlik-Solomon algebra of the central complement on NBC monomials.
 
-    Independence and span membership are read from the intersection
-    lattice; no linear algebra is done here."""
+    Independence and closures are read from the intersection lattice; no
+    linear algebra is done here.  An independent set s_1 < ... < s_q holds
+    a broken circuit iff some c < s_i lies in the closure of s_i, ..., s_q.
+    So it is NBC iff s_2, ..., s_q is NBC and s_1 is the least hyperplane
+    of its closure (Bjoerner, "The homology and shellability of matroids
+    and geometric lattices", 1992), and degree q is built from degree q - 1
+    by one closure per candidate s_1."""
 
     def __init__(self, arr: Arrangement):
         self.arr = arr
         self.d = arr.num_hyperplanes
         self._lattice = intersection_lattice(arr)
         self._expand_cache = {}
-        self._nbc_cache = {}
+        self._nbc_cache = {0: ((),)}
 
     def is_independent(self, subset):
         return self._lattice.is_independent(subset)
 
+    def _broken_circuit(self, subset):
+        """For a sorted independent subset: the least hyperplane of the
+        closure of its first suffix whose closure reaches below the
+        suffix's head, or None when the subset is NBC.  That hyperplane c
+        is the least one in the span of the subset's elements above c."""
+        for i, head in enumerate(subset):
+            c = self._lattice.closure(subset[i:]).hyperplanes[0]
+            if c < head:
+                return c
+        return None
+
     def is_nbc(self, subset):
         """subset must be sorted and independent."""
-        if not subset:
-            return True
-        for c in range(subset[-1]):
-            if c in subset:
-                continue
-            tail = tuple(s for s in subset if s > c)
-            if self._lattice.in_span(c, tail):
-                return False
-        return True
+        return self._broken_circuit(subset) is None
 
     def nbc(self, q):
         out = self._nbc_cache.get(q)
         if out is None:
-            out = tuple(
-                s
-                for s in combinations(range(self.d), q)
-                if self.is_independent(s) and self.is_nbc(s)
-            )
+            closure = self._lattice.closure
+            out = tuple(sorted(
+                (c,) + s
+                for s in self.nbc(q - 1)
+                for c in range(s[0] if s else self.d)
+                if closure((c,) + s).hyperplanes[0] == c
+            ))
             self._nbc_cache[q] = out
         return out
 
@@ -122,33 +132,23 @@ class CentralAlgebra:
             return cached
         if not self.is_independent(subset):
             result = {}
-        elif self.is_nbc(subset):
+        elif (c := self._broken_circuit(subset)) is None:
             result = {subset: 1}
         else:
-            result = None
-            for c in range(subset[-1]):
-                if c in subset:
-                    continue
-                tail = tuple(s for s in subset if s > c)
-                if not self._lattice.in_span(c, tail):
-                    continue
-                # (c,) + tail is dependent, so its boundary lies in the
-                # Orlik-Solomon ideal and rewrites e_tail; NBC expansions
-                # are unique, so no minimal circuit is needed
-                dependent = (c,) + tail
-                rest = tuple(s for s in subset if s < c)
-                _, base_sign = sort_sign(tail + rest)
-                acc = {}
-                for r in range(1, len(dependent)):
-                    replaced = dependent[:r] + dependent[r + 1:]
-                    term_word = replaced + rest
-                    sorted_word, sgn = sort_sign(term_word)
-                    coeff = base_sign * ((-1) ** (r + 1)) * sgn
-                    sub_scaled(acc, self.expand(sorted_word), -coeff)
-                result = acc
-                break
-            if result is None:
-                raise InternalInconsistency("broken circuit expected but not found")
+            tail = tuple(s for s in subset if s > c)
+            # (c,) + tail is dependent, so its boundary lies in the
+            # Orlik-Solomon ideal and rewrites e_tail; NBC expansions
+            # are unique, so no minimal circuit is needed
+            dependent = (c,) + tail
+            rest = tuple(s for s in subset if s < c)
+            _, base_sign = sort_sign(tail + rest)
+            result = {}
+            for r in range(1, len(dependent)):
+                replaced = dependent[:r] + dependent[r + 1:]
+                term_word = replaced + rest
+                sorted_word, sgn = sort_sign(term_word)
+                coeff = base_sign * ((-1) ** (r + 1)) * sgn
+                sub_scaled(result, self.expand(sorted_word), -coeff)
         self._expand_cache[subset] = result
         return result
 

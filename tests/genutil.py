@@ -75,14 +75,53 @@ def lattice_oracle(forms):
     return closed, mobius
 
 
+def nbc_oracle(rank):
+    """NBC sets of every degree by brute force: the independent sets that
+    hold no broken circuit, a circuit with its smallest hyperplane removed.
+
+    rank maps every sorted index tuple of size at most r + 1 to its rank,
+    r being the rank of the arrangement; circuits have at most r + 1
+    elements.  Entry q of the result is the NBC q-sets in lexicographic
+    order."""
+    r = max(rank.values())
+    n = max(s[0] for s in rank if len(s) == 1) + 1
+    broken = [
+        set(s[1:]) for s, k in rank.items()
+        if k < len(s)
+        and all(rank[t] == len(t) for t in combinations(s, len(s) - 1))
+    ]
+    return [
+        tuple(
+            s for s in combinations(range(n), q)
+            if rank[s] == q and not any(b <= set(s) for b in broken)
+        )
+        for q in range(r + 1)
+    ]
+
+
+def subset_ranks_oracle(forms):
+    """Rank by minors of every index tuple of size at most rank + 1, as
+    nbc_oracle takes them."""
+    r = rank_oracle(forms)
+    return {
+        s: rank_oracle([forms[i] for i in s])
+        for size in range(r + 2)
+        for s in combinations(range(len(forms)), size)
+    }
+
+
 def supersolvable_oracle(closed):
-    """Exponents read off a maximal chain of modular flats, or None.
+    """Exponents read off a maximal chain of modular flats, and the rank
+    level at which a search with full backtracking gives up: (exponents,
+    None) or (None, level).
 
     closed maps every closed index set to its codim (as lattice_oracle
     returns it).  A flat X is modular in the interval below a flat T when
     codim X + codim Y = codim(X v Y) + codim(X & Y) for every flat Y below
     T, the join being the smallest closed set holding both; the chain is
-    searched top down through modular coatoms of each interval."""
+    searched top down through every modular coatom of each interval.  An
+    interval with no modular coatom gives up at its rank; otherwise at the
+    least level over its branches."""
     masks = {sum(1 << i for i in s): c for s, c in closed.items()}
 
     def join(a, b):
@@ -92,21 +131,22 @@ def supersolvable_oracle(closed):
     def chain(top):
         rank = masks[top]
         if rank == 1:
-            return [bin(top).count("1")]
+            return [bin(top).count("1")], None
         below = [m for m in masks if m & top == m]
+        levels = []
         for x in below:
             if masks[x] != rank - 1:
                 continue
             if all(masks[x] + masks[y] == masks[join(x, y)] + masks[x & y]
                    for y in below):
-                exps = chain(x)
+                exps, level = chain(x)
                 if exps is not None:
-                    return exps + [bin(top).count("1") - bin(x).count("1")]
-        return None
+                    return exps + [bin(top).count("1") - bin(x).count("1")], None
+                levels.append(level)
+        return None, min(levels, default=rank)
 
-    top = max(masks, key=lambda m: masks[m])
-    exps = chain(top) if masks[top] else None
-    return sorted(exps) if exps is not None else None
+    exps, level = chain(max(masks, key=lambda m: masks[m]))
+    return (sorted(exps) if exps is not None else None), level
 
 
 def modular_oracle(closed, flat):
@@ -372,6 +412,29 @@ def boolean_arrangement(n) -> Arrangement:
 
 def braid3() -> Arrangement:
     return normalize(BRAID3_FORMS, 3)
+
+
+def braid_arrangement(n) -> Arrangement:
+    """Braid arrangement A_n, the hyperplanes x_i = x_j for i < j <= n,
+    essential in C^n: x_n is set to 0."""
+    forms = []
+    for i, j in combinations(range(n + 1), 2):
+        v = [0] * n
+        v[i] = 1
+        if j < n:
+            v[j] = -1
+        forms.append(v)
+    return normalize(forms, n)
+
+
+def direct_sum(a: Arrangement, b: Arrangement) -> Arrangement:
+    """Product arrangement in C^(n_a + n_b): the forms of a, then those of
+    b, each padded with zeros.  Its lattice is the product of the two."""
+    pad_a, pad_b = (0,) * b.ambient_dim, (0,) * a.ambient_dim
+    return normalize(
+        [f + pad_a for f in a.forms] + [pad_b + f for f in b.forms],
+        a.ambient_dim + b.ambient_dim,
+    )
 
 
 def near_pencil(n) -> Arrangement:

@@ -47,8 +47,11 @@ from arrtop.exactalg import IntPolynomial, linear_product
 from genutil import (
     boolean_arrangement,
     braid3,
+    direct_sum,
+    generic4,
     genericity_oracle,
     lattice_oracle,
+    nbc_oracle,
     near_pencil,
     poincare_oracle,
     random_essential_arrangement,
@@ -243,18 +246,7 @@ def test_lattice_matches_oracle_on_random_corpus():
                 for j in set(range(n)).difference(subset):
                     joined = tuple(sorted(subset + (j,)))
                     assert lat.in_span(j, subset) == (rank[joined] == rank[subset])
-        # NBC monomials: independent sets holding no broken circuit, i.e.
-        # no circuit with its smallest element removed
-        broken = [
-            set(s[1:]) for s, r in rank.items()
-            if r < len(s)
-            and all(rank[t] == len(t) for t in combinations(s, len(s) - 1))
-        ]
-        for q in range(arr.rank + 1):
-            expected = tuple(
-                s for s in combinations(range(n), q)
-                if rank[s] == q and not any(b <= set(s) for b in broken)
-            )
+        for q, expected in enumerate(nbc_oracle(rank)):
             assert nbc_basis(arr, q).monomials == expected
 
 
@@ -263,13 +255,50 @@ def test_supersolvable_matches_oracle_on_random_corpus():
     verdicts = []
     for arr in corpus:
         closed, _ = _corpus_lattice_oracle(arr.forms)
-        expected = supersolvable_oracle(closed)
+        expected, _ = supersolvable_oracle(closed)
         ess = essentialize(arr)
         assert is_supersolvable(ess) == (expected is not None)
         if expected is not None:
             assert list(supersolvable_exponents(ess).exponents) == expected
         verdicts.append(expected is not None)
     assert any(verdicts) and not all(verdicts)
+
+
+def _deep_refusals():
+    """Arrangements refused below their rank: a non-supersolvable factor
+    under one modular coatom (generic4 and generic 5 planes in C^4 have
+    none), reached through one branch or, beside a boolean factor,
+    through several."""
+    generic5 = normalize(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 1, 1]],
+        4,
+    )
+    return [
+        (direct_sum(generic4(), boolean_arrangement(1)), 3),
+        (direct_sum(generic4(), boolean_arrangement(2)), 3),
+        (direct_sum(generic5, boolean_arrangement(1)), 4),
+    ]
+
+
+def test_refusal_level_matches_full_backtracking_oracle():
+    """NotSupersolvable.level is the level at which a search through every
+    modular coatom gives up, on the random corpus and on inputs refused
+    below their rank."""
+    refused = 0
+    for arr in _random_lattice_corpus(2026, 40):
+        closed, _ = _corpus_lattice_oracle(arr.forms)
+        expected, level = supersolvable_oracle(closed)
+        if expected is None:
+            assert _exponents_or_level(arr) == ("refused", level)
+            refused += 1
+    assert refused
+    for arr, level in _deep_refusals():
+        closed, _ = lattice_oracle(arr.forms)
+        assert supersolvable_oracle(closed) == (None, level)
+        assert level < arr.rank
+        with pytest.raises(NotSupersolvable) as err:
+            supersolvable_exponents(arr)
+        assert err.value.level == level
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -13,7 +14,11 @@ from arrtop.cli import (
     parse_arrangement,
     run_command,
 )
-from arrtop.errors import InternalInconsistency, ParseError
+from arrtop import is_essential, normalize
+from arrtop.errors import (
+    EmptyArrangement, InternalInconsistency, ParseError, ZeroForm,
+)
+from genutil import lattice_oracle, supersolvable_oracle
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -242,13 +247,47 @@ def test_golden_polar_report():
 
 
 @pytest.mark.parametrize(
-    "name", ["boolean3", "braid3", "generic4", "hattori4", "nearpencil3"]
+    "name", ["boolean3", "braid3", "generic4", "hattori4", "nearpencil3", "pencil3"]
 )
 def test_golden_full_report_byte_identical(capsys, name):
     with open(path(f"golden_report_{name}.json")) as fh:
         golden = fh.read()
     assert main(["report", path(f"{name}.json")]) == 0
     assert capsys.readouterr().out == golden
+
+
+def test_report_supersolvable_matches_oracle_on_seeded_corpus(tmp_path, capsys):
+    """report decides supersolvability on the lattice, which essentialize
+    keeps, so non-essential inputs get the oracle's verdict too."""
+    rng = random.Random(31)
+    verdicts = set()
+    for k in range(24):
+        dim = rng.randint(2, 4)
+        raw = [
+            [rng.randint(-2, 2) for _ in range(dim)]
+            for _ in range(rng.randint(2, 6))
+        ]
+        if k % 2:
+            # one more coordinate, repeating another or zero
+            c = rng.randrange(dim + 1)
+            raw = [row + [row[c] if c < dim else 0] for row in raw]
+        try:
+            arr = normalize(raw, len(raw[0]))
+        except (ZeroForm, EmptyArrangement):
+            continue
+        f = tmp_path / f"arr{k}.json"
+        f.write_text(json.dumps({"ambient_dim": arr.ambient_dim,
+                                 "forms": [list(v) for v in arr.forms]}))
+        assert main(["report", str(f)]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        expected, level = supersolvable_oracle(lattice_oracle(arr.forms)[0])
+        assert results["supersolvable"] == (expected is not None)
+        if expected is None:
+            assert results["not_supersolvable_level"] == level
+        else:
+            assert results["exponents"]["exponents"] == expected
+        verdicts.add((is_essential(arr), expected is not None))
+    assert (False, True) in verdicts and (True, False) in verdicts
 
 
 def test_work_bound_env_override(monkeypatch):

@@ -33,10 +33,13 @@ from arrtop.oscohomology import central_algebra, cohomology_view, sort_sign
 from genutil import (
     boolean_arrangement,
     braid3,
+    braid_arrangement,
     envelope_oracle,
     generic4,
+    nbc_oracle,
     near_pencil,
     random_essential_arrangement,
+    subset_ranks_oracle,
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -74,11 +77,31 @@ def test_triangle_rewriting():
     del index
 
 
-def test_expand_is_reduction_modulo_the_os_ideal():
+def _check_expand_is_os_reduction(arr):
     """expand fixes NBC monomials and kills the Orlik-Solomon ideal: the
     boundary of every dependent monomial, times any monomial, expands to
     zero.  Together these pin expand down, since NBC monomials are a basis
-    of the quotient by that ideal."""
+    of the quotient by that ideal.  Returns the number of products
+    checked."""
+    alg = central_algebra(arr)
+    n = arr.num_hyperplanes
+    for q in range(arr.rank + 1):
+        for s in nbc_basis(arr, q).monomials:
+            assert alg.expand(s) == {s: 1}
+    checks = 0
+    for size in range(2, arr.rank + 2):
+        for dep in combinations(range(n), size):
+            if alg.is_independent(dep):
+                continue
+            boundary = alg.boundary_expansion(dep)
+            for t_size in range(arr.rank + 2 - size):
+                for t in combinations(range(n), t_size):
+                    assert alg.multiply(boundary, alg.expand(t)) == {}
+                    checks += 1
+    return checks
+
+
+def test_expand_is_reduction_modulo_the_os_ideal():
     rng = random.Random(12)
     braid4 = normalize(
         [[(k == i) - (k == j) for k in range(5)] for i, j in combinations(range(5), 2)],
@@ -86,23 +109,29 @@ def test_expand_is_reduction_modulo_the_os_ideal():
     )
     corpus = [braid3(), braid4, generic4(), near_pencil(3)]
     corpus += [random_essential_arrangement(rng, 7) for _ in range(4)]
-    checks = 0
-    for arr in corpus:
-        alg = central_algebra(arr)
-        n = arr.num_hyperplanes
-        for q in range(arr.rank + 1):
-            for s in nbc_basis(arr, q).monomials:
-                assert alg.expand(s) == {s: 1}
-        for size in range(2, arr.rank + 2):
-            for dep in combinations(range(n), size):
-                if alg.is_independent(dep):
-                    continue
-                boundary = alg.boundary_expansion(dep)
-                for t_size in range(arr.rank + 2 - size):
-                    for t in combinations(range(n), t_size):
-                        assert alg.multiply(boundary, alg.expand(t)) == {}
-                        checks += 1
-    assert checks > 1000
+    assert sum(map(_check_expand_is_os_reduction, corpus)) > 1000
+
+
+def _data_arrangements():
+    names = sorted(
+        f[:-5] for f in os.listdir(DATA)
+        if f.endswith(".json") and not f.startswith("golden_")
+        and "subspace" not in f
+    )
+    return [(name, parse_arrangement(os.path.join(DATA, name + ".json")))
+            for name in names]
+
+
+def test_nbc_basis_and_expand_match_broken_circuit_oracle():
+    corpus = [(f"A{n}", braid_arrangement(n)) for n in (3, 4, 5)]
+    corpus += _data_arrangements()
+    assert len(corpus) >= 8
+    for name, arr in corpus:
+        expected = nbc_oracle(subset_ranks_oracle(arr.forms))
+        assert len(expected) == arr.rank + 1, name
+        for q, monomials in enumerate(expected):
+            assert nbc_basis(arr, q).monomials == monomials, (name, q)
+        _check_expand_is_os_reduction(arr)
 
 
 def test_cup_identity_in_degree_one():
