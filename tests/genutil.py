@@ -8,7 +8,7 @@ from itertools import combinations
 
 from arrtop import Arrangement, Subspace, is_essential, normalize
 from arrtop.errors import EmptyArrangement, ZeroForm
-from arrtop.oscohomology import cohomology_view, reduced_diagonal
+from arrtop.oscohomology import central_algebra, cohomology_view, reduced_diagonal
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +267,70 @@ class FractionEchelon:
 
     def contains(self, vec):
         return not self.reduce(vec)
+
+
+# ---------------------------------------------------------------------------
+# projective cup products in the boundary basis
+
+def boundary_expansion(alg, subset):
+    """NBC expansion of the boundary of e_subset, the alternating sum of its
+    faces, in the central Orlik-Solomon algebra alg."""
+    acc = {}
+    for r in range(len(subset)):
+        face = subset[:r] + subset[r + 1:]
+        FractionEchelon._sub_scaled(acc, alg.expand(face), (-1) ** (r + 1))
+    return acc
+
+
+@lru_cache(maxsize=None)
+def _nbc_oracle_of(forms):
+    return nbc_oracle(subset_ranks_oracle(forms))
+
+
+def projective_cup_oracle(arr, q):
+    """Projective cup products H^(q-1) x H^1 -> H^q in the boundary basis.
+
+    H^k of the projective complement is taken as the kernel of the boundary
+    derivation on the central Orlik-Solomon algebra, with basis the
+    boundaries of the NBC (k+1)-sets through hyperplane 0 (from
+    nbc_oracle).  Each product of two basis elements is expanded on NBC
+    monomials and solved for its coordinates in that basis on a
+    FractionEchelon.
+
+    Returns (labels, right, left): labels maps k in {q-1, 1, q} to the NBC
+    sets that name the basis of H^k; right[t * b_1 + j] is the coordinate
+    tuple of (basis t of H^(q-1)) * (basis j of H^1), and
+    left[j * b_(q-1) + t] that of (basis j of H^1) * (basis t of H^(q-1))."""
+    nbc = _nbc_oracle_of(arr.forms)
+    alg = central_algebra(arr)
+    labels, expansions = {}, {}
+    for k in {q - 1, 1, q}:
+        labels[k] = tuple(s for s in nbc[k + 1] if s[0] == 0)
+        expansions[k] = [boundary_expansion(alg, s) for s in labels[k]]
+    index = {m: i for i, m in enumerate(nbc[q])}
+    n = len(index)
+    ech = FractionEchelon()
+    for pos, exp in enumerate(expansions[q]):
+        row = {index[m]: c for m, c in exp.items()}
+        row[n + pos] = 1
+        ech.insert(row)
+    if any(c >= n for c in ech.pivot_rows):
+        raise AssertionError("boundary basis candidates are dependent")
+
+    def coordinates(exp_a, exp_b):
+        product = alg.multiply(exp_a, exp_b)
+        res = ech.reduce_coordinates({index[m]: c for m, c in product.items()})
+        if any(c < n for c in res):
+            raise AssertionError("product outside the boundary basis span")
+        coords = [0] * len(labels[q])
+        for c, v in res.items():
+            coords[c - n] = -v
+        return tuple(coords)
+
+    low, one = expansions[q - 1], expansions[1]
+    right = [coordinates(a, b) for a in low for b in one]
+    left = [coordinates(b, a) for b in one for a in low]
+    return labels, right, left
 
 
 # ---------------------------------------------------------------------------

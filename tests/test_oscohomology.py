@@ -13,6 +13,7 @@ from arrtop import (
     graded_complex,
     homotopy_cokernel_ranks,
     holonomy_envelope,
+    is_essential,
     left_cup_dual,
     left_graded_complex,
     nbc_basis,
@@ -25,19 +26,21 @@ from arrtop import (
     torus_graded_complex,
 )
 from arrtop.cli import parse_arrangement
-from arrtop.errors import WorkBoundExceeded
+from arrtop.errors import EmptyArrangement, WorkBoundExceeded, ZeroForm
 from arrtop import exactalg, homotopy, oscohomology
 from arrtop.exactalg import IntPolynomial, int_rank, linear_product, sub_scaled
 from arrtop.homotopy import _delta_rows, is_acyclic
 from arrtop.oscohomology import central_algebra, cohomology_view, sort_sign
 from genutil import (
     boolean_arrangement,
+    boundary_expansion,
     braid3,
     braid_arrangement,
     envelope_oracle,
     generic4,
     nbc_oracle,
     near_pencil,
+    projective_cup_oracle,
     random_essential_arrangement,
     subset_ranks_oracle,
 )
@@ -93,7 +96,7 @@ def _check_expand_is_os_reduction(arr):
         for dep in combinations(range(n), size):
             if alg.is_independent(dep):
                 continue
-            boundary = alg.boundary_expansion(dep)
+            boundary = boundary_expansion(alg, dep)
             for t_size in range(arr.rank + 2 - size):
                 for t in combinations(range(n), t_size):
                     assert alg.multiply(boundary, alg.expand(t)) == {}
@@ -132,6 +135,68 @@ def test_nbc_basis_and_expand_match_broken_circuit_oracle():
         for q, monomials in enumerate(expected):
             assert nbc_basis(arr, q).monomials == monomials, (name, q)
         _check_expand_is_os_reduction(arr)
+
+
+def _seeded_arrangements(seed, count):
+    """Seeded arrangements with 2 to 7 hyperplanes in C^2..C^4 and entries
+    in [-2, 2]; about a third get one extra coordinate that repeats an
+    existing one or is zero, which makes them non-essential."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        dim = rng.randint(2, 4)
+        raw = [[rng.randint(-2, 2) for _ in range(dim)]
+               for _ in range(rng.randint(2, 7))]
+        if rng.random() < 0.35:
+            k = rng.randrange(dim + 1)
+            raw = [row + [row[k] if k < dim else 0] for row in raw]
+        try:
+            out.append((f"seed {seed}/{len(out)}", normalize(raw, len(raw[0]))))
+        except (ZeroForm, EmptyArrangement):
+            continue
+    return out
+
+
+def _columns(rows, ncols):
+    return [tuple(row[r] for row in rows) for r in range(ncols)]
+
+
+def test_projective_cup_products_match_boundary_basis_oracle():
+    """Cup matrices, both cup duals and the reduced diagonal on the
+    projective side against products solved in the basis of boundaries of
+    NBC sets through hyperplane 0."""
+    corpus = _data_arrangements()
+    corpus += [(f"A{n}", braid_arrangement(n)) for n in (3, 4, 5)]
+    corpus += _seeded_arrangements(31, 50)
+    assert any(not is_essential(arr) for _, arr in corpus)
+    checked = 0
+    for name, arr in corpus:
+        top = cohomology_view(arr, True).top
+        for q in range(1, top + 1):
+            labels, right, left = projective_cup_oracle(arr, q)
+            slice_ = cup_matrix(arr, q, projective=True)
+            assert slice_.column_labels == labels[q], (name, q)
+            assert slice_.row_labels == tuple(
+                (a, b) for a in labels[q - 1] for b in labels[1]
+            ), (name, q)
+            assert slice_.matrix == tuple(right), (name, q)
+            dim = len(labels[q])
+            assert right_cup_dual(arr, q, projective=True) == _columns(right, dim)
+            assert left_cup_dual(arr, q, projective=True) == _columns(left, dim)
+            checked += 1
+        b1 = len(projective_cup_oracle(arr, 1)[0][1]) if top else 0
+        expected = []
+        if top >= 2:
+            right = projective_cup_oracle(arr, 2)[1]
+            for r in range(len(right[0]) if right else 0):
+                anti = [0] * (b1 * b1)
+                for i, j in combinations(range(b1), 2):
+                    anti[i * b1 + j] = right[i * b1 + j][r]
+                    anti[j * b1 + i] = -right[i * b1 + j][r]
+                expected.append(tuple(anti))
+        rel = reduced_diagonal(arr, projective=True)
+        assert (rel.dim_h1, rel.relation_basis) == (b1, tuple(expected)), name
+    assert checked > 100
 
 
 def test_cup_identity_in_degree_one():
