@@ -94,17 +94,17 @@ class ExponentData:
         return len(self.exponents)
 
 
-def _is_modular(lat, closed, coatom):
-    """Modularity of a coatom X by the line criterion: a hyperplane of a
-    geometric lattice is modular iff it meets every line (Oxley, Matroid
-    Theory, 6.9).  A line with at most one atom outside X already holds an
-    atom of X, so X is modular iff every two hyperplanes outside X span a
-    line holding a hyperplane of X.  That line is their closure in the
-    lattice; the intersection of two closed index sets is closed, so each
-    meet is checked against `closed`, the hyperplane tuples of the flats."""
+def _is_modular(lat, closed, top, coatom):
+    """Modularity of a coatom X of the interval [0, top] by the line
+    criterion: a hyperplane of a geometric lattice is modular iff it meets
+    every line (Oxley, Matroid Theory, 6.9).  A line with at most one atom
+    outside X already holds an atom of X, so X is modular iff every two
+    hyperplanes of top outside X span a line holding a hyperplane of X.
+    That line is their closure in the lattice, which stays below top; the
+    intersection of two closed index sets is closed, so each meet is
+    checked against `closed`, the hyperplane tuples of the flats."""
     fs = set(coatom.hyperplanes)
-    # the top flat holds every hyperplane
-    outside = [i for i in lat.flats[-1].hyperplanes if i not in fs]
+    outside = [i for i in top.hyperplanes if i not in fs]
     for pair in combinations(outside, 2):
         meet = tuple(k for k in lat.closure(pair).hyperplanes if k in fs)
         if meet not in closed:
@@ -114,28 +114,37 @@ def _is_modular(lat, closed, coatom):
     return True
 
 
-def _chain_exponents(sub: Arrangement):
-    r = sub.rank
-    if r == 1:
-        return [sub.num_hyperplanes]
-    lat = intersection_lattice(sub)
+def _chain_exponents(arr: Arrangement):
+    """Exponents |top| - |X| down a chain of modular coatoms, each the
+    first (in hyperplane order) of its interval [0, top], read in the
+    lattice of arr: the interval below a flat is the lattice of the
+    arrangement of its hyperplanes (Stanley, "Supersolvable lattices",
+    Algebra Universalis 2, 1972), so no smaller lattice is built."""
+    lat = intersection_lattice(arr)
     closed = {f.hyperplanes for f in lat.flats}
-    for coatom in lat.flats_of_codim(r - 1):
-        if _is_modular(lat, closed, coatom):
-            local = Arrangement(
-                sub.ambient_dim, tuple(sub.forms[i] for i in coatom.hyperplanes)
-            )
-            exps = _chain_exponents(local)
-            exps.append(sub.num_hyperplanes - local.num_hyperplanes)
-            return exps
-    raise NotSupersolvable(r)
+    top = lat.flats[-1]
+    exps = []
+    while top.codim > 1:
+        below = set(top.hyperplanes)
+        coatom = next((
+            x for x in lat.flats_of_codim(top.codim - 1)
+            if below.issuperset(x.hyperplanes)
+            and _is_modular(lat, closed, top, x)
+        ), None)
+        if coatom is None:
+            raise NotSupersolvable(top.codim)
+        exps.append(len(top.hyperplanes) - len(coatom.hyperplanes))
+        top = coatom
+    exps.append(len(top.hyperplanes))
+    return exps
 
 
 @lru_cache(maxsize=None)
 def supersolvable_exponents(arr: Arrangement) -> ExponentData:
     """Exponents read off a maximal modular chain through the first
-    modular coatom of each interval.  Raises NotSupersolvable with the rank
-    level of the first interval that has no modular coatom.
+    modular coatom of each interval, all in the lattice of arr.  Raises
+    NotSupersolvable with the rank level of the first interval that has
+    no modular coatom.
 
     Other branches would end the same way: two modular coatoms X1, X2 of a
     rank-r lattice meet in a modular flat of rank r - 2 (Brylawski, Trans.

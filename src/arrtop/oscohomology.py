@@ -3,9 +3,10 @@
 The central complement carries the full Orlik-Solomon algebra, presented on
 no-broken-circuit (NBC) monomials with circuit rewriting; the projective
 complement is realized inside it as the kernel of the boundary derivation,
-with basis the boundaries of NBC sets through the first hyperplane.  Cup
-products, the reduced diagonal, the holonomy-relation space and degreewise
-bases of the enveloping algebra of the holonomy Lie algebra are all
+with basis the boundaries of NBC sets through the first hyperplane, and
+multiplied as the quotient by the first generator (see CohomologyView).  Cup
+products are read off NBC expansions; the holonomy-relation space and
+degreewise bases of the enveloping algebra of the holonomy Lie algebra are
 computed by exact linear algebra over Q.
 
 Degree-one generated throughout: the projective side is the one that drives
@@ -104,10 +105,6 @@ class CentralAlgebra:
                 return c
         return None
 
-    def is_nbc(self, subset):
-        """subset must be sorted and independent."""
-        return self._broken_circuit(subset) is None
-
     def nbc(self, q):
         out = self._nbc_cache.get(q)
         if out is None:
@@ -163,60 +160,42 @@ class CentralAlgebra:
                 sub_scaled(acc, self.expand(sorted_word), -ca * cb * sgn)
         return acc
 
-    def boundary_expansion(self, subset):
-        """Expansion of the boundary of e_subset (alternating face sum)."""
-        acc = {}
-        for r in range(len(subset)):
-            face = subset[:r] + subset[r + 1:]
-            sub_scaled(acc, self.expand(face), (-1) ** (r + 1))
-        return acc
-
 
 @lru_cache(maxsize=None)
 def central_algebra(arr: Arrangement) -> CentralAlgebra:
     return CentralAlgebra(arr)
 
 
+@dataclass(frozen=True)
 class _Basis:
-    """A cohomology degree presented by basis expansions over NBC monomials,
-    with an exact solver for expressing vectors in that basis."""
+    """One cohomology degree: labels name the basis elements, keys are the
+    NBC monomials that stand for them in A (central) or A/e_0A
+    (projective); see CohomologyView."""
 
-    def __init__(self, labels, expansions, monomials):
-        self.labels = tuple(labels)
-        self.expansions = tuple(expansions)
-        self.monomials = tuple(monomials)
-        self._index = {m: i for i, m in enumerate(self.monomials)}
-        n = len(self.monomials)
-        self._ncols = n
-        self._ech = SparseEchelon()
-        for pos, exp in enumerate(self.expansions):
-            row = {self._index[m]: c for m, c in exp.items()}
-            row[n + pos] = 1
-            residual = self._ech.reduce(row)
-            if not residual or min(residual) >= n:
-                raise InternalInconsistency("cohomology basis candidates are dependent")
-            self._ech.insert(residual)
+    labels: tuple
+    keys: tuple
 
     @property
     def dim(self):
         return len(self.labels)
 
-    def represent(self, expansion):
-        """Coordinates of an NBC expansion in this basis (exact: an int where
-        integral, else a Fraction)."""
-        vec = {self._index[m]: c for m, c in expansion.items()}
-        res = self._ech.reduce_coordinates(vec)
-        coords = [0] * self.dim
-        for col, val in res.items():
-            if col < self._ncols:
-                raise InternalInconsistency("vector does not lie in the basis span")
-            coords[col - self._ncols] = -val
-        return coords
-
 
 class CohomologyView:
     """Graded cohomology of the central or projective complement with cup
-    products in fixed bases."""
+    products in fixed bases.
+
+    The central side is the Orlik-Solomon algebra A itself, with the NBC
+    monomials as basis.  The projective side is the kernel of the boundary
+    derivation d, which has d e_0 = 1, so d(e_0 x) + e_0 d(x) = x for every
+    x.  Hence A = ker d + e_0A, a direct sum (z in both is
+    d(e_0 z) + e_0 d(z) = 0, as e_0 z = 0), and the quotient map
+    ker d -> A/e_0A is an algebra isomorphism taking d(e_0 e_S) to e_S.
+    The NBC monomials through 0 span e_0A, and those avoiding 0 are a basis
+    of A/e_0A.  So degree q has the keys S, the NBC q-sets avoiding 0, and
+    the labels (0,) + S, the NBC sets whose boundaries form the basis; a
+    product is read off the NBC expansion of e_S e_T by dropping the
+    monomials through 0 (Orlik-Terao, Arrangements of Hyperplanes, ch. 3).
+    """
 
     def __init__(self, arr: Arrangement, projective: bool):
         self.arr = arr
@@ -235,23 +214,18 @@ class CohomologyView:
         b = self._bases.get(q)
         if b is not None:
             return b
-        alg = self.algebra
-        if not self.projective:
-            monomials = alg.nbc(q)
-            b = _Basis(monomials, [{m: 1} for m in monomials], monomials)
+        keys = self.algebra.nbc(q)
+        if self.projective:
+            keys = tuple(s for s in keys if s[:1] != (0,))
+            b = _Basis(tuple((0,) + s for s in keys), keys)
         else:
-            gens = tuple(s for s in alg.nbc(q + 1) if s and s[0] == 0)
-            expansions = [alg.boundary_expansion(s) for s in gens]
-            b = _Basis(gens, expansions, alg.nbc(q))
+            b = _Basis(keys, keys)
         if b.dim != self.dim(q):
             raise InternalInconsistency(
                 f"basis dimension {b.dim} != Betti number {self.dim(q)} at {q}"
             )
         self._bases[q] = b
         return b
-
-    def degree_one_labels(self):
-        return self.basis(1).labels
 
     def cup_rows(self, q, left=False):
         """Structure constants of H^(q-1) x H^1 -> H^q, or of the left
@@ -268,17 +242,20 @@ class CohomologyView:
             return rows
         low, one = self.basis(q - 1), self.basis(1)
         first, second = (one, low) if left else (low, one)
-        target = self.basis(q)
+        position = {m: r for r, m in enumerate(self.basis(q).keys)}
         rows = {}
-        for a, exp_a in enumerate(first.expansions):
-            for b, exp_b in enumerate(second.expansions):
-                coords = target.represent(self.algebra.multiply(exp_a, exp_b))
+        for a, key_a in enumerate(first.keys):
+            for b, key_b in enumerate(second.keys):
                 entry = {}
-                for r, c in enumerate(coords):
-                    if c:
-                        if c.denominator != 1:
-                            raise InternalInconsistency("cup coefficient not integral")
-                        entry[r] = c.numerator
+                product = self.algebra.multiply({key_a: 1}, {key_b: 1})
+                for m, c in product.items():
+                    r = position.get(m)
+                    if r is not None:
+                        entry[r] = c
+                    elif not self.projective or m[0] != 0:
+                        raise InternalInconsistency(
+                            f"product monomial {m} is not a basis key"
+                        )
                 rows[(a, b)] = entry
         self._cup_rows[(q, left)] = rows
         return rows

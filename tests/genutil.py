@@ -2,6 +2,7 @@
 independent of the library code paths they check, plus seeded generators
 for random arrangements and subspaces."""
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -526,6 +527,49 @@ def random_essential_arrangement(rng, max_hyperplanes=8) -> Arrangement:
         if not is_essential(arr):
             continue
         return arr
+
+
+def unimodular_image(arr, steps) -> Arrangement:
+    """arr in other coordinates: forms f become f M for M in GL_n(Z), the
+    product of the elementary matrices I + c e_ij for the (i, j, c) in
+    steps with i != j.  The hyperplanes keep their order."""
+    dim = arr.ambient_dim
+    m = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for i, j, c in steps:
+        if i != j:
+            # right-multiply by I + c e_ij: column j gains c times column i
+            for row in m:
+                row[j] += c * row[i]
+    return Arrangement(dim, tuple(
+        tuple(sum(f[k] * m[k][j] for k in range(dim)) for j in range(dim))
+        for f in arr.forms
+    ))
+
+
+def seeded_rank3_corpus(seed, count):
+    """Seeded arrangements of rank >= 3 with up to 6 hyperplanes in C^3 or
+    C^4 and entries in [-2, 2]; about a third get one extra coordinate
+    that repeats an existing one or is zero, which makes them
+    non-essential.  More hyperplanes slow the minor-expansion oracle
+    sharply."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        dim = rng.randint(3, 4)
+        raw = [
+            [rng.randint(-2, 2) for _ in range(dim)]
+            for _ in range(rng.randint(4, 6))
+        ]
+        if rng.random() < 0.35:
+            k = rng.randrange(dim + 1)
+            raw = [row + [row[k] if k < dim else 0] for row in raw]
+        try:
+            arr = normalize(raw, len(raw[0]))
+        except (ZeroForm, EmptyArrangement):
+            continue
+        if arr.rank >= 3:
+            out.append(arr)
+    return out
 
 
 def random_subspace(rng, ambient, dim, bound=4) -> Subspace:

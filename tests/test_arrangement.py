@@ -16,9 +16,11 @@ from arrtop import (
     Subspace,
     betti_agreement_order,
     characteristic_polynomial,
+    cup_matrix,
     essentialize,
     genericity_level,
     generic_section_betti,
+    holonomy_envelope,
     intersection_lattice,
     is_essential,
     is_lattice_generic,
@@ -58,6 +60,7 @@ from genutil import (
     int_kernel_basis_oracle,
     rank_oracle,
     supersolvable_oracle,
+    unimodular_image,
 )
 
 
@@ -348,25 +351,21 @@ def test_lattice_invariant_under_unimodular_coordinate_change(data):
         arr = normalize(raw, dim)
     except (ZeroForm, EmptyArrangement):
         return
-    m = [[int(i == j) for j in range(dim)] for i in range(dim)]
     steps = data.draw(st.lists(
         st.tuples(
             st.integers(0, dim - 1), st.integers(0, dim - 1), st.integers(-4, 4)
         ),
         max_size=12,
     ))
-    for i, j, c in steps:
-        if i != j:
-            # right-multiply by I + c e_ij: column j gains c times column i
-            for row in m:
-                row[j] += c * row[i]
-    moved = Arrangement(dim, tuple(
-        tuple(sum(f[k] * m[k][j] for k in range(dim)) for j in range(dim))
-        for f in arr.forms
-    ))
+    moved = unimodular_image(arr, steps)
     assert _lattice_table(moved) == _lattice_table(arr)
     assert poincare_central(moved) == poincare_central(arr)
     assert _exponents_or_level(moved) == _exponents_or_level(arr)
+    # the cohomology ring and the holonomy envelope are read off the lattice
+    for q in range(1, arr.rank):
+        assert (cup_matrix(moved, q, projective=True)
+                == cup_matrix(arr, q, projective=True))
+    assert holonomy_envelope(moved, 3).dims == holonomy_envelope(arr, 3).dims
 
 
 def test_poincare_central_cases():

@@ -1,5 +1,4 @@
 import os
-import random
 import subprocess
 import sys
 
@@ -31,24 +30,26 @@ from arrtop import (
     verify_resolution,
 )
 from arrtop.errors import (
-    EmptyArrangement,
     FrameworkNotApplicable,
     NonIntegerRank,
     NotProperSection,
     NotSupersolvable,
     RankOutOfRange,
-    ZeroForm,
 )
 from arrtop.exactalg import linear_product
+from arrtop import homotopy
 from arrtop.homotopy import _is_modular
 from arrtop import Subspace, genericity_level
 from genutil import (
     boolean_arrangement,
     braid3,
+    braid_arrangement,
+    direct_sum,
     generic4,
     lattice_oracle,
     modular_oracle,
     near_pencil,
+    seeded_rank3_corpus,
 )
 
 
@@ -116,32 +117,6 @@ def test_fan_times_line_is_supersolvable():
     assert is_acyclic(graded_complex(fan, 4))
 
 
-def _modularity_corpus(seed, count):
-    """Seeded arrangements of rank >= 3 with up to 6 hyperplanes in C^3 or
-    C^4 and entries in [-2, 2]; about a third get one extra coordinate
-    that repeats an existing one or is zero, which makes them
-    non-essential.  More hyperplanes slow the minor-expansion oracle
-    sharply."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        dim = rng.randint(3, 4)
-        raw = [
-            [rng.randint(-2, 2) for _ in range(dim)]
-            for _ in range(rng.randint(4, 6))
-        ]
-        if rng.random() < 0.35:
-            k = rng.randrange(dim + 1)
-            raw = [row + [row[k] if k < dim else 0] for row in raw]
-        try:
-            arr = normalize(raw, len(raw[0]))
-        except (ZeroForm, EmptyArrangement):
-            continue
-        if arr.rank >= 3:
-            out.append(arr)
-    return out
-
-
 def _coatom_verdicts(arr):
     """(line criterion, full definition) for every coatom of arr."""
     closed, _ = lattice_oracle(arr.forms)
@@ -149,17 +124,37 @@ def _coatom_verdicts(arr):
     assert {f.hyperplanes: f.codim for f in lat.flats} == closed
     flats = {f.hyperplanes for f in lat.flats}
     return [
-        (_is_modular(lat, flats, x), modular_oracle(closed, x.hyperplanes))
+        (_is_modular(lat, flats, lat.flats[-1], x),
+         modular_oracle(closed, x.hyperplanes))
         for x in lat.flats_of_codim(arr.rank - 1)
     ]
 
 
+def _interval_verdicts(arr):
+    """(line criterion, full definition) for every coatom y of every
+    interval [0, x] below a coatom x of arr, both read in the lattice of
+    arr; the definition runs over the closed sets inside x."""
+    closed, _ = lattice_oracle(arr.forms)
+    lat = intersection_lattice(arr)
+    flats = {f.hyperplanes for f in lat.flats}
+    verdicts = []
+    for x in lat.flats_of_codim(arr.rank - 1):
+        inside = {s: c for s, c in closed.items() if set(s) <= set(x.hyperplanes)}
+        for y in lat.flats_of_codim(arr.rank - 2):
+            if y.hyperplanes in inside:
+                verdicts.append((_is_modular(lat, flats, x, y),
+                                 modular_oracle(inside, y.hyperplanes)))
+    return verdicts
+
+
 def test_coatom_modularity_matches_full_definition():
-    corpus = _modularity_corpus(2027, 50)
+    corpus = seeded_rank3_corpus(2027, 50)
     assert any(arr.rank < arr.ambient_dim for arr in corpus)
     verdicts = []
+    interval_verdicts = []
     for arr in corpus:
         verdicts += _coatom_verdicts(arr)
+        interval_verdicts += _interval_verdicts(arr)
         # the sub-arrangements _chain_exponents recurses into: the
         # hyperplanes of one coatom, non-essential in the same ambient space
         lat = intersection_lattice(arr)
@@ -168,10 +163,40 @@ def test_coatom_modularity_matches_full_definition():
                 arr.ambient_dim, tuple(arr.forms[i] for i in x.hyperplanes)
             )
             verdicts += _coatom_verdicts(sub)
-    for fast, full in verdicts:
-        assert fast == full
-    assert any(full for _, full in verdicts)
-    assert not all(full for _, full in verdicts)
+    for found in (verdicts, interval_verdicts):
+        for fast, full in found:
+            assert fast == full
+        assert any(full for _, full in found)
+        assert not all(full for _, full in found)
+
+
+def test_chain_asks_only_coatoms_of_each_interval(monkeypatch):
+    """The chain walks down intervals [0, top] of the input's lattice and
+    asks the line criterion only about coatoms of the interval it is in.
+    A flat X of codim c - 1 outside [0, top] (codim c) would be refused
+    anyway: X meets top in a flat Y of codim at most c - 2, some line of
+    [0, top] misses Y, and the meet of that line with X lies in Y.  So
+    asking about X only spends work."""
+    asked = []
+
+    def spy(lat, closed, top, coatom):
+        asked.append((top, coatom))
+        return _is_modular(lat, closed, top, coatom)
+
+    monkeypatch.setattr(homotopy, "_is_modular", spy)
+    corpus = [braid_arrangement(n) for n in (3, 4, 5, 6)]
+    corpus += [direct_sum(generic4(), boolean_arrangement(2))]
+    corpus += seeded_rank3_corpus(2028, 30)
+    for arr in corpus:
+        try:
+            homotopy._chain_exponents(arr)
+        except NotSupersolvable:
+            pass
+    # every input has rank >= 3, so codim-2 tops lie below the lattice top
+    assert any(top.codim == 2 for top, _ in asked)
+    for top, coatom in asked:
+        assert coatom.codim == top.codim - 1
+        assert set(coatom.hyperplanes) <= set(top.hyperplanes)
 
 
 def test_torus_complex_ranks_and_acyclicity():

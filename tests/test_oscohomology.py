@@ -26,7 +26,7 @@ from arrtop import (
     torus_graded_complex,
 )
 from arrtop.cli import parse_arrangement
-from arrtop.errors import EmptyArrangement, WorkBoundExceeded, ZeroForm
+from arrtop.errors import WorkBoundExceeded
 from arrtop import exactalg, homotopy, oscohomology
 from arrtop.exactalg import IntPolynomial, int_rank, linear_product, sub_scaled
 from arrtop.homotopy import _delta_rows, is_acyclic
@@ -36,13 +36,16 @@ from genutil import (
     boundary_expansion,
     braid3,
     braid_arrangement,
+    direct_sum,
     envelope_oracle,
     generic4,
     nbc_oracle,
     near_pencil,
     projective_cup_oracle,
     random_essential_arrangement,
+    seeded_rank3_corpus,
     subset_ranks_oracle,
+    unimodular_image,
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -137,26 +140,6 @@ def test_nbc_basis_and_expand_match_broken_circuit_oracle():
         _check_expand_is_os_reduction(arr)
 
 
-def _seeded_arrangements(seed, count):
-    """Seeded arrangements with 2 to 7 hyperplanes in C^2..C^4 and entries
-    in [-2, 2]; about a third get one extra coordinate that repeats an
-    existing one or is zero, which makes them non-essential."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        dim = rng.randint(2, 4)
-        raw = [[rng.randint(-2, 2) for _ in range(dim)]
-               for _ in range(rng.randint(2, 7))]
-        if rng.random() < 0.35:
-            k = rng.randrange(dim + 1)
-            raw = [row + [row[k] if k < dim else 0] for row in raw]
-        try:
-            out.append((f"seed {seed}/{len(out)}", normalize(raw, len(raw[0]))))
-        except (ZeroForm, EmptyArrangement):
-            continue
-    return out
-
-
 def _columns(rows, ncols):
     return [tuple(row[r] for row in rows) for r in range(ncols)]
 
@@ -167,12 +150,13 @@ def test_projective_cup_products_match_boundary_basis_oracle():
     NBC sets through hyperplane 0."""
     corpus = _data_arrangements()
     corpus += [(f"A{n}", braid_arrangement(n)) for n in (3, 4, 5)]
-    corpus += _seeded_arrangements(31, 50)
+    corpus += [(f"seeded {i}", arr)
+               for i, arr in enumerate(seeded_rank3_corpus(31, 50))]
     assert any(not is_essential(arr) for _, arr in corpus)
     checked = 0
     for name, arr in corpus:
-        top = cohomology_view(arr, True).top
-        for q in range(1, top + 1):
+        b1, relations = 0, []
+        for q in range(1, cohomology_view(arr, True).top + 1):
             labels, right, left = projective_cup_oracle(arr, q)
             slice_ = cup_matrix(arr, q, projective=True)
             assert slice_.column_labels == labels[q], (name, q)
@@ -184,18 +168,16 @@ def test_projective_cup_products_match_boundary_basis_oracle():
             assert right_cup_dual(arr, q, projective=True) == _columns(right, dim)
             assert left_cup_dual(arr, q, projective=True) == _columns(left, dim)
             checked += 1
-        b1 = len(projective_cup_oracle(arr, 1)[0][1]) if top else 0
-        expected = []
-        if top >= 2:
-            right = projective_cup_oracle(arr, 2)[1]
-            for r in range(len(right[0]) if right else 0):
+            b1 = len(labels[1])
+            for r in range(dim if q == 2 else 0):
+                # the wedge x_i ^ x_j embeds as x_i (x) x_j - x_j (x) x_i
                 anti = [0] * (b1 * b1)
                 for i, j in combinations(range(b1), 2):
                     anti[i * b1 + j] = right[i * b1 + j][r]
                     anti[j * b1 + i] = -right[i * b1 + j][r]
-                expected.append(tuple(anti))
+                relations.append(tuple(anti))
         rel = reduced_diagonal(arr, projective=True)
-        assert (rel.dim_h1, rel.relation_basis) == (b1, tuple(expected)), name
+        assert (rel.dim_h1, rel.relation_basis) == (b1, tuple(relations)), name
     assert checked > 100
 
 
@@ -404,6 +386,28 @@ def test_section_cokernels_invariant_under_permutation_and_rescaling(data):
     moved = _rescaled_permutation(data, arr)
     assert (homotopy_cokernel_ranks(SectionData(moved, 3), 4)
             == homotopy_cokernel_ranks(SectionData(arr, 3), 4))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_section_cokernels_invariant_under_unimodular_coordinate_change(data):
+    arr = data.draw(st.sampled_from([
+        boolean_arrangement(4),
+        braid_arrangement(4),
+        near_pencil(3),
+        direct_sum(braid3(), boolean_arrangement(1)),
+    ]))
+    assert is_essential(arr) and arr.rank >= 4
+    dim = arr.ambient_dim
+    steps = data.draw(st.lists(
+        st.tuples(
+            st.integers(0, dim - 1), st.integers(0, dim - 1), st.integers(-4, 4)
+        ),
+        max_size=12,
+    ))
+    moved = unimodular_image(arr, steps)
+    assert (homotopy_cokernel_ranks(SectionData(moved, 3), 3)
+            == homotopy_cokernel_ranks(SectionData(arr, 3), 3))
 
 
 def test_envelope_work_bound():
