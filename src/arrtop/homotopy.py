@@ -259,21 +259,46 @@ def _delta_rows(view, env, q, t, sign=1, left=False):
     return rows
 
 
+def _unit_row_rank(env, t, rows):
+    """Rank of block (1, t) of the right-handed complex, the rows -x_j w
+    over H_1 (x) U_(t-1), whose row index is the envelope's column index
+    at degree t.  A normal word of degree t is x_i followed by a normal
+    word, so the row at its column is minus that word alone: these unit
+    rows cover every column and certify rank dim U_t."""
+    for pos, col in enumerate(env._columns[t]):
+        if rows[col] != {pos: -1}:
+            raise InternalInconsistency(
+                f"block (1, {t}) has no unit row at column {pos}"
+            )
+    return env.dim(t)
+
+
 def _assemble_complex(arr, max_internal_degree, work_bound, left):
     view = cohomology_view(arr, True)
     env = holonomy_envelope(arr, max_internal_degree, projective=True,
                             work_bound=work_bound)
     blocks = {}
+    ranks = {}
     for q in range(1, view.top + 1):
         sign = -1 if left else (-1) ** q
         for t in range(q, max_internal_degree + 1):
-            rows = _delta_rows(view, env, q, t, sign, left)
+            if left or q >= 3:
+                rows = _delta_rows(view, env, q, t, sign, left)
+            elif q == 1:  # -x_j w, of certified rank dim U_t
+                rows = [
+                    {p: -v for p, v in env._product(j, t - 1, w).items()}
+                    for j in range(view.dim(1)) for w in range(env.dim(t - 1))
+                ]
+                ranks[(q, t)] = _unit_row_rank(env, t, rows)
+            else:  # the envelope's relation rows of degree t
+                rows, ranks[(q, t)] = env.relation_block(t)
             if rows:
                 blocks[(q, t)] = rows
     complex_ = GradedChainComplex(
         view.betti, [env.dim(k) for k in range(max_internal_degree + 1)],
         max_internal_degree, blocks,
     )
+    complex_._rank_cache.update(ranks)
     complex_.check_square_zero()
     return complex_
 
@@ -283,7 +308,17 @@ def graded_complex(arr: Arrangement, max_internal_degree=4,
                    work_bound=None) -> GradedChainComplex:
     """Associated-graded equivariant chain complex of the projective
     complement, blocks H_q (x) U with differentials (-1)^q times the dual
-    cup map, verified to square to zero in every internal degree."""
+    cup map, verified to square to zero in every internal degree.
+
+    The first two differentials are the envelope's own presentation:
+    block (1, t) is -x_j w, the left products of the envelope, and block
+    (2, t) is the envelope's relation rows R (x) U_(t-2) of degree t.
+    Their ranks are seeded, dim U_t by a unit-row certificate and the
+    rank of the degree-t echelon, so exactness at q <= 1 holds by
+    construction.  What still checks the complex is the square-zero test
+    (which composes the relation rows with the left products), the
+    homology at q >= 2, which needs the ranks of blocks (q, t) with q >= 3,
+    still eliminated, and the tensor oracle of the test suite."""
     return _assemble_complex(arr, max_internal_degree, work_bound, left=False)
 
 
@@ -291,7 +326,8 @@ def left_graded_complex(arr: Arrangement, max_internal_degree=4,
                         work_bound=None) -> GradedChainComplex:
     """Mirror complex U (x) H_q with differentials minus the dual of the
     left cup action; used to cross-check homology against the right-handed
-    complex."""
+    complex.  Every block is assembled from right products, the ones the
+    envelope computes by recursion, and every rank is eliminated."""
     return _assemble_complex(arr, max_internal_degree, work_bound, left=True)
 
 

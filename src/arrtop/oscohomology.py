@@ -307,8 +307,10 @@ def cup_matrix(arr: Arrangement, q, projective=False) -> CupSlice:
     labels = []
     for t in range(low.dim):
         for j in range(one.dim):
-            entry = rows[(t, j)]
-            mat.append(tuple(entry.get(r, 0) for r in range(target.dim)))
+            row = [0] * target.dim
+            for r, c in rows[(t, j)].items():
+                row[r] = c
+            mat.append(tuple(row))
             labels.append((low.labels[t], one.labels[j]))
     return CupSlice(q, tuple(mat), tuple(labels), target.labels)
 
@@ -377,18 +379,21 @@ class UEnvelope:
     """Degreewise bases of the quotient of the tensor algebra on H_1 by the
     two-sided ideal generated by the holonomy relations R.
 
-    Degree k >= 2 is built as the quotient of U_(k-1) (x) H_1 by the image
-    of U_(k-2) (x) R, never inside the full tensor power: column p*b1 + i
-    stands for basis word p of degree k-1 followed by the letter x_i, so
-    the column order is the lexicographic order of those words.  With the
-    smallest column as pivot, the non-pivot columns are the normal words of
-    degree k (a normal word's prefix is normal), listed in basis_words[k].
-    The relation rows u (x) r of a degree are eliminated as one batch,
-    sparsest first; the pivot columns, hence the normal words, and every
-    normal-form reduction depend only on the row space, not on that order.
-    Right multiplication by x_j is one normal-form reduction in the next
-    degree's echelon; left multiplication recurses on the prefix,
-    x_j (u x_i) = (x_j u) x_i.
+    Degree k >= 2 is built by prepending letters, as the quotient of
+    H_1 (x) U_(k-1) by the image of R (x) U_(k-2), never inside the full
+    tensor power: column i*dim U_(k-1) + p stands for the letter x_i
+    followed by basis word p of degree k-1, so the column order is the
+    lexicographic order of those words.  With the smallest column as pivot,
+    the non-pivot columns are the normal words of degree k, the standard
+    monomials of the lexicographic order (a normal word's suffix is
+    normal), listed in basis_words[k].  The row of r (x) u, for
+    r = sum c_ab x_a x_b, is sum c_ab x_a (x) NF(x_b u); the rows of a
+    degree are kept in (relation, u) order, which is block (2, k) of the
+    graded complex, and eliminated as one batch, sparsest first.  The pivot
+    columns, hence the normal words, and every normal-form reduction depend
+    only on the row space, not on that order.  Left multiplication by x_j
+    is one normal-form reduction in the next degree's echelon; right
+    multiplication recurses on the suffix, (x_i u) x_j = x_i (u x_j).
     """
 
     def __init__(self, arr, max_degree, b1, relation_rows):
@@ -397,20 +402,21 @@ class UEnvelope:
         self.b1 = b1
         self.dims = []
         self.basis_words = []
-        self._echelons = {}  # degree -> echelon over U_(k-1) (x) H_1
-        self._columns = {}  # degree -> column p*b1 + i of each basis word
+        self._echelons = {}  # degree -> echelon over H_1 (x) U_(k-1)
+        self._columns = {}  # degree -> column i*dim U_(k-1) + p of each word
         self._positions = {}  # degree -> {column: basis position}
+        self._relation_rows = {}  # degree -> rows of R (x) U_(k-2)
         self._mult_cache = {}
         self._build(relation_rows)
 
     def _add_degree(self, ech, basis_cols):
-        """Record the next degree from its echelon over U_(k-1) (x) H_1 and
+        """Record the next degree from its echelon over H_1 (x) U_(k-1) and
         its non-pivot columns."""
         k = len(self.dims)
-        prev = self.basis_words[-1]
+        prev, width = self.basis_words[-1], self.dims[-1]
         self.dims.append(len(basis_cols))
         self.basis_words.append(tuple(
-            prev[c // self.b1] + (c % self.b1,) for c in basis_cols
+            (c // width,) + prev[c % width] for c in basis_cols
         ))
         self._echelons[k] = ech
         self._columns[k] = basis_cols
@@ -427,30 +433,38 @@ class UEnvelope:
                 self.dims.append(0)
                 self.basis_words.append(())
             return
-        # degree one: U_0 (x) H_1 with no relations
+        # degree one: H_1 (x) U_0 with no relations
         self._add_degree(SparseEchelon(), list(range(b1)))
         relations = [
             [(divmod(c, b1), v) for c, v in enumerate(row) if v]
             for row in relation_rows
         ]
         for k in range(2, self.max_degree + 1):
-            # u (x) r for r = sum c_ab x_a x_b maps to sum c_ab NF(u x_a) (x) x_b
+            # r (x) u for r = sum c_ab x_a x_b maps to sum c_ab x_a (x) NF(x_b u)
+            width = self.dims[k - 1]
             rows = []
-            for u in range(self.dims[k - 2]):
-                for rel in relations:
+            for rel in relations:
+                for u in range(self.dims[k - 2]):
                     row = {}
                     for (a, b), c in rel:
-                        prefix = self._product(a, k - 2, u, left=False)
-                        sub_scaled(row, {p * b1 + b: v for p, v in prefix.items()}, -c)
+                        suffix = self._product(b, k - 2, u)
+                        shifted = {a * width + p: v for p, v in suffix.items()}
+                        sub_scaled(row, shifted, -c)
                     rows.append(row)
             ech = SparseEchelon()
             ech.extend(rows)
-            total = self.dims[k - 1] * b1
             pivots = ech.pivot_rows
-            self._add_degree(ech, [c for c in range(total) if c not in pivots])
+            self._relation_rows[k] = rows
+            self._add_degree(ech, [c for c in range(b1 * width) if c not in pivots])
 
     def dim(self, k):
         return self.dims[k] if 0 <= k <= self.max_degree else 0
+
+    def relation_block(self, k):
+        """The rows of R (x) U_(k-2) over H_1 (x) U_(k-1), in (relation, u)
+        order, and their rank; k >= 2.  Shared with the caller, which must
+        not mutate them."""
+        return self._relation_rows[k], self._echelons[k].rank
 
     def generator_product(self, j, k, word_pos, left=True):
         """Coordinates of x_j * (basis word at degree k) inside degree k+1,
@@ -470,17 +484,17 @@ class UEnvelope:
         if out is None:
             if k + 1 > self.max_degree:
                 raise RankOutOfRange("product exceeds the truncation degree")
-            if left and k:
-                prefix, i = divmod(self._columns[k][word_pos], self.b1)
-                out = {}
-                for p, c in self._product(j, k - 1, prefix).items():
-                    sub_scaled(out, self._product(i, k, p, left=False), -c)
-                narrowed(out)
-            else:  # at degree 0 the left and right products are both x_j
-                col = word_pos * self.b1 + j
+            if left or not k:  # at degree 0 the left and right products are both x_j
+                col = j * self.dims[k] + word_pos
                 res = self._echelons[k + 1].reduce_coordinates({col: 1})
                 positions = self._positions[k + 1]
                 out = {positions[c]: v for c, v in res.items()}
+            else:
+                i, suffix = divmod(self._columns[k][word_pos], self.dims[k - 1])
+                out = {}
+                for p, c in self._product(j, k - 1, suffix, left=False).items():
+                    sub_scaled(out, self._product(i, k, p), -c)
+                narrowed(out)
             self._mult_cache[key] = out
         return out
 
@@ -490,7 +504,7 @@ def holonomy_envelope(arr: Arrangement, max_degree, projective=True,
                       work_bound=None) -> UEnvelope:
     """Enveloping algebra of the holonomy Lie algebra, degree by degree.
 
-    Each degree is the quotient of the previous one tensored with H_1 by
+    Each degree is the quotient of H_1 tensored with the previous one by
     the image of the relations; dimensions are independent of the
     hyperplane order.  The work bound still refuses b1^max_degree above
     the bound, although no tensor power of that size is built.

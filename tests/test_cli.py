@@ -246,13 +246,24 @@ def test_golden_polar_report():
     }
 
 
-@pytest.mark.parametrize(
-    "name", ["boolean3", "braid3", "generic4", "hattori4", "nearpencil3", "pencil3"]
-)
+GOLDEN_INPUTS = [
+    "boolean3", "braid3", "generic4", "hattori4", "nearpencil3", "pencil3",
+]
+
+
+@pytest.mark.parametrize("name", GOLDEN_INPUTS)
 def test_golden_full_report_byte_identical(capsys, name):
     with open(path(f"golden_report_{name}.json")) as fh:
         golden = fh.read()
     assert main(["report", path(f"{name}.json")]) == 0
+    assert capsys.readouterr().out == golden
+
+
+@pytest.mark.parametrize("name", GOLDEN_INPUTS)
+def test_golden_gr_check_byte_identical(capsys, name):
+    with open(path(f"golden_gr_check_{name}.json")) as fh:
+        golden = fh.read()
+    assert main(["gr-check", path(f"{name}.json"), "--max-degree", "5"]) == 0
     assert capsys.readouterr().out == golden
 
 

@@ -20,6 +20,7 @@ from arrtop import (
     integer_audit,
     intersection_lattice,
     is_acyclic,
+    is_essential,
     is_supersolvable,
     lcs_ranks,
     left_graded_complex,
@@ -29,16 +30,19 @@ from arrtop import (
     torus_graded_complex,
     verify_resolution,
 )
+from arrtop.cli import parse_arrangement
 from arrtop.errors import (
     FrameworkNotApplicable,
+    InternalInconsistency,
     NonIntegerRank,
     NotProperSection,
     NotSupersolvable,
     RankOutOfRange,
 )
-from arrtop.exactalg import linear_product
+from arrtop.exactalg import linear_product, sparse_rank
 from arrtop import homotopy
-from arrtop.homotopy import _is_modular
+from arrtop.homotopy import _delta_rows, _is_modular
+from arrtop.oscohomology import cohomology_view
 from arrtop import Subspace, genericity_level
 from genutil import (
     boolean_arrangement,
@@ -51,6 +55,8 @@ from genutil import (
     near_pencil,
     seeded_rank3_corpus,
 )
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def test_minimal_cell_counts():
@@ -257,6 +263,48 @@ def test_left_and_right_complexes_same_homology():
         assert left.blocks.keys() == right.blocks.keys()
         for q, t in right.blocks:
             assert left.block_rank(q, t) == right.block_rank(q, t)
+
+
+def test_blocks_taken_from_the_envelope_match_the_dual_cup_blocks():
+    # blocks (1, t) and (2, t) of the right-handed complex come from the
+    # envelope with their ranks seeded; they must be the blocks the dual
+    # cup map builds, and every rank, seeded or not, must be the block's
+    names = ["boolean3", "braid3", "generic4", "hattori4", "nearpencil3",
+             "pencil3"]
+    corpus = [(parse_arrangement(os.path.join(DATA, n + ".json")), 5)
+              for n in names]
+    corpus += [(braid_arrangement(3), 5), (braid_arrangement(4), 4)]
+    seeded = seeded_rank3_corpus(1313, 32)
+    assert not all(map(is_essential, seeded))
+    corpus += [(arr, 4) for arr in seeded]
+    for arr, degree in corpus:
+        complex_ = graded_complex(arr, degree)
+        view = cohomology_view(arr, True)
+        env = holonomy_envelope(arr, degree)
+        seeded_keys = set(complex_._rank_cache)
+        for q in range(1, complex_.top + 1):
+            for t in range(q, degree + 1):
+                if q <= 2:
+                    assert (q, t) in seeded_keys
+                    assert (complex_.block(q, t)
+                            == _delta_rows(view, env, q, t, (-1) ** q))
+                assert (complex_.block_rank(q, t)
+                        == sparse_rank(complex_.block(q, t)))
+
+
+def test_unit_row_certificate_checks_every_row():
+    arr = braid3()
+    complex_ = graded_complex(arr, 3)
+    env = holonomy_envelope(arr, 3)
+    rows = complex_.block(1, 3)
+    assert homotopy._unit_row_rank(env, 3, rows) == env.dim(3) == 65
+    for pos in (0, env.dim(3) - 1):
+        col = env._columns[3][pos]
+        for bad in ({pos: 1}, {pos: -1, env.dim(3) - 1 - pos: 1}, {}):
+            tampered = list(rows)
+            tampered[col] = bad
+            with pytest.raises(InternalInconsistency):
+                homotopy._unit_row_rank(env, 3, tampered)
 
 
 def test_square_zero_check_runs_under_optimize_flag():
