@@ -10,7 +10,9 @@ arithmetic is many times cheaper than Fraction arithmetic.  A batch of
 rows is inserted sparsest first (Markowitz's ordering), so that early long
 rows do not fill in every later pivot row; the rank, the pivot columns,
 `contains` and `reduce_coordinates` depend only on the row space, so the
-order changes none of them, only the stored pivot rows.  Everything else
+order changes none of them, only the stored pivot rows.  Normal forms are
+read off a fully reduced copy of the pivot rows, kept until the row space
+grows.  Everything else
 here is immutable and pure.
 """
 
@@ -77,19 +79,28 @@ class SparseEchelon:
     Rows are dicts column -> nonzero exact value, an int when it is integral
     and a Fraction otherwise; inserted rows may mix both.  Each inserted row
     is reduced against the current pivots (pivot column = smallest column of
-    the row, pivot entry normalized to 1), so membership tests and
-    coordinate reductions are a single forward pass.  Stored pivot rows and
-    returned residuals hold ints wherever their values are integral.
+    the row, pivot entry normalized to 1), so a membership test is a single
+    forward pass.  Stored pivot rows and returned residuals hold ints
+    wherever their values are integral.
+
+    `reduce_coordinates` reads a fully reduced copy of the pivot rows, each
+    with zeros at every other pivot column, held as the normal forms of the
+    pivot columns (minus each reduced row's tail).  The copy is
+    back-substituted once, in descending pivot order, on the first call
+    after the row space grew, and dropped by the next `insert` that
+    enlarges it; a reduction is then one pass over the vector's pivot
+    entries, and `normal_form` of a column is a lookup.
 
     `extend` inserts a batch shortest row first.  The pivot columns are the
-    leading columns of the row space, so they, the rank, `contains` and
-    `reduce_coordinates` (whose residual is the unique representative on
-    the non-pivot columns) do not depend on the insertion order; the stored
-    pivot rows and the residuals of `reduce` do.
+    leading columns of the row space, so they, the rank, `contains`, the
+    reduced rows and `reduce_coordinates` (whose residual is the unique
+    representative on the non-pivot columns) do not depend on the insertion
+    order; the stored pivot rows and the residuals of `reduce` do.
     """
 
     def __init__(self):
         self.pivot_rows = {}  # pivot column -> row dict with row[col] == 1
+        self._forms = None  # pivot column -> normal form, see _normal_forms
 
     @property
     def rank(self):
@@ -106,20 +117,46 @@ class SparseEchelon:
             sub_scaled(v, piv, v[c])
         return narrowed(v)
 
+    def _normal_forms(self):
+        """Pivot column -> its normal form, minus the tail of its fully
+        reduced row, built on demand.  In descending pivot order every
+        later pivot column of a row already has its normal form, so one
+        pass over the row resolves them all."""
+        forms = self._forms
+        if forms is None:
+            pivots = self.pivot_rows
+            forms = {}
+            for c in sorted(pivots, reverse=True):
+                row = pivots[c]
+                nf = {col: -val for col, val in row.items() if col not in pivots}
+                for col, val in row.items():
+                    later = forms.get(col)
+                    if later is not None:
+                        sub_scaled(nf, later, val)
+                forms[c] = narrowed(nf)
+            self._forms = forms
+        return forms
+
+    def normal_form(self, col):
+        """The residual of the unit vector at col (see reduce_coordinates).
+        A pivot column's is shared with the echelon: callers must not
+        mutate it."""
+        forms = self._normal_forms()
+        return forms[col] if col in forms else {col: 1}
+
     def reduce_coordinates(self, vec):
         """Eliminate every pivot column from vec, not just a leading prefix.
 
         The residual is supported on non-pivot columns only, so it reads off
-        coordinates modulo the row space in the non-pivot basis.  Terminates
-        because eliminating at a pivot column only introduces larger columns.
+        coordinates modulo the row space in the non-pivot basis.
         """
-        v = dict(vec)
-        while True:
-            hits = [c for c in v if c in self.pivot_rows]
-            if not hits:
-                return narrowed(v)
-            c = min(hits)
-            sub_scaled(v, self.pivot_rows[c], v[c])
+        forms = self._normal_forms()
+        v = {c: x for c, x in vec.items() if c not in forms}
+        for c, x in vec.items():
+            nf = forms.get(c)
+            if nf is not None:
+                sub_scaled(v, nf, -x)
+        return narrowed(v)
 
     def insert(self, vec) -> bool:
         """Insert a row; returns True if it enlarged the row space."""
@@ -136,6 +173,7 @@ class SparseEchelon:
             inv = 1 / Fraction(lead)
             row = narrowed({col: val * inv for col, val in v.items()})
         self.pivot_rows[c] = row
+        self._forms = None
         return True
 
     def extend(self, rows):

@@ -14,6 +14,7 @@ degree, and cross-checks the paired closed forms.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -140,6 +141,17 @@ def _chain_exponents(arr: Arrangement):
 
 
 @lru_cache(maxsize=None)
+def _chain_or_refusal(arr: Arrangement):
+    """(exponents of _chain_exponents, None), or (None, level) when it
+    raised NotSupersolvable: lru_cache stores no exception, so the refusal
+    is memoized as its level."""
+    try:
+        return tuple(_chain_exponents(arr)), None
+    except NotSupersolvable as exc:
+        return None, exc.level
+
+
+@lru_cache(maxsize=None)
 def supersolvable_exponents(arr: Arrangement) -> ExponentData:
     """Exponents read off a maximal modular chain through the first
     modular coatom of each interval, all in the lattice of arr.  Raises
@@ -150,10 +162,15 @@ def supersolvable_exponents(arr: Arrangement) -> ExponentData:
     rank-r lattice meet in a modular flat of rank r - 2 (Brylawski, Trans.
     AMS 203, 1975), a modular coatom of both [0, X1] and [0, X2], so by
     induction on the rank every branch reaches the same verdict and level.
+    A refusal is memoized below this cache, so asking again raises the
+    same level without walking the chain.
     """
     if not is_essential(arr):
         raise NotEssential("supersolvable recognition expects an essential arrangement")
-    exps = sorted(_chain_exponents(arr))
+    chain, level = _chain_or_refusal(arr)
+    if chain is None:
+        raise NotSupersolvable(level)
+    exps = sorted(chain)
     if sum(exps) != arr.num_hyperplanes:
         raise InternalInconsistency("exponents do not sum to the hyperplane count")
     if linear_product(exps) != poincare_central(arr):
@@ -206,6 +223,8 @@ class GradedChainComplex:
         return self.blocks.get((q, t), [])
 
     def block_rank(self, q, t):
+        if t > self.max_internal_degree:  # beyond a view's truncation
+            return sparse_rank(self.block(q, t))
         key = (q, t)
         r = self._rank_cache.get(key)
         if r is None:
@@ -213,15 +232,28 @@ class GradedChainComplex:
             self._rank_cache[key] = r
         return r
 
-    def check_square_zero(self):
-        for (q, t), rows in self.blocks.items():
-            nxt = self.blocks.get((q - 1, t))
-            if not nxt:
-                continue
-            if any(sparse_compose(rows, nxt)):
+    def check_square_zero(self, t=None):
+        """Raise unless every differential composes to zero with the next
+        one, in internal degree t or, when t is None, in every degree."""
+        for (q, s), rows in self.blocks.items():
+            nxt = self.blocks.get((q - 1, s))
+            if nxt and t in (None, s) and any(sparse_compose(rows, nxt)):
                 raise InternalInconsistency(
-                    f"differential square nonzero at (q={q}, t={t})"
+                    f"differential square nonzero at (q={q}, t={s})"
                 )
+
+    def _capped(self, max_internal_degree):
+        """This complex truncated at a lower internal degree: the view
+        shares the rows and the rank cache, whose blocks (q, t) with
+        t <= max_internal_degree are the same in both."""
+        view = GradedChainComplex(
+            self.generator_ranks, self.u_dims[:max_internal_degree + 1],
+            max_internal_degree,
+            {key: self.blocks[key] for key in sorted(self.blocks)
+             if key[1] <= max_internal_degree},
+        )
+        view._shared, view._rank_cache = self, self._rank_cache
+        return view
 
 
 def _delta_rows(view, env, q, t, sign=1, left=False):
@@ -273,34 +305,39 @@ def _unit_row_rank(env, t, rows):
     return env.dim(t)
 
 
-def _assemble_complex(arr, max_internal_degree, work_bound, left):
+def _grow_complex(complex_, arr, max_internal_degree, work_bound, left):
+    """Add internal degrees t above complex_.max_internal_degree up to
+    max_internal_degree in place, each checked to square to zero once;
+    returns the complex capped at max_internal_degree."""
     view = cohomology_view(arr, True)
     env = holonomy_envelope(arr, max_internal_degree, projective=True,
                             work_bound=work_bound)
-    blocks = {}
-    ranks = {}
-    for q in range(1, view.top + 1):
-        sign = -1 if left else (-1) ** q
-        for t in range(q, max_internal_degree + 1):
+    blocks, ranks = complex_.blocks, complex_._rank_cache
+    for t in range(complex_.max_internal_degree + 1, max_internal_degree + 1):
+        for q in range(1, min(view.top, t) + 1):
+            sign = -1 if left else (-1) ** q
             if left or q >= 3:
                 rows = _delta_rows(view, env, q, t, sign, left)
             elif q == 1:  # -x_j w, of certified rank dim U_t
-                rows = [
-                    {p: -v for p, v in env._product(j, t - 1, w).items()}
-                    for j in range(view.dim(1)) for w in range(env.dim(t - 1))
-                ]
+                rows = env._left_block(t)
                 ranks[(q, t)] = _unit_row_rank(env, t, rows)
             else:  # the envelope's relation rows of degree t
                 rows, ranks[(q, t)] = env.relation_block(t)
             if rows:
                 blocks[(q, t)] = rows
-    complex_ = GradedChainComplex(
-        view.betti, [env.dim(k) for k in range(max_internal_degree + 1)],
-        max_internal_degree, blocks,
-    )
-    complex_._rank_cache.update(ranks)
-    complex_.check_square_zero()
-    return complex_
+        complex_.check_square_zero(t)
+        complex_.u_dims += (env.dim(t),)
+        complex_.max_internal_degree = t
+    return complex_._capped(max_internal_degree)
+
+
+def _empty_complex(arr):
+    return GradedChainComplex(cohomology_view(arr, True).betti, (), -1, {})
+
+
+# arr -> the right-handed complex that graded_complex's views share; each
+# view holds it, so it lives exactly as long as a cached view does
+_right_complexes = weakref.WeakValueDictionary()
 
 
 @lru_cache(maxsize=None)
@@ -318,8 +355,18 @@ def graded_complex(arr: Arrangement, max_internal_degree=4,
     construction.  What still checks the complex is the square-zero test
     (which composes the relation rows with the left products), the
     homology at q >= 2, which needs the ranks of blocks (q, t) with q >= 3,
-    still eliminated, and the tensor oracle of the test suite."""
-    return _assemble_complex(arr, max_internal_degree, work_bound, left=False)
+    still eliminated, and the tensor oracle of the test suite.
+
+    Block (q, t) depends on the envelope to degree t only, so one complex
+    per arrangement sits below this cache: a higher max_internal_degree
+    adds only the internal degrees not built yet, and every call returns a
+    view truncated at max_internal_degree that shares the blocks and their
+    ranks.  `cache_clear()` drops the views, and with them that complex."""
+    complex_ = _right_complexes.get(arr)
+    if complex_ is None:
+        complex_ = _right_complexes[arr] = _empty_complex(arr)
+    return _grow_complex(complex_, arr, max_internal_degree, work_bound,
+                         left=False)
 
 
 def left_graded_complex(arr: Arrangement, max_internal_degree=4,
@@ -328,7 +375,8 @@ def left_graded_complex(arr: Arrangement, max_internal_degree=4,
     left cup action; used to cross-check homology against the right-handed
     complex.  Every block is assembled from right products, the ones the
     envelope computes by recursion, and every rank is eliminated."""
-    return _assemble_complex(arr, max_internal_degree, work_bound, left=True)
+    return _grow_complex(_empty_complex(arr), arr, max_internal_degree,
+                         work_bound, left=True)
 
 
 def torus_graded_complex(n, max_internal_degree=4) -> GradedChainComplex:

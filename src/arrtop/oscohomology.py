@@ -16,7 +16,9 @@ combinatorics; functions take a `projective` flag where both make sense.
 
 from __future__ import annotations
 
+import copy
 import os as _os
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -392,22 +394,32 @@ class UEnvelope:
     graded complex, and eliminated as one batch, sparsest first.  The pivot
     columns, hence the normal words, and every normal-form reduction depend
     only on the row space, not on that order.  Left multiplication by x_j
-    is one normal-form reduction in the next degree's echelon; right
-    multiplication recurses on the suffix, (x_i u) x_j = x_i (u x_j).
+    is a normal form in the next degree's echelon, read off its reduced
+    rows; right multiplication recurses on the suffix,
+    (x_i u) x_j = x_i (u x_j).
+
+    Degree k needs only degrees below it, so an envelope grows in place
+    (`_grow`) and hands out views truncated at a lower degree (`_capped`)
+    that share its echelons and its product cache.  Every product checks
+    the view's own degree before it reads the shared cache.
     """
 
     def __init__(self, arr, max_degree, b1, relation_rows):
         self.arr = arr
-        self.max_degree = max_degree
+        self.max_degree = 0
         self.b1 = b1
-        self.dims = []
-        self.basis_words = []
+        self.dims = [1]
+        self.basis_words = [((),)]
+        self._relations = [
+            [(divmod(c, b1), v) for c, v in enumerate(row) if v]
+            for row in relation_rows
+        ]
         self._echelons = {}  # degree -> echelon over H_1 (x) U_(k-1)
         self._columns = {}  # degree -> column i*dim U_(k-1) + p of each word
         self._positions = {}  # degree -> {column: basis position}
         self._relation_rows = {}  # degree -> rows of R (x) U_(k-2)
         self._mult_cache = {}
-        self._build(relation_rows)
+        self._grow(max_degree)
 
     def _add_degree(self, ech, basis_cols):
         """Record the next degree from its echelon over H_1 (x) U_(k-1) and
@@ -422,40 +434,43 @@ class UEnvelope:
         self._columns[k] = basis_cols
         self._positions[k] = {c: pos for pos, c in enumerate(basis_cols)}
 
-    def _build(self, relation_rows):
+    def _grow(self, max_degree):
+        """Build degrees self.max_degree + 1 .. max_degree in place."""
         b1 = self.b1
-        self.dims.append(1)
-        self.basis_words.append(((),))
-        if self.max_degree == 0:
-            return
-        if b1 == 0:
-            for _ in range(1, self.max_degree + 1):
+        for k in range(self.max_degree + 1, max_degree + 1):
+            if b1 == 0:
                 self.dims.append(0)
                 self.basis_words.append(())
-            return
-        # degree one: H_1 (x) U_0 with no relations
-        self._add_degree(SparseEchelon(), list(range(b1)))
-        relations = [
-            [(divmod(c, b1), v) for c, v in enumerate(row) if v]
-            for row in relation_rows
-        ]
-        for k in range(2, self.max_degree + 1):
-            # r (x) u for r = sum c_ab x_a x_b maps to sum c_ab x_a (x) NF(x_b u)
-            width = self.dims[k - 1]
-            rows = []
-            for rel in relations:
-                for u in range(self.dims[k - 2]):
-                    row = {}
-                    for (a, b), c in rel:
-                        suffix = self._product(b, k - 2, u)
-                        shifted = {a * width + p: v for p, v in suffix.items()}
-                        sub_scaled(row, shifted, -c)
-                    rows.append(row)
-            ech = SparseEchelon()
-            ech.extend(rows)
-            pivots = ech.pivot_rows
-            self._relation_rows[k] = rows
-            self._add_degree(ech, [c for c in range(b1 * width) if c not in pivots])
+            elif k == 1:  # H_1 (x) U_0 with no relations
+                self._add_degree(SparseEchelon(), list(range(b1)))
+            else:
+                # r (x) u for r = sum c_ab x_a x_b maps to sum c_ab x_a (x) NF(x_b u)
+                width = self.dims[k - 1]
+                rows = []
+                for rel in self._relations:
+                    for u in range(self.dims[k - 2]):
+                        row = {}
+                        for (a, b), c in rel:
+                            suffix = self._product(b, k - 2, u)
+                            shifted = {a * width + p: v for p, v in suffix.items()}
+                            sub_scaled(row, shifted, -c)
+                        rows.append(row)
+                ech = SparseEchelon()
+                ech.extend(rows)
+                pivots = ech.pivot_rows
+                self._relation_rows[k] = rows
+                self._add_degree(ech, [c for c in range(b1 * width) if c not in pivots])
+            self.max_degree = k
+
+    def _capped(self, max_degree):
+        """This envelope truncated at max_degree <= self.max_degree; the
+        view shares the echelons, the relation rows and the product cache."""
+        view = copy.copy(self)
+        view._shared = self
+        view.max_degree = max_degree
+        view.dims = self.dims[:max_degree + 1]
+        view.basis_words = self.basis_words[:max_degree + 1]
+        return view
 
     def dim(self, k):
         return self.dims[k] if 0 <= k <= self.max_degree else 0
@@ -465,6 +480,19 @@ class UEnvelope:
         order, and their rank; k >= 2.  Shared with the caller, which must
         not mutate them."""
         return self._relation_rows[k], self._echelons[k].rank
+
+    def _left_block(self, k):
+        """The rows -x_j w for every letter j and basis word w of degree
+        k-1, in column order j*dim U_(k-1) + w: minus the normal form of
+        each column of degree k, read straight off the reduced rows.  This
+        is block (1, k) of the graded complex; k >= 1."""
+        if k > self.max_degree:
+            raise RankOutOfRange("block exceeds the truncation degree")
+        ech, positions = self._echelons[k], self._positions[k]
+        return [
+            {positions[c]: -v for c, v in ech.normal_form(col).items()}
+            for col in range(self.b1 * self.dims[k - 1])
+        ]
 
     def generator_product(self, j, k, word_pos, left=True):
         """Coordinates of x_j * (basis word at degree k) inside degree k+1,
@@ -479,14 +507,14 @@ class UEnvelope:
         """generator_product as the kernel holds it, for the package's own
         callers: an int where integral, else a Fraction.  Cached; callers
         must not mutate the dict."""
+        if k + 1 > self.max_degree:  # before the cache another view shares
+            raise RankOutOfRange("product exceeds the truncation degree")
         key = (left, j, k, word_pos)
         out = self._mult_cache.get(key)
         if out is None:
-            if k + 1 > self.max_degree:
-                raise RankOutOfRange("product exceeds the truncation degree")
             if left or not k:  # at degree 0 the left and right products are both x_j
                 col = j * self.dims[k] + word_pos
-                res = self._echelons[k + 1].reduce_coordinates({col: 1})
+                res = self._echelons[k + 1].normal_form(col)
                 positions = self._positions[k + 1]
                 out = {positions[c]: v for c, v in res.items()}
             else:
@@ -499,6 +527,11 @@ class UEnvelope:
         return out
 
 
+# (arr, projective) -> the envelope that holonomy_envelope's views share;
+# each view holds it, so it lives exactly as long as a cached view does
+_envelopes = weakref.WeakValueDictionary()
+
+
 @lru_cache(maxsize=None)
 def holonomy_envelope(arr: Arrangement, max_degree, projective=True,
                       work_bound=None) -> UEnvelope:
@@ -508,8 +541,18 @@ def holonomy_envelope(arr: Arrangement, max_degree, projective=True,
     the image of the relations; dimensions are independent of the
     hyperplane order.  The work bound still refuses b1^max_degree above
     the bound, although no tensor power of that size is built.
+
+    One envelope per (arr, projective), with its relations computed once,
+    sits below this cache, however the arguments are spelled: a higher
+    max_degree builds only the degrees not built yet, and every call
+    returns a view truncated at max_degree.  `cache_clear()` drops the
+    views, and with them the shared envelope.
     """
     b1 = cohomology_view(arr, projective).dim(1)
     _check_work_bound(b1, max_degree, work_bound)
-    relations = reduced_diagonal(arr, projective=projective).relation_basis
-    return UEnvelope(arr, max_degree, b1, relations)
+    env = _envelopes.get((arr, projective))
+    if env is None:
+        relations = reduced_diagonal(arr, projective=projective).relation_basis
+        env = _envelopes[(arr, projective)] = UEnvelope(arr, 0, b1, relations)
+    env._grow(max_degree)
+    return env._capped(max_degree)

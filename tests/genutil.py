@@ -7,7 +7,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from arrtop import Arrangement, Subspace, is_essential, normalize
+from arrtop import Arrangement, Subspace, homotopy, is_essential, normalize, oscohomology
 from arrtop.errors import EmptyArrangement, ZeroForm
 from arrtop.oscohomology import central_algebra, cohomology_view, reduced_diagonal
 
@@ -415,6 +415,15 @@ def envelope_oracle(arr, degree, projective=True) -> TensorEnvelope:
     b1 = cohomology_view(arr, projective).dim(1)
     relations = reduced_diagonal(arr, projective=projective).relation_basis
     return TensorEnvelope(degree, b1, relations)
+
+
+def clear_envelope_caches():
+    """Empty the caches of holonomy_envelope and graded_complex.  The
+    envelopes and complexes their views share go with the views, so the
+    next call builds from degree 0; fails if one is still alive."""
+    oscohomology.holonomy_envelope.cache_clear()
+    homotopy.graded_complex.cache_clear()
+    assert not oscohomology._envelopes and not homotopy._right_complexes
 
 
 # ---------------------------------------------------------------------------

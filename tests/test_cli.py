@@ -18,7 +18,7 @@ from arrtop import is_essential, normalize
 from arrtop.errors import (
     EmptyArrangement, InternalInconsistency, ParseError, ZeroForm,
 )
-from genutil import lattice_oracle, supersolvable_oracle
+from genutil import clear_envelope_caches, lattice_oracle, supersolvable_oracle
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -265,6 +265,32 @@ def test_golden_gr_check_byte_identical(capsys, name):
         golden = fh.read()
     assert main(["gr-check", path(f"{name}.json"), "--max-degree", "5"]) == 0
     assert capsys.readouterr().out == golden
+
+
+@pytest.mark.parametrize("name", GOLDEN_INPUTS)
+def test_cli_sequence_in_one_process_matches_cold_runs(capsys, name):
+    """Degrees asked down and up in one process reuse one envelope and one
+    complex; every stdout must be the golden file, or a cold process's."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    sequence = [
+        (["report"], f"golden_report_{name}.json"),
+        (["pi-p", "--section-rank", "3", "--max-degree", "4"], None),
+        (["gr-check", "--max-degree", "5"], f"golden_gr_check_{name}.json"),
+        (["gr-check", "--max-degree", "4"], None),
+    ]
+    clear_envelope_caches()
+    for command, golden in sequence:
+        argv = [command[0], path(f"{name}.json"), *command[1:]]
+        if golden is None:
+            cold = subprocess.run(
+                [sys.executable, "-m", "arrtop.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            expected = (cold.returncode, cold.stdout)
+        else:
+            with open(path(golden)) as fh:
+                expected = (0, fh.read())
+        assert (main(argv), capsys.readouterr().out) == expected, argv
 
 
 def test_report_supersolvable_matches_oracle_on_seeded_corpus(tmp_path, capsys):

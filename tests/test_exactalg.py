@@ -98,6 +98,48 @@ def test_batch_insertion_order_changes_only_pivot_rows(rows, probes, rng):
             assert coords == ref.reduce_coordinates(vec) and _narrowed(coords)
 
 
+_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), _rows.map(lambda rows: rows[:1])),
+        st.tuples(st.just("extend"), _rows),
+        st.tuples(st.just("query"), _rows),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_operations)
+def test_interleaved_inserts_and_queries_match_fraction_reference(operations):
+    """Queries between inserts: `reduce_coordinates` reads a fully reduced
+    copy of the pivot rows, which a row that enlarges the row space must
+    invalidate; a stale copy leaves pivot columns in the residual or
+    misses the new row's contribution."""
+    fast, ref = SparseEchelon(), FractionEchelon()
+    seen = []
+    for op, rows in operations:
+        if op == "query":
+            for vec in rows + seen:
+                reduced = fast.reduce(vec)
+                coords = fast.reduce_coordinates(vec)
+                assert reduced == ref.reduce(vec) and _narrowed(reduced)
+                assert coords == ref.reduce_coordinates(vec) and _narrowed(coords)
+                assert fast.contains(vec) == ref.contains(vec)
+            continue
+        if op == "insert":
+            for row in rows:
+                assert fast.insert(row) == ref.insert(row)
+        else:
+            fast.extend(rows)
+            for row in sorted(rows, key=len):
+                ref.insert(row)
+        seen += rows
+        assert fast.pivot_rows == ref.pivot_rows
+        for c in range(10):  # the normal form of each column
+            unit = ref.reduce_coordinates({c: 1})
+            assert fast.normal_form(c) == fast.reduce_coordinates({c: 1}) == unit
+
+
 def test_extend_inserts_shortest_rows_first():
     # generation order would store the long row as the pivot row of
     # column 0; sparsest first stores the short one there

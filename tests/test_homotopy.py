@@ -47,6 +47,7 @@ from arrtop import Subspace, genericity_level
 from genutil import (
     boolean_arrangement,
     braid3,
+    clear_envelope_caches,
     braid_arrangement,
     direct_sum,
     generic4,
@@ -290,6 +291,95 @@ def test_blocks_taken_from_the_envelope_match_the_dual_cup_blocks():
                             == _delta_rows(view, env, q, t, (-1) ** q))
                 assert (complex_.block_rank(q, t)
                         == sparse_rank(complex_.block(q, t)))
+
+
+def _growth_snapshot(arr, degree, spelled):
+    """Everything the envelope and the right-handed complex of one degree
+    expose, asked with either spelling of the arguments."""
+    if spelled:
+        env = holonomy_envelope(arr, degree, projective=True, work_bound=None)
+        complex_ = graded_complex(arr, max_internal_degree=degree, work_bound=None)
+    else:
+        env = holonomy_envelope(arr, degree)
+        complex_ = graded_complex(arr, degree)
+    products = {
+        (j, k, w, left): env.generator_product(j, k, w, left=left)
+        for k in range(degree) for w in range(env.dim(k))
+        for j in range(env.b1) for left in (True, False)
+    }
+    relations = {k: env.relation_block(k) for k in range(2, degree + 1)
+                 if env.b1}
+    ranks = {key: complex_.block_rank(*key) for key in complex_.blocks}
+    return (env.max_degree, env.dims, env.basis_words, products, relations,
+            complex_.u_dims, complex_.max_internal_degree,
+            list(complex_.blocks.items()), ranks,
+            verify_resolution(complex_))
+
+
+def test_envelope_and_complex_grown_by_degree_equal_cold_builds():
+    """One envelope and one complex per arrangement grow by degree under the
+    public caches; whatever order the degrees are asked in, and however the
+    arguments are spelled, each answer equals a build from cold caches."""
+    names = ["boolean3", "braid3", "generic4", "hattori4", "nearpencil3",
+             "pencil3"]
+    corpus = [(parse_arrangement(os.path.join(DATA, n + ".json")), 5)
+              for n in names]
+    # braid A4 stops at degree 4, where its products are still cheap
+    corpus += [(braid_arrangement(3), 5), (braid_arrangement(4), 4)]
+    corpus += [(arr, 5) for arr in seeded_rank3_corpus(1414, 6)]
+    for arr, top in corpus:
+        cold = {}
+        for degree in range(2, top + 1):
+            clear_envelope_caches()
+            cold[degree] = _growth_snapshot(arr, degree, spelled=False)
+        for sequence in [(3, 5), (5, 3), (4, 2, 5)]:
+            for spelled in (False, True):
+                clear_envelope_caches()
+                for i, degree in enumerate(sequence):
+                    degree = min(degree, top)
+                    got = _growth_snapshot(arr, degree, spelled ^ bool(i % 2))
+                    assert got == cold[degree], (arr, sequence, degree)
+
+
+def test_capped_views_refuse_what_lies_above_their_degree():
+    # a product above a view's degree is refused even when a larger
+    # envelope has already cached it, and a capped complex has no rank
+    # beyond its own degree
+    arr = braid3()
+    clear_envelope_caches()
+    small_env, small = holonomy_envelope(arr, 3), graded_complex(arr, 3)
+    large_env, large = holonomy_envelope(arr, 5), graded_complex(arr, 5)
+    for left in (True, False):
+        assert large_env.generator_product(0, 3, 0, left=left)
+        with pytest.raises(RankOutOfRange):
+            small_env.generator_product(0, 3, 0, left=left)
+        with pytest.raises(RankOutOfRange):
+            holonomy_envelope(arr, 2).generator_product(0, 2, 0, left=left)
+    assert small_env.dims == large_env.dims[:4] and small_env.dim(4) == 0
+    for q in range(1, small.top + 1):
+        assert small.block_rank(q, 5) == 0 < large.block_rank(q, 5)
+        assert small.block_rank(q, 4) == 0 < large.block_rank(q, 4)
+    assert small.u_dims == large.u_dims[:4]
+    assert set(small.blocks) == {key for key in large.blocks if key[1] <= 3}
+
+
+def test_refusal_is_memoized_with_its_level(monkeypatch):
+    calls = []
+
+    def spy(arr):
+        calls.append(arr)
+        return chain(arr)
+
+    chain = homotopy._chain_exponents
+    monkeypatch.setattr(homotopy, "_chain_exponents", spy)
+    homotopy._chain_or_refusal.cache_clear()
+    arr = generic4()
+    for _ in range(2):
+        with pytest.raises(NotSupersolvable) as err:
+            supersolvable_exponents(arr)
+        assert err.value.level == 3
+    assert not is_supersolvable(arr)
+    assert calls == [arr]
 
 
 def test_unit_row_certificate_checks_every_row():
