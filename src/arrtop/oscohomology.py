@@ -389,19 +389,22 @@ class UEnvelope:
     the non-pivot columns are the normal words of degree k, the standard
     monomials of the lexicographic order (a normal word's suffix is
     normal), listed in basis_words[k].  The row of r (x) u, for
-    r = sum c_ab x_a x_b, is sum c_ab x_a (x) NF(x_b u); the rows of a
-    degree are kept in (relation, u) order, which is block (2, k) of the
-    graded complex, and eliminated as one batch, sparsest first.  The pivot
-    columns, hence the normal words, and every normal-form reduction depend
-    only on the row space, not on that order.  Left multiplication by x_j
-    is a normal form in the next degree's echelon, read off its reduced
-    rows; right multiplication recurses on the suffix,
-    (x_i u) x_j = x_i (u x_j).
+    r = sum c_ab x_a x_b, is sum c_ab x_a (x) x_b u; the rows of a degree
+    are kept in (relation, u) order, which is block (2, k) of the graded
+    complex, and eliminated as one batch, sparsest first.  The pivot
+    columns, hence the normal words, and every normal form depend only on
+    the row space, not on that order.
+
+    Once a degree is eliminated its echelon is dropped and one table is
+    kept: the normal form of column j*dim U_(k-1) + w is x_j w, stored in
+    basis positions.  Left multiplication by x_j is a lookup in it, and so
+    are block (1, k) and the next degree's rows; right multiplication
+    recurses on the suffix, (x_i u) x_j = x_i (u x_j), and is cached.
 
     Degree k needs only degrees below it, so an envelope grows in place
     (`_grow`) and hands out views truncated at a lower degree (`_capped`)
-    that share its echelons and its product cache.  Every product checks
-    the view's own degree before it reads the shared cache.
+    that share its tables and its product cache.  Every product checks
+    the view's own degree before it reads the shared data.
     """
 
     def __init__(self, arr, max_degree, b1, relation_rows):
@@ -414,57 +417,64 @@ class UEnvelope:
             [(divmod(c, b1), v) for c, v in enumerate(row) if v]
             for row in relation_rows
         ]
-        self._echelons = {}  # degree -> echelon over H_1 (x) U_(k-1)
+        self._left = {}  # degree k -> x_j w at j*dim U_(k-1) + w, see _add_degree
         self._columns = {}  # degree -> column i*dim U_(k-1) + p of each word
-        self._positions = {}  # degree -> {column: basis position}
-        self._relation_rows = {}  # degree -> rows of R (x) U_(k-2)
-        self._mult_cache = {}
+        self._relation_blocks = {}  # degree -> (rows of R (x) U_(k-2), rank)
+        self._right_cache = {}
         self._grow(max_degree)
 
-    def _add_degree(self, ech, basis_cols):
-        """Record the next degree from its echelon over H_1 (x) U_(k-1) and
-        its non-pivot columns."""
+    def _add_degree(self, forms):
+        """Record the next degree k from the normal forms of the pivot
+        columns over H_1 (x) U_(k-1): the other columns are its normal
+        words, and its table holds the normal form of every column in
+        basis positions."""
         k = len(self.dims)
         prev, width = self.basis_words[-1], self.dims[-1]
-        self.dims.append(len(basis_cols))
+        columns = [c for c in range(self.b1 * width) if c not in forms]
+        self.dims.append(len(columns))
         self.basis_words.append(tuple(
-            (c // width,) + prev[c % width] for c in basis_cols
+            (c // width,) + prev[c % width] for c in columns
         ))
-        self._echelons[k] = ech
-        self._columns[k] = basis_cols
-        self._positions[k] = {c: pos for pos, c in enumerate(basis_cols)}
+        self._columns[k] = columns
+        position = {c: pos for pos, c in enumerate(columns)}
+        self._left[k] = [
+            {position[c]: v for c, v in forms[col].items()} if col in forms
+            else {position[col]: 1}
+            for col in range(self.b1 * width)
+        ]
+
+    def _eliminate(self, k):
+        """Eliminate the rows of R (x) U_(k-2) over H_1 (x) U_(k-1), keep
+        them with their rank as relation_block(k), and return the normal
+        forms of the pivot columns; the echelon goes with the call."""
+        width, lower = self.dims[k - 1], self.dims[k - 2]
+        table = self._left[k - 1]
+        rows = []
+        for rel in self._relations:
+            for u in range(lower):
+                row = {}
+                for (a, b), c in rel:
+                    shifted = {a * width + p: v for p, v in table[b * lower + u].items()}
+                    sub_scaled(row, shifted, -c)
+                rows.append(row)
+        ech = SparseEchelon()
+        ech.extend(rows)
+        self._relation_blocks[k] = rows, ech.rank
+        return ech.normal_forms()
 
     def _grow(self, max_degree):
         """Build degrees self.max_degree + 1 .. max_degree in place."""
-        b1 = self.b1
         for k in range(self.max_degree + 1, max_degree + 1):
-            if b1 == 0:
+            if self.b1 == 0:
                 self.dims.append(0)
                 self.basis_words.append(())
-            elif k == 1:  # H_1 (x) U_0 with no relations
-                self._add_degree(SparseEchelon(), list(range(b1)))
-            else:
-                # r (x) u for r = sum c_ab x_a x_b maps to sum c_ab x_a (x) NF(x_b u)
-                width = self.dims[k - 1]
-                rows = []
-                for rel in self._relations:
-                    for u in range(self.dims[k - 2]):
-                        row = {}
-                        for (a, b), c in rel:
-                            suffix = self._product(b, k - 2, u)
-                            shifted = {a * width + p: v for p, v in suffix.items()}
-                            sub_scaled(row, shifted, -c)
-                        rows.append(row)
-                ech = SparseEchelon()
-                ech.extend(rows)
-                pivots = ech.pivot_rows
-                self._relation_rows[k] = rows
-                self._add_degree(ech, [c for c in range(b1 * width) if c not in pivots])
+            else:  # degree 1 is H_1 (x) U_0, with no relations
+                self._add_degree(self._eliminate(k) if k > 1 else {})
             self.max_degree = k
 
     def _capped(self, max_degree):
         """This envelope truncated at max_degree <= self.max_degree; the
-        view shares the echelons, the relation rows and the product cache."""
+        view shares the tables, the relation blocks and the product cache."""
         view = copy.copy(self)
         view._shared = self
         view.max_degree = max_degree
@@ -479,51 +489,45 @@ class UEnvelope:
         """The rows of R (x) U_(k-2) over H_1 (x) U_(k-1), in (relation, u)
         order, and their rank; k >= 2.  Shared with the caller, which must
         not mutate them."""
-        return self._relation_rows[k], self._echelons[k].rank
+        return self._relation_blocks[k]
 
     def _left_block(self, k):
         """The rows -x_j w for every letter j and basis word w of degree
-        k-1, in column order j*dim U_(k-1) + w: minus the normal form of
-        each column of degree k, read straight off the reduced rows.  This
-        is block (1, k) of the graded complex; k >= 1."""
+        k-1, in column order j*dim U_(k-1) + w: the negated table of
+        degree k.  This is block (1, k) of the graded complex; k >= 1."""
         if k > self.max_degree:
             raise RankOutOfRange("block exceeds the truncation degree")
-        ech, positions = self._echelons[k], self._positions[k]
-        return [
-            {positions[c]: -v for c, v in ech.normal_form(col).items()}
-            for col in range(self.b1 * self.dims[k - 1])
-        ]
+        return [{p: -v for p, v in xw.items()} for xw in self._left[k]]
 
     def generator_product(self, j, k, word_pos, left=True):
         """Coordinates of x_j * (basis word at degree k) inside degree k+1,
         or of (basis word) * x_j when left is false.
 
         Returns {position: Fraction}."""
+        if not (0 <= j < self.b1 and 0 <= word_pos < self.dim(k)):
+            raise RankOutOfRange(
+                f"no generator {j} or basis word {word_pos} at degree {k}"
+            )
         return {
             p: Fraction(v) for p, v in self._product(j, k, word_pos, left).items()
         }
 
     def _product(self, j, k, word_pos, left=True):
-        """generator_product as the kernel holds it, for the package's own
-        callers: an int where integral, else a Fraction.  Cached; callers
+        """generator_product as the envelope holds it, for the package's own
+        callers: an int where integral, else a Fraction.  Shared; callers
         must not mutate the dict."""
-        if k + 1 > self.max_degree:  # before the cache another view shares
+        if k + 1 > self.max_degree:  # before the data another view shares
             raise RankOutOfRange("product exceeds the truncation degree")
-        key = (left, j, k, word_pos)
-        out = self._mult_cache.get(key)
+        if left or not k:  # at degree 0 the left and right products are both x_j
+            return self._left[k + 1][j * self.dims[k] + word_pos]
+        key = (j, k, word_pos)
+        out = self._right_cache.get(key)
         if out is None:
-            if left or not k:  # at degree 0 the left and right products are both x_j
-                col = j * self.dims[k] + word_pos
-                res = self._echelons[k + 1].normal_form(col)
-                positions = self._positions[k + 1]
-                out = {positions[c]: v for c, v in res.items()}
-            else:
-                i, suffix = divmod(self._columns[k][word_pos], self.dims[k - 1])
-                out = {}
-                for p, c in self._product(j, k - 1, suffix, left=False).items():
-                    sub_scaled(out, self._product(i, k, p), -c)
-                narrowed(out)
-            self._mult_cache[key] = out
+            i, suffix = divmod(self._columns[k][word_pos], self.dims[k - 1])
+            out = {}
+            for p, c in self._product(j, k - 1, suffix, left=False).items():
+                sub_scaled(out, self._product(i, k, p), -c)
+            self._right_cache[key] = narrowed(out)
         return out
 
 

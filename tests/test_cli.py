@@ -267,6 +267,15 @@ def test_golden_gr_check_byte_identical(capsys, name):
     assert capsys.readouterr().out == golden
 
 
+def test_golden_pi_p_section_byte_identical(capsys):
+    # the cokernel at the top degree reads the envelope's left products there
+    with open(path("golden_pi_p_hattori4.json")) as fh:
+        golden = fh.read()
+    argv = ["pi-p", path("hattori4.json"), "--section-rank", "3", "--max-degree", "6"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == golden
+
+
 @pytest.mark.parametrize("name", GOLDEN_INPUTS)
 def test_cli_sequence_in_one_process_matches_cold_runs(capsys, name):
     """Degrees asked down and up in one process reuse one envelope and one
@@ -405,6 +414,22 @@ def test_malformed_work_bound_env_is_malformed(monkeypatch, capsys, value):
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"]["type"] == "ParseError"
     assert "ARRTOP_WORK_BOUND" in payload["error"]["message"]
+    # on warm caches no cached stage reads the bound, so the CLI checks it
+    warm = [
+        ["gr-check", path("hattori4.json")],
+        ["pi-p", path("hattori4.json"), "--section-rank", "3", "--max-degree", "4"],
+        ["report", path("hattori4.json")],
+    ]
+    monkeypatch.delenv("ARRTOP_WORK_BOUND")
+    for argv in warm:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    monkeypatch.setenv("ARRTOP_WORK_BOUND", value)
+    for argv in warm:
+        assert main(argv) == 2, argv
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["type"] == "ParseError"
+        assert "ARRTOP_WORK_BOUND" in payload["error"]["message"]
 
 
 def test_pi_p_negative_max_degree_is_out_of_range(capsys):

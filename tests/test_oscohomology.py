@@ -1,5 +1,7 @@
+import gc
 import os
 import random
+import types
 from fractions import Fraction
 from itertools import combinations
 
@@ -26,7 +28,7 @@ from arrtop import (
     torus_graded_complex,
 )
 from arrtop.cli import parse_arrangement
-from arrtop.errors import WorkBoundExceeded
+from arrtop.errors import RankOutOfRange, WorkBoundExceeded
 from arrtop import exactalg, homotopy, oscohomology
 from arrtop.exactalg import IntPolynomial, int_rank, linear_product, sub_scaled
 from arrtop.homotopy import _delta_rows, is_acyclic
@@ -428,6 +430,54 @@ def test_envelope_generator_products_consistent():
     assert seen == set(range(env.dims[2]))
 
 
+def test_generator_product_refuses_positions_outside_the_basis():
+    # a table row is found by j * dim U_k + w, so an unchecked position
+    # would read another generator's product
+    env = holonomy_envelope(braid3(), 3)
+    assert env.generator_product(env.b1 - 1, 1, env.dims[1] - 1)
+    for j, k, w in [(0, 1, env.dims[1]), (0, 1, -1), (env.b1, 1, 0),
+                    (-1, 1, 0), (0, -1, 0)]:
+        with pytest.raises(RankOutOfRange):
+            env.generator_product(j, k, w)
+        with pytest.raises(RankOutOfRange):
+            env.generator_product(j, k, w, left=False)
+
+
+def _reachable(root):
+    """Every object reachable from root through references, short of
+    classes, modules and functions."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(
+                obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        yield obj
+        stack.extend(gc.get_referents(obj))
+
+
+def test_envelope_keeps_one_left_table_and_no_echelon():
+    # once a degree is eliminated, its echelon goes; x_j w is read straight
+    # off the degree's table, and block (1, k) is that table negated
+    arr = parse_arrangement(os.path.join(DATA, "hattori4.json"))
+    env = holonomy_envelope(arr, 4)
+    assert env.dims[4]
+    for view in (env, holonomy_envelope(arr, 3)):
+        assert not any(isinstance(obj, exactalg.SparseEchelon)
+                       for obj in _reachable(view))
+    for k in range(4):
+        for w in range(env.dims[k]):
+            for j in range(env.b1):
+                xw = env._left[k + 1][j * env.dims[k] + w]
+                assert env._product(j, k, w) is xw
+                assert env.generator_product(j, k, w) == xw
+    for k in range(1, 5):
+        assert env._left_block(k) == [
+            {p: -v for p, v in xw.items()} for xw in env._left[k]
+        ]
+
+
 def test_integer_data_stays_int(monkeypatch):
     # the braid3 envelope, the assembly of its complex, its block ranks
     # (rows inserted sparsest first) and the torus ranks meet only unit
@@ -451,9 +501,9 @@ def test_integer_data_stays_int(monkeypatch):
     complexes = [graded_complex(arr, 4), torus_graded_complex(3, 4)]
     assert all(map(is_acyclic, complexes))
     assert not fractions_seen
-    for ech in env._echelons.values():
-        for row in ech.pivot_rows.values():
-            assert all(type(v) is int for v in row.values())
+    for table in env._left.values():
+        for xw in table:
+            assert all(type(v) is int for v in xw.values())
     for complex_ in complexes:
         for rows in complex_.blocks.values():
             for row in rows:
