@@ -52,7 +52,6 @@ from .homotopy import (
     is_acyclic,
     is_supersolvable,
     lcs_ranks,
-    left_graded_complex,
     minimal_cell_counts,
     supersolvable_exponents,
     torus_graded_complex,
@@ -65,7 +64,6 @@ from .oscohomology import (
     UEnvelope,
     cup_matrix,
     holonomy_envelope,
-    left_cup_dual,
     nbc_basis,
     reduced_diagonal,
     right_cup_dual,

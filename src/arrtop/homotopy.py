@@ -3,7 +3,7 @@
 Everything lives at the level of the augmentation-ideal filtration of the
 group ring: the graded equivariant chain complex of the universal cover has
 free blocks H_q (x) U, with U the enveloping algebra of the holonomy Lie
-algebra and differentials the signed duals of cup multiplication.  For
+algebra and differentials the duals of cup multiplication.  For
 fiber-type (supersolvable) arrangements that complex resolves the trivial
 module; for sufficiently generic sections of them, the cokernel of the top
 visible differential computes the graded pieces of the first nontrivial
@@ -256,11 +256,13 @@ class GradedChainComplex:
         return view
 
 
-def _delta_rows(view, env, q, t, sign=1, left=False):
-    """Differential block H_q (x) U^(t-q) -> H_(q-1) (x) U^(t-q+1) assembled
-    from the dual cup structure extended by generator multiplication; with
-    left set, the mirror block U (x) H_q -> U (x) H_(q-1) from the left cup
-    action and right multiplication."""
+def _delta_rows(view, env, q, t):
+    """Differential block H_q (x) U^(t-q) -> H_(q-1) (x) U^(t-q+1), the dual
+    cup structure extended by left multiplication: the row of basis class
+    r and word w is sum c T (x) x_j w over the cup products T x_j = c r + ...
+    At q = 1 it equals the envelope's table of degree t, at q = 2 its
+    relation rows of degree t; _grow_complex takes those two lists from the
+    envelope itself, shared and not copied, so they must not be mutated."""
     s = t - q
     dim_q = view.dim(q)
     if dim_q == 0 or s < 0 or env.dim(s) == 0:
@@ -268,58 +270,55 @@ def _delta_rows(view, env, q, t, sign=1, left=False):
     # transpose once: for each H_q basis index, the (T, j, coeff) triples
     # with T in H_(q-1) and j in H_1
     transposed = [[] for _ in range(dim_q)]
-    for (a, b), entry in view.cup_rows(q, left).items():
-        tt, j = (b, a) if left else (a, b)
+    for (tt, j), entry in view.cup_rows(q).items():
         for r, c in entry.items():
-            transposed[r].append((tt, j, sign * c))
-    dim_low, dim_u_next = view.dim(q - 1), env.dim(s + 1)
-    if left:
-        sources = [(r, w) for w in range(env.dim(s)) for r in range(dim_q)]
-    else:
-        sources = [(r, w) for r in range(dim_q) for w in range(env.dim(s))]
+            transposed[r].append((tt, j, c))
+    dim_u_next = env.dim(s + 1)
     rows = []
-    for r, w in sources:
-        parts = {}  # T -> coordinates in U^(s+1)
-        for tt, j, c in transposed[r]:
-            part = parts.setdefault(tt, {})
-            sub_scaled(part, env._product(j, s, w, left=not left), -c)
-        rows.append({
-            w2 * dim_low + tt if left else tt * dim_u_next + w2: f
-            for tt, part in parts.items()
-            for w2, f in part.items()
-        })
+    for r in range(dim_q):
+        for w in range(env.dim(s)):
+            parts = {}  # T -> coordinates in U^(s+1)
+            for tt, j, c in transposed[r]:
+                part = parts.setdefault(tt, {})
+                sub_scaled(part, env._product(j, s, w), -c)
+            rows.append({
+                tt * dim_u_next + w2: f
+                for tt, part in parts.items()
+                for w2, f in part.items()
+            })
     return rows
 
 
 def _unit_row_rank(env, t, rows):
-    """Rank of block (1, t) of the right-handed complex, the rows -x_j w
-    over H_1 (x) U_(t-1), whose row index is the envelope's column index
-    at degree t.  A normal word of degree t is x_i followed by a normal
-    word, so the row at its column is minus that word alone: these unit
-    rows cover every column and certify rank dim U_t."""
+    """Rank of block (1, t), the rows x_j w over H_1 (x) U_(t-1), whose row
+    index is the envelope's column index at degree t.  A normal word of
+    degree t is x_i followed by a normal word, so the row at its column is
+    that word alone: these unit rows cover every column and certify rank
+    dim U_t.  The rows are the envelope's own table, shared with the
+    complex, and are only read here."""
     for pos, col in enumerate(env._columns[t]):
-        if rows[col] != {pos: -1}:
+        if rows[col] != {pos: 1}:
             raise InternalInconsistency(
                 f"block (1, {t}) has no unit row at column {pos}"
             )
     return env.dim(t)
 
 
-def _grow_complex(complex_, arr, max_internal_degree, work_bound, left):
+def _grow_complex(complex_, arr, max_internal_degree, work_bound):
     """Add internal degrees t above complex_.max_internal_degree up to
     max_internal_degree in place, each checked to square to zero once;
-    returns the complex capped at max_internal_degree."""
+    returns the complex capped at max_internal_degree.  Blocks (1, t) and
+    (2, t) are the envelope's own lists, shared and not copied."""
     view = cohomology_view(arr, True)
     env = holonomy_envelope(arr, max_internal_degree, projective=True,
                             work_bound=work_bound)
     blocks, ranks = complex_.blocks, complex_._rank_cache
     for t in range(complex_.max_internal_degree + 1, max_internal_degree + 1):
         for q in range(1, min(view.top, t) + 1):
-            sign = -1 if left else (-1) ** q
-            if left or q >= 3:
-                rows = _delta_rows(view, env, q, t, sign, left)
-            elif q == 1:  # -x_j w, of certified rank dim U_t
-                rows = env._left_block(t)
+            if q >= 3:
+                rows = _delta_rows(view, env, q, t)
+            elif q == 1:  # the table x_j w, of certified rank dim U_t
+                rows = env._left[t]
                 ranks[(q, t)] = _unit_row_rank(env, t, rows)
             else:  # the envelope's relation rows of degree t
                 rows, ranks[(q, t)] = env.relation_block(t)
@@ -335,48 +334,39 @@ def _empty_complex(arr):
     return GradedChainComplex(cohomology_view(arr, True).betti, (), -1, {})
 
 
-# arr -> the right-handed complex that graded_complex's views share; each
-# view holds it, so it lives exactly as long as a cached view does
-_right_complexes = weakref.WeakValueDictionary()
+# arr -> the complex that graded_complex's views share; each view holds
+# it, so it lives exactly as long as a cached view does
+_complexes = weakref.WeakValueDictionary()
 
 
 @lru_cache(maxsize=None)
 def graded_complex(arr: Arrangement, max_internal_degree=4,
                    work_bound=None) -> GradedChainComplex:
     """Associated-graded equivariant chain complex of the projective
-    complement, blocks H_q (x) U with differentials (-1)^q times the dual
-    cup map, verified to square to zero in every internal degree.
+    complement, blocks H_q (x) U with differentials the dual cup map
+    extended by left multiplication, verified to square to zero in every
+    internal degree.
 
     The first two differentials are the envelope's own presentation:
-    block (1, t) is -x_j w, the left products of the envelope, and block
-    (2, t) is the envelope's relation rows R (x) U_(t-2) of degree t.
-    Their ranks are seeded, dim U_t by a unit-row certificate and the
-    rank of the degree-t echelon, so exactness at q <= 1 holds by
+    block (1, t) is the envelope's table x_j w of degree t, and block
+    (2, t) its relation rows R (x) U_(t-2) of degree t.  Both are the
+    envelope's lists, shared and not copied, so callers must not mutate
+    them.  Their ranks are seeded, dim U_t by a unit-row certificate and
+    the rank of the degree-t echelon, so exactness at q <= 1 holds by
     construction.  What still checks the complex is the square-zero test
-    (which composes the relation rows with the left products), the
-    homology at q >= 2, which needs the ranks of blocks (q, t) with q >= 3,
-    still eliminated, and the tensor oracle of the test suite.
+    (which composes the relation rows with the table), the homology at
+    q >= 2, which needs the ranks of blocks (q, t) with q >= 3, still
+    eliminated, and the tensor oracle of the test suite.
 
     Block (q, t) depends on the envelope to degree t only, so one complex
     per arrangement sits below this cache: a higher max_internal_degree
     adds only the internal degrees not built yet, and every call returns a
     view truncated at max_internal_degree that shares the blocks and their
     ranks.  `cache_clear()` drops the views, and with them that complex."""
-    complex_ = _right_complexes.get(arr)
+    complex_ = _complexes.get(arr)
     if complex_ is None:
-        complex_ = _right_complexes[arr] = _empty_complex(arr)
-    return _grow_complex(complex_, arr, max_internal_degree, work_bound,
-                         left=False)
-
-
-def left_graded_complex(arr: Arrangement, max_internal_degree=4,
-                        work_bound=None) -> GradedChainComplex:
-    """Mirror complex U (x) H_q with differentials minus the dual of the
-    left cup action; used to cross-check homology against the right-handed
-    complex.  Every block is assembled from right products, the ones the
-    envelope computes by recursion, and every rank is eliminated."""
-    return _grow_complex(_empty_complex(arr), arr, max_internal_degree,
-                         work_bound, left=True)
+        complex_ = _complexes[arr] = _empty_complex(arr)
+    return _grow_complex(complex_, arr, max_internal_degree, work_bound)
 
 
 def torus_graded_complex(n, max_internal_degree=4) -> GradedChainComplex:
@@ -488,15 +478,19 @@ def homotopy_cokernel_ranks(section: SectionData, max_degree=5, work_bound=None)
     view = cohomology_view(arr, True)
     env = holonomy_envelope(arr, max_degree, projective=True,
                             work_bound=work_bound)
+    # block (p+2, t) of a complex graded_complex has already built to
+    # degree t is this block, so its rank is read there
+    built = _complexes.get(arr)
     ranks = []
     for i in range(max_degree + 1):
         target = view.dim(p + 1) * env.dim(i)
         t = p + 1 + i
-        if p + 2 <= view.top and i >= 1:
-            rows = _delta_rows(view, env, p + 2, t)
-            rank = sparse_rank(rows)
-        else:
+        if not (p + 2 <= view.top and i >= 1):
             rank = 0
+        elif built is not None and t <= built.max_internal_degree:
+            rank = built.block_rank(p + 2, t)
+        else:
+            rank = sparse_rank(_delta_rows(view, env, p + 2, t))
         ranks.append(target - rank)
     if ranks[0] != view.dim(p + 1):
         raise InternalInconsistency("lowest cokernel rank differs from b_(p+1)")

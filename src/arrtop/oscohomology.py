@@ -30,7 +30,7 @@ from .arrangement import (
 from .errors import (
     InternalInconsistency, ParseError, RankOutOfRange, WorkBoundExceeded,
 )
-from .exactalg import SparseEchelon, int_rank, narrowed, sub_scaled
+from .exactalg import SparseEchelon, int_rank, sub_scaled
 
 DEFAULT_WORK_BOUND = 10 ** 6
 WORK_BOUND_ENV = "ARRTOP_WORK_BOUND"
@@ -229,25 +229,23 @@ class CohomologyView:
         self._bases[q] = b
         return b
 
-    def cup_rows(self, q, left=False):
-        """Structure constants of H^(q-1) x H^1 -> H^q, or of the left
-        action H^1 x H^(q-1) -> H^q when left is set.
+    def cup_rows(self, q):
+        """Structure constants of H^(q-1) x H^1 -> H^q.
 
-        Returns {(a, b): {r: int}} over basis positions, a in the first
-        factor, b in the second, r in H^q.  The dict is cached per
-        (q, left) and shared between callers, which must not mutate it.
+        Returns {(a, b): {r: int}} over basis positions, a in H^(q-1),
+        b in H^1, r in H^q.  The dict is cached per q and shared between
+        callers, which must not mutate it.
         """
         if not 1 <= q <= self.top:
             raise RankOutOfRange(f"degree {q} outside [1, {self.top}]")
-        rows = self._cup_rows.get((q, left))
+        rows = self._cup_rows.get(q)
         if rows is not None:
             return rows
         low, one = self.basis(q - 1), self.basis(1)
-        first, second = (one, low) if left else (low, one)
         position = {m: r for r, m in enumerate(self.basis(q).keys)}
         rows = {}
-        for a, key_a in enumerate(first.keys):
-            for b, key_b in enumerate(second.keys):
+        for a, key_a in enumerate(low.keys):
+            for b, key_b in enumerate(one.keys):
                 entry = {}
                 product = self.algebra.multiply({key_a: 1}, {key_b: 1})
                 for m, c in product.items():
@@ -259,7 +257,7 @@ class CohomologyView:
                             f"product monomial {m} is not a basis key"
                         )
                 rows[(a, b)] = entry
-        self._cup_rows[(q, left)] = rows
+        self._cup_rows[q] = rows
         return rows
 
 
@@ -349,29 +347,17 @@ def reduced_diagonal(arr: Arrangement, projective=False) -> HolonomyRelations:
     return rel
 
 
-def _cup_dual(arr, q, projective, left):
-    view = cohomology_view(arr, projective)
-    rows = view.cup_rows(q, left)
-    # columns flatten (first factor, second factor) pairs, second fastest
-    second = view.dim(q - 1) if left else view.dim(1)
-    out = [[0] * (view.dim(q - 1) * view.dim(1)) for _ in range(view.dim(q))]
-    for (a, b), entry in rows.items():
-        for r, c in entry.items():
-            out[r][a * second + b] = c
-    return [tuple(row) for row in out]
-
-
 def right_cup_dual(arr: Arrangement, q, projective=False):
     """Matrix of H_q -> H_(q-1) (x) H_1 dual to the right cup action; rows
     indexed by the H_q basis, columns by (H_(q-1), H_1) pairs flattened with
     the H_1 index fastest. Integer entries."""
-    return _cup_dual(arr, q, projective, left=False)
-
-
-def left_cup_dual(arr: Arrangement, q, projective=False):
-    """Matrix of H_q -> H_1 (x) H_(q-1) dual to the left cup action; columns
-    flattened with the H_(q-1) index fastest."""
-    return _cup_dual(arr, q, projective, left=True)
+    view = cohomology_view(arr, projective)
+    b1 = view.dim(1)
+    out = [[0] * (view.dim(q - 1) * b1) for _ in range(view.dim(q))]
+    for (a, b), entry in view.cup_rows(q).items():
+        for r, c in entry.items():
+            out[r][a * b1 + b] = c
+    return [tuple(row) for row in out]
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +383,16 @@ class UEnvelope:
 
     Once a degree is eliminated its echelon is dropped and one table is
     kept: the normal form of column j*dim U_(k-1) + w is x_j w, stored in
-    basis positions.  Left multiplication by x_j is a lookup in it, and so
-    are block (1, k) and the next degree's rows; right multiplication
-    recurses on the suffix, (x_i u) x_j = x_i (u x_j), and is cached.
+    basis positions.  Multiplication by x_j (from the left) is a lookup in
+    it, and so are the next degree's rows.  The table of degree k is block
+    (1, k) of the graded complex and the relation rows are block (2, k):
+    both lists are shared with the complex, not copied, and must not be
+    mutated.
 
     Degree k needs only degrees below it, so an envelope grows in place
     (`_grow`) and hands out views truncated at a lower degree (`_capped`)
-    that share its tables and its product cache.  Every product checks
-    the view's own degree before it reads the shared data.
+    that share its tables.  Every product checks the view's own degree
+    before it reads the shared data.
     """
 
     def __init__(self, arr, max_degree, b1, relation_rows):
@@ -420,7 +408,6 @@ class UEnvelope:
         self._left = {}  # degree k -> x_j w at j*dim U_(k-1) + w, see _add_degree
         self._columns = {}  # degree -> column i*dim U_(k-1) + p of each word
         self._relation_blocks = {}  # degree -> (rows of R (x) U_(k-2), rank)
-        self._right_cache = {}
         self._grow(max_degree)
 
     def _add_degree(self, forms):
@@ -474,7 +461,7 @@ class UEnvelope:
 
     def _capped(self, max_degree):
         """This envelope truncated at max_degree <= self.max_degree; the
-        view shares the tables, the relation blocks and the product cache."""
+        view shares the tables and the relation blocks."""
         view = copy.copy(self)
         view._shared = self
         view.max_degree = max_degree
@@ -491,44 +478,23 @@ class UEnvelope:
         not mutate them."""
         return self._relation_blocks[k]
 
-    def _left_block(self, k):
-        """The rows -x_j w for every letter j and basis word w of degree
-        k-1, in column order j*dim U_(k-1) + w: the negated table of
-        degree k.  This is block (1, k) of the graded complex; k >= 1."""
-        if k > self.max_degree:
-            raise RankOutOfRange("block exceeds the truncation degree")
-        return [{p: -v for p, v in xw.items()} for xw in self._left[k]]
-
-    def generator_product(self, j, k, word_pos, left=True):
-        """Coordinates of x_j * (basis word at degree k) inside degree k+1,
-        or of (basis word) * x_j when left is false.
+    def generator_product(self, j, k, word_pos):
+        """Coordinates of x_j * (basis word at degree k) inside degree k+1.
 
         Returns {position: Fraction}."""
         if not (0 <= j < self.b1 and 0 <= word_pos < self.dim(k)):
             raise RankOutOfRange(
                 f"no generator {j} or basis word {word_pos} at degree {k}"
             )
-        return {
-            p: Fraction(v) for p, v in self._product(j, k, word_pos, left).items()
-        }
+        return {p: Fraction(v) for p, v in self._product(j, k, word_pos).items()}
 
-    def _product(self, j, k, word_pos, left=True):
+    def _product(self, j, k, word_pos):
         """generator_product as the envelope holds it, for the package's own
         callers: an int where integral, else a Fraction.  Shared; callers
         must not mutate the dict."""
         if k + 1 > self.max_degree:  # before the data another view shares
             raise RankOutOfRange("product exceeds the truncation degree")
-        if left or not k:  # at degree 0 the left and right products are both x_j
-            return self._left[k + 1][j * self.dims[k] + word_pos]
-        key = (j, k, word_pos)
-        out = self._right_cache.get(key)
-        if out is None:
-            i, suffix = divmod(self._columns[k][word_pos], self.dims[k - 1])
-            out = {}
-            for p, c in self._product(j, k - 1, suffix, left=False).items():
-                sub_scaled(out, self._product(i, k, p), -c)
-            self._right_cache[key] = narrowed(out)
-        return out
+        return self._left[k + 1][j * self.dims[k] + word_pos]
 
 
 # (arr, projective) -> the envelope that holonomy_envelope's views share;

@@ -7,7 +7,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from arrtop import Arrangement, Subspace, homotopy, is_essential, normalize, oscohomology
+from arrtop import (
+    Arrangement, GradedChainComplex, Subspace, homotopy, is_essential,
+    normalize, oscohomology,
+)
 from arrtop.errors import EmptyArrangement, ZeroForm
 from arrtop.oscohomology import central_algebra, cohomology_view, reduced_diagonal
 
@@ -417,13 +420,48 @@ def envelope_oracle(arr, degree, projective=True) -> TensorEnvelope:
     return TensorEnvelope(degree, b1, relations)
 
 
+def mirror_complex_oracle(arr, max_degree) -> GradedChainComplex:
+    """The mirror of graded_complex: blocks U (x) H_q, the differential
+    leaving (w, r) being minus the sum of c (w x_j) (x) T over the left cup
+    products x_j T = c r + ... .  Built only from projective_cup_oracle's
+    left products and TensorEnvelope's right products, so it shares no
+    code with the complex it cross-checks; rows are indexed w-major, and
+    every internal degree is checked to square to zero."""
+    view = cohomology_view(arr, True)
+    env = envelope_oracle(arr, max_degree)
+    blocks = {}
+    for q in range(1, view.top + 1):
+        labels, _, left = projective_cup_oracle(arr, q)
+        dim_low, dim_q = len(labels[q - 1]), len(labels[q])
+        for t in range(q, max_degree + 1):
+            rows = []
+            for w in range(env.dim(t - q)):
+                for r in range(dim_q):
+                    row = {}
+                    for j in range(env.b1):
+                        for low in range(dim_low):
+                            c = left[j * dim_low + low][r]
+                            if not c:
+                                continue
+                            product = env.generator_product(j, t - q, w, left=False)
+                            for w2, v in product.items():
+                                col = w2 * dim_low + low
+                                row[col] = row.get(col, 0) - c * v
+                    rows.append({col: v for col, v in row.items() if v})
+            if rows:
+                blocks[(q, t)] = rows
+    complex_ = GradedChainComplex(view.betti, env.dims, max_degree, blocks)
+    complex_.check_square_zero()
+    return complex_
+
+
 def clear_envelope_caches():
     """Empty the caches of holonomy_envelope and graded_complex.  The
     envelopes and complexes their views share go with the views, so the
     next call builds from degree 0; fails if one is still alive."""
     oscohomology.holonomy_envelope.cache_clear()
     homotopy.graded_complex.cache_clear()
-    assert not oscohomology._envelopes and not homotopy._right_complexes
+    assert not oscohomology._envelopes and not homotopy._complexes
 
 
 # ---------------------------------------------------------------------------

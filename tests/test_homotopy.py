@@ -23,7 +23,6 @@ from arrtop import (
     is_essential,
     is_supersolvable,
     lcs_ranks,
-    left_graded_complex,
     minimal_cell_counts,
     normalize,
     supersolvable_exponents,
@@ -52,6 +51,7 @@ from genutil import (
     direct_sum,
     generic4,
     lattice_oracle,
+    mirror_complex_oracle,
     modular_oracle,
     near_pencil,
     seeded_rank3_corpus,
@@ -256,18 +256,22 @@ def test_resolution_fails_for_generic4():
 
 
 def test_left_and_right_complexes_same_homology():
-    # boolean4 and near_pencil(2) are tests/data/hattori4 and nearpencil3
-    for arr in [braid3(), generic4(), boolean_arrangement(4), near_pencil(2)]:
-        left = left_graded_complex(arr, 3)
-        right = graded_complex(arr, 3)
-        assert verify_resolution(left) == verify_resolution(right)
-        assert left.blocks.keys() == right.blocks.keys()
+    # boolean4 and near_pencil(2) are tests/data/hattori4 and nearpencil3;
+    # the mirror complex is built from oracle cups and tensor products
+    corpus = [(braid3(), 3), (generic4(), 3), (boolean_arrangement(4), 3),
+              (near_pencil(2), 3), (braid3(), 5), (braid_arrangement(4), 3)]
+    for arr, degree in corpus:
+        mirror = mirror_complex_oracle(arr, degree)
+        right = graded_complex(arr, degree)
+        assert mirror.u_dims == right.u_dims
+        assert verify_resolution(mirror) == verify_resolution(right)
+        assert mirror.blocks.keys() == right.blocks.keys()
         for q, t in right.blocks:
-            assert left.block_rank(q, t) == right.block_rank(q, t)
+            assert mirror.block_rank(q, t) == right.block_rank(q, t)
 
 
 def test_blocks_taken_from_the_envelope_match_the_dual_cup_blocks():
-    # blocks (1, t) and (2, t) of the right-handed complex come from the
+    # blocks (1, t) and (2, t) of graded_complex come from the
     # envelope with their ranks seeded; they must be the blocks the dual
     # cup map builds, and every rank, seeded or not, must be the block's
     names = ["boolean3", "braid3", "generic4", "hattori4", "nearpencil3",
@@ -288,13 +292,13 @@ def test_blocks_taken_from_the_envelope_match_the_dual_cup_blocks():
                 if q <= 2:
                     assert (q, t) in seeded_keys
                     assert (complex_.block(q, t)
-                            == _delta_rows(view, env, q, t, (-1) ** q))
+                            == _delta_rows(view, env, q, t))
                 assert (complex_.block_rank(q, t)
                         == sparse_rank(complex_.block(q, t)))
 
 
 def _growth_snapshot(arr, degree, spelled):
-    """Everything the envelope and the right-handed complex of one degree
+    """Everything the envelope and the complex of one degree
     expose, asked with either spelling of the arguments."""
     if spelled:
         env = holonomy_envelope(arr, degree, projective=True, work_bound=None)
@@ -303,9 +307,9 @@ def _growth_snapshot(arr, degree, spelled):
         env = holonomy_envelope(arr, degree)
         complex_ = graded_complex(arr, degree)
     products = {
-        (j, k, w, left): env.generator_product(j, k, w, left=left)
+        (j, k, w): env.generator_product(j, k, w)
         for k in range(degree) for w in range(env.dim(k))
-        for j in range(env.b1) for left in (True, False)
+        for j in range(env.b1)
     }
     relations = {k: env.relation_block(k) for k in range(2, degree + 1)
                  if env.b1}
@@ -349,12 +353,11 @@ def test_capped_views_refuse_what_lies_above_their_degree():
     clear_envelope_caches()
     small_env, small = holonomy_envelope(arr, 3), graded_complex(arr, 3)
     large_env, large = holonomy_envelope(arr, 5), graded_complex(arr, 5)
-    for left in (True, False):
-        assert large_env.generator_product(0, 3, 0, left=left)
-        with pytest.raises(RankOutOfRange):
-            small_env.generator_product(0, 3, 0, left=left)
-        with pytest.raises(RankOutOfRange):
-            holonomy_envelope(arr, 2).generator_product(0, 2, 0, left=left)
+    assert large_env.generator_product(0, 3, 0)
+    with pytest.raises(RankOutOfRange):
+        small_env.generator_product(0, 3, 0)
+    with pytest.raises(RankOutOfRange):
+        holonomy_envelope(arr, 2).generator_product(0, 2, 0)
     assert small_env.dims == large_env.dims[:4] and small_env.dim(4) == 0
     for q in range(1, small.top + 1):
         assert small.block_rank(q, 5) == 0 < large.block_rank(q, 5)
@@ -390,7 +393,7 @@ def test_unit_row_certificate_checks_every_row():
     assert homotopy._unit_row_rank(env, 3, rows) == env.dim(3) == 65
     for pos in (0, env.dim(3) - 1):
         col = env._columns[3][pos]
-        for bad in ({pos: 1}, {pos: -1, env.dim(3) - 1 - pos: 1}, {}):
+        for bad in ({pos: -1}, {pos: 1, env.dim(3) - 1 - pos: 1}, {}):
             tampered = list(rows)
             tampered[col] = bad
             with pytest.raises(InternalInconsistency):

@@ -16,8 +16,6 @@ from arrtop import (
     homotopy_cokernel_ranks,
     holonomy_envelope,
     is_essential,
-    left_cup_dual,
-    left_graded_complex,
     nbc_basis,
     normalize,
     poincare_central,
@@ -168,7 +166,12 @@ def test_projective_cup_products_match_boundary_basis_oracle():
             assert slice_.matrix == tuple(right), (name, q)
             dim = len(labels[q])
             assert right_cup_dual(arr, q, projective=True) == _columns(right, dim)
-            assert left_cup_dual(arr, q, projective=True) == _columns(left, dim)
+            # graded commutativity: x_j T = (-1)^(q-1) T x_j
+            b1, n_low = len(labels[1]), len(labels[q - 1])
+            for j in range(b1):
+                for t in range(n_low):
+                    assert left[j * n_low + t] == tuple(
+                        (-1) ** (q - 1) * c for c in right[t * b1 + j])
             checked += 1
             b1 = len(labels[1])
             for r in range(dim if q == 2 else 0):
@@ -318,10 +321,9 @@ def _assert_envelope_matches_oracle(arr, degree, projective):
     for k in range(degree):
         for w in range(env.dims[k]):
             for j in range(env.b1):
-                for left in (True, False):
-                    got = env.generator_product(j, k, w, left=left)
-                    assert got == oracle.generator_product(j, k, w, left=left)
-                    assert all(type(v) is Fraction for v in got.values())
+                got = env.generator_product(j, k, w)
+                assert got == oracle.generator_product(j, k, w)
+                assert all(type(v) is Fraction for v in got.values())
 
 
 def test_envelope_matches_tensor_oracle():
@@ -342,20 +344,20 @@ def test_envelope_matches_tensor_oracle_braid3_degree5():
 
 
 def test_complexes_match_tensor_oracle_braid3_degree5():
+    # the mirror side is built from the oracle itself, see
+    # test_homotopy.py::test_left_and_right_complexes_same_homology
     arr = braid3()
     view = cohomology_view(arr, True)
     oracle = envelope_oracle(arr, 5)
-    for left, complex_ in ((False, graded_complex(arr, 5)),
-                           (True, left_graded_complex(arr, 5))):
-        expected = {}
-        for q in range(1, view.top + 1):
-            sign = -1 if left else (-1) ** q
-            for t in range(q, 6):
-                rows = _delta_rows(view, oracle, q, t, sign, left)
-                if rows:
-                    expected[(q, t)] = rows
-        assert complex_.u_dims == tuple(oracle.dims)
-        assert complex_.blocks == expected
+    complex_ = graded_complex(arr, 5)
+    expected = {}
+    for q in range(1, view.top + 1):
+        for t in range(q, 6):
+            rows = _delta_rows(view, oracle, q, t)
+            if rows:
+                expected[(q, t)] = rows
+    assert complex_.u_dims == tuple(oracle.dims)
+    assert complex_.blocks == expected
 
 
 def _rescaled_permutation(data, arr):
@@ -439,8 +441,6 @@ def test_generator_product_refuses_positions_outside_the_basis():
                     (-1, 1, 0), (0, -1, 0)]:
         with pytest.raises(RankOutOfRange):
             env.generator_product(j, k, w)
-        with pytest.raises(RankOutOfRange):
-            env.generator_product(j, k, w, left=False)
 
 
 def _reachable(root):
@@ -459,7 +459,7 @@ def _reachable(root):
 
 def test_envelope_keeps_one_left_table_and_no_echelon():
     # once a degree is eliminated, its echelon goes; x_j w is read straight
-    # off the degree's table, and block (1, k) is that table negated
+    # off the degree's table, and block (1, k) is that table itself
     arr = parse_arrangement(os.path.join(DATA, "hattori4.json"))
     env = holonomy_envelope(arr, 4)
     assert env.dims[4]
@@ -473,9 +473,7 @@ def test_envelope_keeps_one_left_table_and_no_echelon():
                 assert env._product(j, k, w) is xw
                 assert env.generator_product(j, k, w) == xw
     for k in range(1, 5):
-        assert env._left_block(k) == [
-            {p: -v for p, v in xw.items()} for xw in env._left[k]
-        ]
+        assert graded_complex(arr, k).block(1, k) is env._left[k]
 
 
 def test_integer_data_stays_int(monkeypatch):
@@ -512,10 +510,9 @@ def test_integer_data_stays_int(monkeypatch):
 
 def test_right_cup_dual_degree_one_is_identity_pairing():
     for arr in [boolean_arrangement(3), braid3()]:
-        for mat in (right_cup_dual(arr, 1), left_cup_dual(arr, 1)):
-            for i, row in enumerate(mat):
-                assert row[i] == 1
-                assert sum(abs(x) for x in row) == 1
+        for i, row in enumerate(right_cup_dual(arr, 1)):
+            assert row[i] == 1
+            assert sum(abs(x) for x in row) == 1
 
 
 def test_boolean_right_dual_is_koszul_shaped():
@@ -528,27 +525,38 @@ def test_boolean_right_dual_is_koszul_shaped():
 
 
 def test_left_dual_is_swap_of_right_dual_up_to_sign():
+    # the left products come from outside cup_rows: on the central side
+    # straight from the algebra, on the projective side from the
+    # boundary-basis oracle
     for arr in [boolean_arrangement(3), braid3()]:
         for projective in (False, True):
             view = cohomology_view(arr, projective)
             for q in range(2, view.top + 1):
                 right = right_cup_dual(arr, q, projective=projective)
-                left = left_cup_dual(arr, q, projective=projective)
                 n_low = view.dim(q - 1)
                 n_one = view.dim(1)
+                if projective:
+                    left = projective_cup_oracle(arr, q)[2]
+                else:
+                    low, one = view.basis(q - 1), view.basis(1)
+                    left = [
+                        tuple(view.algebra.multiply({a: 1}, {b: 1}).get(m, 0)
+                              for m in view.basis(q).keys)
+                        for a in one.keys for b in low.keys
+                    ]
                 sign = (-1) ** (q - 1)
                 for r in range(view.dim(q)):
                     for t in range(n_low):
                         for j in range(n_one):
-                            assert left[r][j * n_low + t] == sign * right[r][t * n_one + j]
+                            assert left[j * n_low + t][r] == sign * right[r][t * n_one + j]
 
 
-def test_cup_rows_are_cached_per_degree_and_side():
+def test_cup_rows_are_cached_per_degree():
     view = cohomology_view(braid3(), False)
-    for q in range(1, view.top + 1):
-        for left in (False, True):
-            assert view.cup_rows(q, left) is view.cup_rows(q, left)
-    assert view.cup_rows(2) is not view.cup_rows(2, left=True)
+    rows = [view.cup_rows(q) for q in range(1, view.top + 1)]
+    for q, cached in enumerate(rows, start=1):
+        assert view.cup_rows(q) is cached
+    assert len({id(r) for r in rows}) == len(rows)
 
 
 def test_projective_basis_dimensions():
