@@ -478,19 +478,15 @@ def homotopy_cokernel_ranks(section: SectionData, max_degree=5, work_bound=None)
     view = cohomology_view(arr, True)
     env = holonomy_envelope(arr, max_degree, projective=True,
                             work_bound=work_bound)
-    # block (p+2, t) of a complex graded_complex has already built to
-    # degree t is this block, so its rank is read there
-    built = _complexes.get(arr)
     ranks = []
     for i in range(max_degree + 1):
         target = view.dim(p + 1) * env.dim(i)
         t = p + 1 + i
-        if not (p + 2 <= view.top and i >= 1):
-            rank = 0
-        elif built is not None and t <= built.max_internal_degree:
-            rank = built.block_rank(p + 2, t)
+        if p + 2 <= view.top and i >= 1:
+            rows = _delta_rows(view, env, p + 2, t)
+            rank = sparse_rank(rows)
         else:
-            rank = sparse_rank(_delta_rows(view, env, p + 2, t))
+            rank = 0
         ranks.append(target - rank)
     if ranks[0] != view.dim(p + 1):
         raise InternalInconsistency("lowest cokernel rank differs from b_(p+1)")

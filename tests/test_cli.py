@@ -14,7 +14,7 @@ from arrtop.cli import (
     parse_arrangement,
     run_command,
 )
-from arrtop import homotopy, is_essential, normalize
+from arrtop import is_essential, normalize
 from arrtop.errors import (
     EmptyArrangement, InternalInconsistency, ParseError, ZeroForm,
 )
@@ -283,36 +283,6 @@ def test_golden_gr_check_integers_byte_identical(capsys, name):
     argv = ["gr-check", path(f"{name}.json"), "--max-degree", "5", "--integers"]
     assert main(argv) == 0
     assert capsys.readouterr().out == golden
-
-
-def test_cokernel_reads_the_ranks_of_a_built_complex(tmp_path, capsys, monkeypatch):
-    """After gr-check to degree 6, pi-p on the same input assembles no block
-    the complex already holds: blocks (4, t) with t <= 6 are read from it,
-    and only t = 7..9 are built.  The output equals a cold run's."""
-    f = tmp_path / "boolean5.json"
-    f.write_text(json.dumps({"ambient_dim": 5, "forms": [
-        [int(i == j) for j in range(5)] for i in range(5)]}))
-    built = []
-
-    def spy(view, env, q, t):
-        built.append((q, t))
-        return delta_rows(view, env, q, t)
-
-    delta_rows = homotopy._delta_rows
-    monkeypatch.setattr(homotopy, "_delta_rows", spy)
-    pi_p = ["pi-p", str(f), "--section-rank", "3", "--max-degree", "6"]
-    clear_envelope_caches()
-    assert main(pi_p) == 0
-    cold = capsys.readouterr().out
-    assert sorted(built) == [(4, t) for t in range(4, 10)]
-    clear_envelope_caches()
-    assert main(["gr-check", str(f), "--max-degree", "6"]) == 0
-    capsys.readouterr()
-    assert (4, 6) in built
-    del built[:]
-    assert main(pi_p) == 0
-    assert capsys.readouterr().out == cold
-    assert sorted(built) == [(4, t) for t in range(7, 10)]
 
 
 @pytest.mark.parametrize("name", GOLDEN_INPUTS)
