@@ -14,7 +14,6 @@ degree, and cross-checks the paired closed forms.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -52,14 +51,13 @@ from .exactalg import (
     smith_invariant_factors,
     sparse_compose,
     sparse_rank,
-    sub_scaled,
 )
 from .oscohomology import (
     _check_work_bound,
+    _delta_rows,
     _work_bound,
     cohomology_view,
     holonomy_envelope,
-    reduced_diagonal,
 )
 
 
@@ -223,70 +221,20 @@ class GradedChainComplex:
         return self.blocks.get((q, t), [])
 
     def block_rank(self, q, t):
-        if t > self.max_internal_degree:  # beyond a view's truncation
-            return sparse_rank(self.block(q, t))
-        key = (q, t)
-        r = self._rank_cache.get(key)
+        r = self._rank_cache.get((q, t))
         if r is None:
-            r = sparse_rank(self.block(q, t))
-            self._rank_cache[key] = r
+            r = self._rank_cache[(q, t)] = sparse_rank(self.block(q, t))
         return r
 
-    def check_square_zero(self, t=None):
+    def check_square_zero(self):
         """Raise unless every differential composes to zero with the next
-        one, in internal degree t or, when t is None, in every degree."""
+        one, in every internal degree."""
         for (q, s), rows in self.blocks.items():
             nxt = self.blocks.get((q - 1, s))
-            if nxt and t in (None, s) and any(sparse_compose(rows, nxt)):
+            if nxt and any(sparse_compose(rows, nxt)):
                 raise InternalInconsistency(
                     f"differential square nonzero at (q={q}, t={s})"
                 )
-
-    def _capped(self, max_internal_degree):
-        """This complex truncated at a lower internal degree: the view
-        shares the rows and the rank cache, whose blocks (q, t) with
-        t <= max_internal_degree are the same in both."""
-        view = GradedChainComplex(
-            self.generator_ranks, self.u_dims[:max_internal_degree + 1],
-            max_internal_degree,
-            {key: self.blocks[key] for key in sorted(self.blocks)
-             if key[1] <= max_internal_degree},
-        )
-        view._shared, view._rank_cache = self, self._rank_cache
-        return view
-
-
-def _delta_rows(view, env, q, t):
-    """Differential block H_q (x) U^(t-q) -> H_(q-1) (x) U^(t-q+1), the dual
-    cup structure extended by left multiplication: the row of basis class
-    r and word w is sum c T (x) x_j w over the cup products T x_j = c r + ...
-    At q = 1 it equals the envelope's table of degree t, at q = 2 its
-    relation rows of degree t; _grow_complex takes those two lists from the
-    envelope itself, shared and not copied, so they must not be mutated."""
-    s = t - q
-    dim_q = view.dim(q)
-    if dim_q == 0 or s < 0 or env.dim(s) == 0:
-        return []
-    # transpose once: for each H_q basis index, the (T, j, coeff) triples
-    # with T in H_(q-1) and j in H_1
-    transposed = [[] for _ in range(dim_q)]
-    for (tt, j), entry in view.cup_rows(q).items():
-        for r, c in entry.items():
-            transposed[r].append((tt, j, c))
-    dim_u_next = env.dim(s + 1)
-    rows = []
-    for r in range(dim_q):
-        for w in range(env.dim(s)):
-            parts = {}  # T -> coordinates in U^(s+1)
-            for tt, j, c in transposed[r]:
-                part = parts.setdefault(tt, {})
-                sub_scaled(part, env._product(j, s, w), -c)
-            rows.append({
-                tt * dim_u_next + w2: f
-                for tt, part in parts.items()
-                for w2, f in part.items()
-            })
-    return rows
 
 
 def _unit_row_rank(env, t, rows):
@@ -304,17 +252,33 @@ def _unit_row_rank(env, t, rows):
     return env.dim(t)
 
 
-def _grow_complex(complex_, arr, max_internal_degree, work_bound):
-    """Add internal degrees t above complex_.max_internal_degree up to
-    max_internal_degree in place, each checked to square to zero once;
-    returns the complex capped at max_internal_degree.  Blocks (1, t) and
-    (2, t) are the envelope's own lists, shared and not copied."""
+@lru_cache(maxsize=None)
+def graded_complex(arr: Arrangement, max_internal_degree=4,
+                   work_bound=None) -> GradedChainComplex:
+    """Associated-graded equivariant chain complex of the projective
+    complement, blocks H_q (x) U with differentials the dual cup map
+    extended by left multiplication, verified to square to zero in every
+    internal degree.
+
+    Built on each cache miss from the envelope view of degree
+    max_internal_degree (holonomy_envelope's, the one object per
+    arrangement that grows by degree).  Block (1, t) is the envelope's
+    table x_j w of degree t and block (2, t) its relation rows
+    R (x) U_(t-2): the envelope's own lists, shared and not copied, so
+    callers must not mutate them.  Their ranks are seeded, dim U_t by a
+    unit-row certificate and the rank of the degree-t echelon, so
+    exactness at q <= 1 holds by construction.  Blocks with q >= 3 are
+    _delta_rows of the envelope.  What still checks the complex is the
+    square-zero test (which composes the relation rows with the table),
+    the homology at q >= 2, which needs the ranks of blocks (q, t) with
+    q >= 3, still eliminated, and the tensor oracle of the test suite.
+    `cache_clear()` drops the complexes, not the envelope."""
     view = cohomology_view(arr, True)
     env = holonomy_envelope(arr, max_internal_degree, projective=True,
                             work_bound=work_bound)
-    blocks, ranks = complex_.blocks, complex_._rank_cache
-    for t in range(complex_.max_internal_degree + 1, max_internal_degree + 1):
-        for q in range(1, min(view.top, t) + 1):
+    blocks, ranks = {}, {}
+    for q in range(1, view.top + 1):
+        for t in range(q, max_internal_degree + 1):
             if q >= 3:
                 rows = _delta_rows(view, env, q, t)
             elif q == 1:  # the table x_j w, of certified rank dim U_t
@@ -324,49 +288,11 @@ def _grow_complex(complex_, arr, max_internal_degree, work_bound):
                 rows, ranks[(q, t)] = env.relation_block(t)
             if rows:
                 blocks[(q, t)] = rows
-        complex_.check_square_zero(t)
-        complex_.u_dims += (env.dim(t),)
-        complex_.max_internal_degree = t
-    return complex_._capped(max_internal_degree)
-
-
-def _empty_complex(arr):
-    return GradedChainComplex(cohomology_view(arr, True).betti, (), -1, {})
-
-
-# arr -> the complex that graded_complex's views share; each view holds
-# it, so it lives exactly as long as a cached view does
-_complexes = weakref.WeakValueDictionary()
-
-
-@lru_cache(maxsize=None)
-def graded_complex(arr: Arrangement, max_internal_degree=4,
-                   work_bound=None) -> GradedChainComplex:
-    """Associated-graded equivariant chain complex of the projective
-    complement, blocks H_q (x) U with differentials the dual cup map
-    extended by left multiplication, verified to square to zero in every
-    internal degree.
-
-    The first two differentials are the envelope's own presentation:
-    block (1, t) is the envelope's table x_j w of degree t, and block
-    (2, t) its relation rows R (x) U_(t-2) of degree t.  Both are the
-    envelope's lists, shared and not copied, so callers must not mutate
-    them.  Their ranks are seeded, dim U_t by a unit-row certificate and
-    the rank of the degree-t echelon, so exactness at q <= 1 holds by
-    construction.  What still checks the complex is the square-zero test
-    (which composes the relation rows with the table), the homology at
-    q >= 2, which needs the ranks of blocks (q, t) with q >= 3, still
-    eliminated, and the tensor oracle of the test suite.
-
-    Block (q, t) depends on the envelope to degree t only, so one complex
-    per arrangement sits below this cache: a higher max_internal_degree
-    adds only the internal degrees not built yet, and every call returns a
-    view truncated at max_internal_degree that shares the blocks and their
-    ranks.  `cache_clear()` drops the views, and with them that complex."""
-    complex_ = _complexes.get(arr)
-    if complex_ is None:
-        complex_ = _complexes[arr] = _empty_complex(arr)
-    return _grow_complex(complex_, arr, max_internal_degree, work_bound)
+    complex_ = GradedChainComplex(view.betti, env.dims, max_internal_degree,
+                                  blocks)
+    complex_._rank_cache.update(ranks)
+    complex_.check_square_zero()
+    return complex_
 
 
 def torus_graded_complex(n, max_internal_degree=4) -> GradedChainComplex:
@@ -760,36 +686,44 @@ def asphericity_test(section_or_arrangement, subspace=None) -> AsphericityReport
 # ---------------------------------------------------------------------------
 # integer-coefficient audit
 
+class _FreeAlgebra:
+    """The tensor algebra on H_1, read as _delta_rows reads an envelope:
+    dim(k) = b1^k, and x_j w is word j*b1^k + w."""
+
+    def __init__(self, b1):
+        self.b1 = b1
+
+    def dim(self, k):
+        return self.b1 ** k
+
+    def _product(self, j, k, w):
+        return {j * self.b1 ** k + w: 1}
+
+
 def integer_audit(arr: Arrangement, max_degree=3, work_bound=None):
     """Certify that the graded data of this arrangement is torsion-free.
 
     For each tensor degree up to max_degree, the Smith invariant factors of
     the holonomy ideal slice must all be 1: then every enveloping-algebra
     slice, hence every block of the graded complex, is a free abelian group
-    and the rational ranks are valid integrally.
+    and the rational ranks are valid integrally.  Slice k is spanned by
+    I_k = R (x) T_(k-2) + H_1 (x) I_(k-1) inside T_k, the tensor power of
+    dimension b1^k: the rows _delta_rows(view, tensor, 2, k) over the free
+    algebra, then x_a times each row of slice k-1.
     """
-    b1 = cohomology_view(arr, True).dim(1)
+    view = cohomology_view(arr, True)
+    b1 = view.dim(1)
     _check_work_bound(b1, max_degree, work_bound)
-    relations = reduced_diagonal(arr, projective=True).relation_basis
+    tensor = _FreeAlgebra(b1)
     slices = {}
     all_free = True
+    rows = []  # slice k - 1; slice 1 is empty
     for k in range(2, max_degree + 1):
-        rows = []
-        for split in range(k - 1):
-            left = b1 ** split
-            right = b1 ** (k - 2 - split)
-            for wl in range(left):
-                for rel in relations:
-                    for wr in range(right):
-                        row = {}
-                        for c, v in enumerate(rel):
-                            if v:
-                                i2, j2 = divmod(c, b1)
-                                col = (
-                                    ((wl * b1 + i2) * b1 + j2) * right + wr
-                                )
-                                row[col] = v
-                        rows.append(row)
+        width = b1 ** (k - 1)
+        rows = _delta_rows(view, tensor, 2, k) + [
+            {a * width + c: v for c, v in row.items()}
+            for a in range(b1) for row in rows
+        ]
         factors = smith_invariant_factors(rows)
         free = all(f == 1 for f in factors)
         all_free = all_free and free

@@ -56,10 +56,15 @@ def _check_work_bound(b1, degree, override=None):
     if degree < 0:
         raise RankOutOfRange("max_degree must be nonnegative")
     bound = _work_bound(override)
-    if b1 > 1 and b1 ** degree > bound:
-        raise WorkBoundExceeded(
-            f"tensor slice dimension {b1}^{degree} exceeds bound {bound}"
-        )
+    if b1 < 2:
+        return
+    size = 1
+    for _ in range(degree):  # stop at the first power past the bound
+        size *= b1
+        if size > bound:
+            raise WorkBoundExceeded(
+                f"tensor slice dimension {b1}^{degree} exceeds bound {bound}"
+            )
 
 
 def sort_sign(word):
@@ -363,9 +368,48 @@ def right_cup_dual(arr: Arrangement, q, projective=False):
 # ---------------------------------------------------------------------------
 # enveloping algebra of the holonomy Lie algebra
 
+def _delta_rows(view, env, q, t):
+    """Block H_q (x) U_(t-q) -> H_(q-1) (x) U_(t-q+1), the dual cup
+    structure extended by left multiplication: the row of basis class r
+    and word w is sum c T (x) x_j w over the cup products T x_j = c r + ...,
+    with x_j w read from env._product.
+
+    The one builder of differential and relation rows, with four callers:
+    the envelope at q = 2, whose rows of degree t are the relations
+    R (x) U_(t-2) it eliminates; graded_complex at q >= 3; the cokernel
+    (homotopy_cokernel_ranks) at q = p + 2; and integer_audit at q = 2 over
+    the free algebra, whose rows are R (x) T_(t-2)."""
+    s = t - q
+    dim_q = view.dim(q)
+    if dim_q == 0 or s < 0 or env.dim(s) == 0:
+        return []
+    # transpose once: for each H_q basis index, the (T, j, coeff) triples
+    # with T in H_(q-1) and j in H_1
+    transposed = [[] for _ in range(dim_q)]
+    for (tt, j), entry in view.cup_rows(q).items():
+        for r, c in entry.items():
+            transposed[r].append((tt, j, c))
+    dim_u_next = env.dim(s + 1)
+    rows = []
+    for r in range(dim_q):
+        for w in range(env.dim(s)):
+            parts = {}  # T -> coordinates in U^(s+1)
+            for tt, j, c in transposed[r]:
+                part = parts.setdefault(tt, {})
+                sub_scaled(part, env._product(j, s, w), -c)
+            rows.append({
+                tt * dim_u_next + w2: f
+                for tt, part in parts.items()
+                for w2, f in part.items()
+            })
+    return rows
+
+
 class UEnvelope:
     """Degreewise bases of the quotient of the tensor algebra on H_1 by the
-    two-sided ideal generated by the holonomy relations R.
+    two-sided ideal generated by the holonomy relations R, read from the
+    cup products of the cohomology view (one relation per basis class of
+    H^2).
 
     Degree k >= 2 is built by prepending letters, as the quotient of
     H_1 (x) U_(k-1) by the image of R (x) U_(k-2), never inside the full
@@ -374,12 +418,14 @@ class UEnvelope:
     lexicographic order of those words.  With the smallest column as pivot,
     the non-pivot columns are the normal words of degree k, the standard
     monomials of the lexicographic order (a normal word's suffix is
-    normal), listed in basis_words[k].  The row of r (x) u, for
-    r = sum c_ab x_a x_b, is sum c_ab x_a (x) x_b u; the rows of a degree
-    are kept in (relation, u) order, which is block (2, k) of the graded
-    complex, and eliminated as one batch, sparsest first.  The pivot
-    columns, hence the normal words, and every normal form depend only on
-    the row space, not on that order.
+    normal), listed in basis_words[k].  The rows of R (x) U_(k-2) are
+    _delta_rows(view, self, 2, k): the row of r (x) u, for
+    r = sum c_ab x_a x_b, is sum c_ab x_a (x) x_b u.  They are kept in
+    (relation, u) order, which is block (2, k) of the graded complex, and
+    eliminated as one batch, sparsest first.  The pivot columns, hence the
+    normal words, and every normal form depend only on the row space, not
+    on that order.  At k = 2 the rows are the relations themselves, and
+    an echelon of rank other than b_2 raises InternalInconsistency.
 
     Once a degree is eliminated its echelon is dropped and one table is
     kept: the normal form of column j*dim U_(k-1) + w is x_j w, stored in
@@ -395,16 +441,13 @@ class UEnvelope:
     before it reads the shared data.
     """
 
-    def __init__(self, arr, max_degree, b1, relation_rows):
-        self.arr = arr
+    def __init__(self, view, max_degree):
+        self._view = view
+        self.arr = view.arr
         self.max_degree = 0
-        self.b1 = b1
+        self.b1 = view.dim(1)
         self.dims = [1]
         self.basis_words = [((),)]
-        self._relations = [
-            [(divmod(c, b1), v) for c, v in enumerate(row) if v]
-            for row in relation_rows
-        ]
         self._left = {}  # degree k -> x_j w at j*dim U_(k-1) + w, see _add_degree
         self._columns = {}  # degree -> column i*dim U_(k-1) + p of each word
         self._relation_blocks = {}  # degree -> (rows of R (x) U_(k-2), rank)
@@ -434,18 +477,13 @@ class UEnvelope:
         """Eliminate the rows of R (x) U_(k-2) over H_1 (x) U_(k-1), keep
         them with their rank as relation_block(k), and return the normal
         forms of the pivot columns; the echelon goes with the call."""
-        width, lower = self.dims[k - 1], self.dims[k - 2]
-        table = self._left[k - 1]
-        rows = []
-        for rel in self._relations:
-            for u in range(lower):
-                row = {}
-                for (a, b), c in rel:
-                    shifted = {a * width + p: v for p, v in table[b * lower + u].items()}
-                    sub_scaled(row, shifted, -c)
-                rows.append(row)
+        rows = _delta_rows(self._view, self, 2, k)
         ech = SparseEchelon()
         ech.extend(rows)
+        if k == 2 and ech.rank != self._view.dim(2):
+            raise InternalInconsistency(
+                "holonomy relations do not have rank b_2"
+            )
         self._relation_blocks[k] = rows, ech.rank
         return ech.normal_forms()
 
@@ -512,17 +550,17 @@ def holonomy_envelope(arr: Arrangement, max_degree, projective=True,
     hyperplane order.  The work bound still refuses b1^max_degree above
     the bound, although no tensor power of that size is built.
 
-    One envelope per (arr, projective), with its relations computed once,
-    sits below this cache, however the arguments are spelled: a higher
-    max_degree builds only the degrees not built yet, and every call
-    returns a view truncated at max_degree.  `cache_clear()` drops the
-    views, and with them the shared envelope.
+    One envelope per (arr, projective) sits below this cache, however the
+    arguments are spelled: a higher max_degree builds only the degrees not
+    built yet, and every call returns a view truncated at max_degree.  It
+    is the one grown object per arrangement: graded_complex builds each
+    complex it caches from it.  `cache_clear()` drops the views, and with
+    them the shared envelope.
     """
-    b1 = cohomology_view(arr, projective).dim(1)
-    _check_work_bound(b1, max_degree, work_bound)
+    view = cohomology_view(arr, projective)
+    _check_work_bound(view.dim(1), max_degree, work_bound)
     env = _envelopes.get((arr, projective))
     if env is None:
-        relations = reduced_diagonal(arr, projective=projective).relation_basis
-        env = _envelopes[(arr, projective)] = UEnvelope(arr, 0, b1, relations)
+        env = _envelopes[(arr, projective)] = UEnvelope(view, 0)
     env._grow(max_degree)
     return env._capped(max_degree)

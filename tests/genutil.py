@@ -409,7 +409,7 @@ class TensorEnvelope:
         positions = self._positions[k + 1]
         return {positions[c]: v for c, v in res.items()}
 
-    # the name under which arrtop's own callers (homotopy._delta_rows) read
+    # the name under which arrtop's own callers (oscohomology._delta_rows) read
     # products; here the values are Fractions throughout
     _product = generator_product
 
@@ -455,13 +455,57 @@ def mirror_complex_oracle(arr, max_degree) -> GradedChainComplex:
     return complex_
 
 
+def relation_rows_oracle(arr, env, k):
+    """The rows of R (x) U_(k-2) over H_1 (x) U_(k-1), in (relation, u)
+    order, assembled from reduced_diagonal's antisymmetric rows: relation
+    r = sum c_ab x_a (x) x_b times word u is sum c_ab x_a (x) x_b u, with
+    x_b u from env.generator_product.  It shares no row code with the
+    envelope's own relation rows (block (2, k) of graded_complex)."""
+    b1 = env.b1
+    width, lower = env.dim(k - 1), env.dim(k - 2)
+    rows = []
+    for rel in reduced_diagonal(arr, projective=True).relation_basis:
+        for u in range(lower):
+            row = {}
+            for col, c in enumerate(rel):
+                if c:
+                    a, b = divmod(col, b1)
+                    for p, v in env.generator_product(b, k - 2, u).items():
+                        row[a * width + p] = row.get(a * width + p, 0) + c * v
+            rows.append({pos: v for pos, v in row.items() if v})
+    return rows
+
+
+def audit_rows_oracle(arr, k):
+    """The holonomy ideal slice of tensor degree k inside the b1^k words,
+    split-major: for each split, every word of that length, then each
+    relation of reduced_diagonal, then every word filling the rest.
+    Words are encoded big-endian in base b1."""
+    relations = reduced_diagonal(arr, projective=True).relation_basis
+    b1 = cohomology_view(arr, True).dim(1)
+    rows = []
+    for split in range(k - 1):
+        left = b1 ** split
+        right = b1 ** (k - 2 - split)
+        for wl in range(left):
+            for rel in relations:
+                for wr in range(right):
+                    row = {}
+                    for c, v in enumerate(rel):
+                        if v:
+                            i2, j2 = divmod(c, b1)
+                            row[((wl * b1 + i2) * b1 + j2) * right + wr] = v
+                    rows.append(row)
+    return rows
+
+
 def clear_envelope_caches():
     """Empty the caches of holonomy_envelope and graded_complex.  The
-    envelopes and complexes their views share go with the views, so the
-    next call builds from degree 0; fails if one is still alive."""
+    envelopes their views share go with the views, so the next call builds
+    from degree 0; fails if one is still alive."""
     oscohomology.holonomy_envelope.cache_clear()
     homotopy.graded_complex.cache_clear()
-    assert not oscohomology._envelopes and not homotopy._complexes
+    assert not oscohomology._envelopes
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """The public API, pinned: a name added to or dropped from `arrtop`, or a
-parameter added to the product methods, shows up as a diff here."""
+parameter added to the product methods, the envelope's constructor or
+the square-zero check, shows up as a diff here."""
 
 import inspect
 
 import arrtop
+from arrtop.homotopy import GradedChainComplex
 from arrtop.oscohomology import CohomologyView, UEnvelope
 
 PUBLIC_NAMES = [
@@ -45,3 +47,12 @@ def test_products_take_no_side():
     assert list(inspect.signature(CohomologyView.cup_rows).parameters) == [
         "self", "q",
     ]
+
+
+def test_envelope_takes_a_view_and_square_zero_takes_no_degree():
+    assert list(inspect.signature(UEnvelope.__init__).parameters) == [
+        "self", "view", "max_degree",
+    ]
+    assert list(
+        inspect.signature(GradedChainComplex.check_square_zero).parameters
+    ) == ["self"]

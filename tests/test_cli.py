@@ -472,6 +472,28 @@ def test_lcs_max_k_beyond_work_bound_is_refused_at_once():
     assert "lcs" in error["message"] and "100000000" in error["message"]
 
 
+def test_degree_beyond_work_bound_is_refused_at_once():
+    # the bound is checked before b1^degree is worked out: 5^100000000 is
+    # never computed
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    env.pop("ARRTOP_WORK_BOUND", None)
+    for argv in (
+        ["gr-check", path("braid3.json"), "--max-degree", "100000000"],
+        ["gr-check", path("braid3.json"), "--max-degree", "100000000",
+         "--integers"],
+        ["pi-p", path("hattori4.json"), "--section-rank", "3",
+         "--max-degree", "100000000"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "arrtop.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
+        error = json.loads(proc.stdout)["error"]
+        assert error["type"] == "WorkBoundExceeded"
+        assert "100000000" in error["message"]
+
+
 def test_lcs_work_bound_reads_the_environment(monkeypatch, capsys):
     monkeypatch.delenv("ARRTOP_WORK_BOUND", raising=False)
     assert main(["lcs", path("braid3.json"), "--max-k", "1000"]) == 0

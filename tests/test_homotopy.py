@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -39,11 +40,12 @@ from arrtop.errors import (
     RankOutOfRange,
 )
 from arrtop.exactalg import linear_product, sparse_rank
-from arrtop import homotopy
-from arrtop.homotopy import _delta_rows, _is_modular
-from arrtop.oscohomology import cohomology_view
+from arrtop import homotopy, oscohomology
+from arrtop.homotopy import _is_modular
+from arrtop.oscohomology import CohomologyView, _delta_rows, cohomology_view
 from arrtop import Subspace, genericity_level
 from genutil import (
+    audit_rows_oracle,
     boolean_arrangement,
     braid3,
     clear_envelope_caches,
@@ -54,6 +56,7 @@ from genutil import (
     mirror_complex_oracle,
     modular_oracle,
     near_pencil,
+    relation_rows_oracle,
     seeded_rank3_corpus,
 )
 
@@ -271,9 +274,11 @@ def test_left_and_right_complexes_same_homology():
 
 
 def test_blocks_taken_from_the_envelope_match_the_dual_cup_blocks():
-    # blocks (1, t) and (2, t) of graded_complex come from the
-    # envelope with their ranks seeded; they must be the blocks the dual
-    # cup map builds, and every rank, seeded or not, must be the block's
+    # blocks (1, t) and (2, t) of graded_complex come from the envelope
+    # with their ranks seeded; they must be the dual cup blocks, block
+    # (2, t) as assembled from reduced_diagonal's rows apart from the
+    # envelope's row builder, and every rank, seeded or not, must be the
+    # block's
     names = ["boolean3", "braid3", "generic4", "hattori4", "nearpencil3",
              "pencil3"]
     corpus = [(parse_arrangement(os.path.join(DATA, n + ".json")), 5)
@@ -289,10 +294,14 @@ def test_blocks_taken_from_the_envelope_match_the_dual_cup_blocks():
         seeded_keys = set(complex_._rank_cache)
         for q in range(1, complex_.top + 1):
             for t in range(q, degree + 1):
-                if q <= 2:
-                    assert (q, t) in seeded_keys
+                if q == 1:
                     assert (complex_.block(q, t)
                             == _delta_rows(view, env, q, t))
+                elif q == 2:
+                    assert (complex_.block(q, t)
+                            == relation_rows_oracle(arr, env, t))
+                if q <= 2:
+                    assert (q, t) in seeded_keys
                 assert (complex_.block_rank(q, t)
                         == sparse_rank(complex_.block(q, t)))
 
@@ -321,9 +330,10 @@ def _growth_snapshot(arr, degree, spelled):
 
 
 def test_envelope_and_complex_grown_by_degree_equal_cold_builds():
-    """One envelope and one complex per arrangement grow by degree under the
-    public caches; whatever order the degrees are asked in, and however the
-    arguments are spelled, each answer equals a build from cold caches."""
+    """One envelope per arrangement grows by degree under the public
+    caches, and each complex is built from it; whatever order the degrees
+    are asked in, and however the arguments are spelled, each answer
+    equals a build from cold caches."""
     names = ["boolean3", "braid3", "generic4", "hattori4", "nearpencil3",
              "pencil3"]
     corpus = [(parse_arrangement(os.path.join(DATA, n + ".json")), 5)
@@ -347,8 +357,8 @@ def test_envelope_and_complex_grown_by_degree_equal_cold_builds():
 
 def test_capped_views_refuse_what_lies_above_their_degree():
     # a product above a view's degree is refused even when a larger
-    # envelope has already cached it, and a capped complex has no rank
-    # beyond its own degree
+    # envelope has already cached it, and a complex built from a capped
+    # view has no rank beyond its own degree
     arr = braid3()
     clear_envelope_caches()
     small_env, small = holonomy_envelope(arr, 3), graded_complex(arr, 3)
@@ -364,6 +374,53 @@ def test_capped_views_refuse_what_lies_above_their_degree():
         assert small.block_rank(q, 4) == 0 < large.block_rank(q, 4)
     assert small.u_dims == large.u_dims[:4]
     assert set(small.blocks) == {key for key in large.blocks if key[1] <= 3}
+
+
+def _complexes_in_order(arr, first, second, eliminated):
+    """graded_complex at two degrees in that order from cold caches; the
+    envelope degrees each call eliminated must be the ones not built yet."""
+    clear_envelope_caches()
+    eliminated.clear()
+    complexes = [graded_complex(arr, first)]
+    assert eliminated == list(range(2, first + 1))
+    eliminated.clear()
+    complexes.append(graded_complex(arr, second))
+    assert eliminated == list(range(first + 1, second + 1))
+    env = holonomy_envelope(arr, max(first, second))
+    for complex_ in complexes:
+        for (q, t), rows in complex_.blocks.items():
+            if q == 1:
+                assert rows is env._left[t]
+            elif q == 2:
+                assert rows is env.relation_block(t)[0]
+    return sorted(complexes, key=lambda c: c.max_internal_degree)
+
+
+def test_complexes_of_two_degrees_share_one_envelope_in_either_order(
+        monkeypatch):
+    # each cached complex is built from the one envelope: it holds the
+    # envelope's own lists at q <= 2, and a second degree eliminates only
+    # the envelope degrees not built yet
+    eliminated = []
+    eliminate = oscohomology.UEnvelope._eliminate
+
+    def spy(self, k):
+        eliminated.append(k)
+        return eliminate(self, k)
+
+    monkeypatch.setattr(oscohomology.UEnvelope, "_eliminate", spy)
+    # boolean4 is tests/data/hattori4, with blocks at q = 3
+    for arr in (braid3(), boolean_arrangement(4)):
+        for first, second in ((3, 5), (5, 3)):
+            small, large = _complexes_in_order(arr, first, second, eliminated)
+            assert set(small.blocks) == {key for key in large.blocks
+                                         if key[1] <= 3}
+            for key, rows in small.blocks.items():
+                assert rows == large.blocks[key]
+                assert small.block_rank(*key) == large.block_rank(*key)
+            assert any(q == 3 for q, _ in small.blocks) == (arr != braid3())
+    monkeypatch.undo()
+    clear_envelope_caches()
 
 
 def test_refusal_is_memoized_with_its_level(monkeypatch):
@@ -398,6 +455,27 @@ def test_unit_row_certificate_checks_every_row():
             tampered[col] = bad
             with pytest.raises(InternalInconsistency):
                 homotopy._unit_row_rank(env, 3, tampered)
+
+
+def test_graded_complex_refuses_blocks_that_do_not_square_to_zero(
+        monkeypatch):
+    # one cup product at q = 3 of a fresh view flipped: block (3, 3) no
+    # longer composes to zero with the envelope's relation rows
+    arr = boolean_arrangement(4)
+    fresh = CohomologyView(arr, True)
+    products = {key: dict(entry) for key, entry in fresh.cup_rows(3).items()}
+    key = next(key for key, entry in products.items() if entry)
+    r = next(iter(products[key]))
+    products[key][r] = -products[key][r]
+    fresh._cup_rows[3] = products
+    monkeypatch.setattr(homotopy, "cohomology_view",
+                        lambda arr, projective: fresh)
+    homotopy.graded_complex.cache_clear()
+    try:
+        with pytest.raises(InternalInconsistency, match="square nonzero"):
+            graded_complex(arr, 3)
+    finally:
+        homotopy.graded_complex.cache_clear()
 
 
 def test_square_zero_check_runs_under_optimize_flag():
@@ -642,6 +720,29 @@ def test_integer_audit_braid():
     assert audit["free_over_integers"]
     assert audit["slices"][2]["rank"] == 6
     assert audit["slices"][3]["rank"] == 60
+
+
+def test_audit_rows_equal_the_split_major_rows(monkeypatch):
+    # slice k is R (x) T_(k-2) plus x_a times slice k-1: as a multiset, the
+    # rows of every split of a relation inside the words of length k
+    audited = []
+
+    def spy(rows):
+        audited.append(rows)
+        return smith(rows)
+
+    smith = homotopy.smith_invariant_factors
+    monkeypatch.setattr(homotopy, "smith_invariant_factors", spy)
+    for name in ("braid3", "generic4", "hattori4"):
+        arr = parse_arrangement(os.path.join(DATA, name + ".json"))
+        audited.clear()
+        integer_audit(arr, 4)
+        assert len(audited) == 3
+        for k, rows in zip(range(2, 5), audited):
+            oracle = audit_rows_oracle(arr, k)
+            assert oracle
+            assert (Counter(frozenset(row.items()) for row in rows)
+                    == Counter(frozenset(row.items()) for row in oracle))
 
 
 def test_envelope_dims_euler_identity():

@@ -26,15 +26,20 @@ from arrtop import (
     torus_graded_complex,
 )
 from arrtop.cli import parse_arrangement
-from arrtop.errors import RankOutOfRange, WorkBoundExceeded
-from arrtop import exactalg, homotopy, oscohomology
+from arrtop.errors import (
+    InternalInconsistency, RankOutOfRange, WorkBoundExceeded,
+)
+from arrtop import exactalg, oscohomology
 from arrtop.exactalg import IntPolynomial, int_rank, linear_product, sub_scaled
-from arrtop.homotopy import _delta_rows, is_acyclic
-from arrtop.oscohomology import central_algebra, cohomology_view, sort_sign
+from arrtop.homotopy import is_acyclic
+from arrtop.oscohomology import (
+    _delta_rows, central_algebra, cohomology_view, sort_sign,
+)
 from genutil import (
     boolean_arrangement,
     boundary_expansion,
     braid3,
+    clear_envelope_caches,
     braid_arrangement,
     direct_sum,
     envelope_oracle,
@@ -414,6 +419,28 @@ def test_section_cokernels_invariant_under_unimodular_coordinate_change(data):
             == homotopy_cokernel_ranks(SectionData(arr, 3), 3))
 
 
+def test_relations_short_of_rank_b2_are_refused(monkeypatch):
+    # relation 0 dropped from every degree-2 cup product of a fresh view:
+    # the relation rows lose rank, which the degree-2 echelon must catch
+    # (dropping one entry alone leaves its antisymmetric partner, and the
+    # rank stays b_2)
+    arr = braid3()
+    fresh = oscohomology.CohomologyView(arr, True)
+    fresh._cup_rows[2] = {
+        key: {r: c for r, c in entry.items() if r}
+        for key, entry in fresh.cup_rows(2).items()
+    }
+    monkeypatch.setattr(oscohomology, "cohomology_view",
+                        lambda arr, projective: fresh)
+    clear_envelope_caches()
+    with pytest.raises(InternalInconsistency, match="rank b_2"):
+        holonomy_envelope(arr, 2)
+    monkeypatch.undo()
+    gc.collect()
+    clear_envelope_caches()  # no envelope on the tampered view outlives it
+    assert holonomy_envelope(arr, 2).dims == [1, 5, 19]
+
+
 def test_envelope_work_bound():
     with pytest.raises(WorkBoundExceeded):
         holonomy_envelope(braid3(), 5, work_bound=100)
@@ -491,7 +518,7 @@ def test_integer_data_stays_int(monkeypatch):
             fractions_seen.append((acc, vec, coeff))
         sub_scaled(acc, vec, coeff)
 
-    for module in (exactalg, oscohomology, homotopy):
+    for module in (exactalg, oscohomology):  # _delta_rows is oscohomology's
         monkeypatch.setattr(module, "sub_scaled", spy)
     # forms scaled by 3: a cache key no other test builds
     arr = Arrangement(3, tuple(tuple(3 * x for x in f) for f in braid3().forms))
