@@ -19,6 +19,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import InexactDivision, ZeroConstantTerm
 
@@ -241,16 +242,14 @@ def smith_invariant_factors(rows):
                 pc = leftover
                 continue
             break
+        # column pc is zero off the pivot row, and the clearing loop has
+        # deleted every row it emptied
         factors.append(abs(mat[pi][pc]))
         del mat[pi]
-        for row in mat.values():
-            row.pop(pc, None)
-        for i in [k for k, row in mat.items() if not row]:
-            del mat[i]
-    # normalize to divisibility order
-    from math import gcd
-
-    factors.sort()
+    # normalize to divisibility order; a unit divides everything, so only
+    # the non-unit factors are exchanged for their gcd and lcm
+    units = factors.count(1)
+    factors = sorted(f for f in factors if f != 1)
     changed = True
     while changed:
         changed = False
@@ -262,7 +261,7 @@ def smith_invariant_factors(rows):
                     factors[i], factors[j] = g, a // g * b
                     changed = True
         factors.sort()
-    return factors
+    return [1] * units + factors
 
 
 def covector_kernel_basis(covector):

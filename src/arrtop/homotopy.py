@@ -260,9 +260,9 @@ def graded_complex(arr: Arrangement, max_internal_degree=4,
     extended by left multiplication, verified to square to zero in every
     internal degree.
 
-    Built on each cache miss from the envelope view of degree
-    max_internal_degree (holonomy_envelope's, the one object per
-    arrangement that grows by degree).  Block (1, t) is the envelope's
+    Built on each cache miss from holonomy_envelope(arr,
+    max_internal_degree), the envelope of the complex's own degree.
+    Block (1, t) is the envelope's
     table x_j w of degree t and block (2, t) its relation rows
     R (x) U_(t-2): the envelope's own lists, shared and not copied, so
     callers must not mutate them.  Their ranks are seeded, dim U_t by a

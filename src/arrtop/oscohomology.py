@@ -16,9 +16,7 @@ combinatorics; functions take a `projective` flag where both make sense.
 
 from __future__ import annotations
 
-import copy
 import os as _os
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -435,10 +433,8 @@ class UEnvelope:
     both lists are shared with the complex, not copied, and must not be
     mutated.
 
-    Degree k needs only degrees below it, so an envelope grows in place
-    (`_grow`) and hands out views truncated at a lower degree (`_capped`)
-    that share its tables.  Every product checks the view's own degree
-    before it reads the shared data.
+    The degrees 1 .. max_degree are built once, in order, when the envelope
+    is made; nothing changes it afterwards.
     """
 
     def __init__(self, view, max_degree):
@@ -451,7 +447,13 @@ class UEnvelope:
         self._left = {}  # degree k -> x_j w at j*dim U_(k-1) + w, see _add_degree
         self._columns = {}  # degree -> column i*dim U_(k-1) + p of each word
         self._relation_blocks = {}  # degree -> (rows of R (x) U_(k-2), rank)
-        self._grow(max_degree)
+        for k in range(1, max_degree + 1):
+            if self.b1 == 0:
+                self.dims.append(0)
+                self.basis_words.append(())
+            else:  # degree 1 is H_1 (x) U_0, with no relations
+                self._add_degree(self._eliminate(k) if k > 1 else {})
+            self.max_degree = k  # _product reads degree k from here on
 
     def _add_degree(self, forms):
         """Record the next degree k from the normal forms of the pivot
@@ -487,26 +489,6 @@ class UEnvelope:
         self._relation_blocks[k] = rows, ech.rank
         return ech.normal_forms()
 
-    def _grow(self, max_degree):
-        """Build degrees self.max_degree + 1 .. max_degree in place."""
-        for k in range(self.max_degree + 1, max_degree + 1):
-            if self.b1 == 0:
-                self.dims.append(0)
-                self.basis_words.append(())
-            else:  # degree 1 is H_1 (x) U_0, with no relations
-                self._add_degree(self._eliminate(k) if k > 1 else {})
-            self.max_degree = k
-
-    def _capped(self, max_degree):
-        """This envelope truncated at max_degree <= self.max_degree; the
-        view shares the tables and the relation blocks."""
-        view = copy.copy(self)
-        view._shared = self
-        view.max_degree = max_degree
-        view.dims = self.dims[:max_degree + 1]
-        view.basis_words = self.basis_words[:max_degree + 1]
-        return view
-
     def dim(self, k):
         return self.dims[k] if 0 <= k <= self.max_degree else 0
 
@@ -530,14 +512,9 @@ class UEnvelope:
         """generator_product as the envelope holds it, for the package's own
         callers: an int where integral, else a Fraction.  Shared; callers
         must not mutate the dict."""
-        if k + 1 > self.max_degree:  # before the data another view shares
+        if k + 1 > self.max_degree:
             raise RankOutOfRange("product exceeds the truncation degree")
         return self._left[k + 1][j * self.dims[k] + word_pos]
-
-
-# (arr, projective) -> the envelope that holonomy_envelope's views share;
-# each view holds it, so it lives exactly as long as a cached view does
-_envelopes = weakref.WeakValueDictionary()
 
 
 @lru_cache(maxsize=None)
@@ -550,17 +527,11 @@ def holonomy_envelope(arr: Arrangement, max_degree, projective=True,
     hyperplane order.  The work bound still refuses b1^max_degree above
     the bound, although no tensor power of that size is built.
 
-    One envelope per (arr, projective) sits below this cache, however the
-    arguments are spelled: a higher max_degree builds only the degrees not
-    built yet, and every call returns a view truncated at max_degree.  It
-    is the one grown object per arrangement: graded_complex builds each
-    complex it caches from it.  `cache_clear()` drops the views, and with
-    them the shared envelope.
+    Each cache entry is its own envelope, built once at max_degree and
+    never changed; calls spelled differently, or at another degree, build
+    their own.  graded_complex builds each complex it caches from the
+    envelope of the complex's degree.
     """
     view = cohomology_view(arr, projective)
     _check_work_bound(view.dim(1), max_degree, work_bound)
-    env = _envelopes.get((arr, projective))
-    if env is None:
-        env = _envelopes[(arr, projective)] = UEnvelope(view, 0)
-    env._grow(max_degree)
-    return env._capped(max_degree)
+    return UEnvelope(view, max_degree)

@@ -48,6 +48,26 @@ def rank_oracle(vectors):
     return 0
 
 
+def smith_oracle(matrix):
+    """Invariant factors by determinantal divisors: d_k is the gcd of the
+    k x k minors, and f_k = d_k / d_(k-1) for every k with d_k != 0."""
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if matrix else 0
+    factors, previous = [], 1
+    for k in range(1, min(nrows, ncols) + 1):
+        d = 0
+        for rows in combinations(range(nrows), k):
+            for cols in combinations(range(ncols), k):
+                d = _gcd(d, det_oracle([[matrix[r][c] for c in cols]
+                                        for r in rows]))
+        if d == 0:
+            break
+        d = abs(d)
+        factors.append(d // previous)
+        previous = d
+    return factors
+
+
 # ---------------------------------------------------------------------------
 # brute-force lattice / Moebius oracle
 
@@ -500,12 +520,10 @@ def audit_rows_oracle(arr, k):
 
 
 def clear_envelope_caches():
-    """Empty the caches of holonomy_envelope and graded_complex.  The
-    envelopes their views share go with the views, so the next call builds
-    from degree 0; fails if one is still alive."""
+    """Empty the caches of holonomy_envelope and graded_complex, so the
+    next call builds from degree 0."""
     oscohomology.holonomy_envelope.cache_clear()
     homotopy.graded_complex.cache_clear()
-    assert not oscohomology._envelopes
 
 
 # ---------------------------------------------------------------------------

@@ -287,8 +287,9 @@ def test_golden_gr_check_integers_byte_identical(capsys, name):
 
 @pytest.mark.parametrize("name", GOLDEN_INPUTS)
 def test_cli_sequence_in_one_process_matches_cold_runs(capsys, name):
-    """Degrees asked down and up in one process reuse one envelope and one
-    complex; every stdout must be the golden file, or a cold process's."""
+    """Degrees asked down and up in one process, each with its own cached
+    envelope and complex; every stdout must be the golden file, or a cold
+    process's."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     sequence = [
         (["report"], f"golden_report_{name}.json"),

@@ -15,7 +15,7 @@ from arrtop.exactalg import (
     smith_invariant_factors,
 )
 from arrtop.errors import InexactDivision, ZeroConstantTerm
-from genutil import FractionEchelon, rank_oracle
+from genutil import FractionEchelon, rank_oracle, smith_oracle
 
 
 def test_int_rank_proportional_rows():
@@ -219,3 +219,47 @@ def test_smith_invariant_factors():
     rows = [{0: 1, 1: 1}, {1: 1, 2: 1}]
     assert smith_invariant_factors(rows) == [1, 1]
     assert smith_invariant_factors([{}]) == []
+
+
+def _scrambled_diagonal(rng, nrows, ncols):
+    """diag(factors), padded with zeros, times unimodular row and column
+    operations: its invariant factors are chosen, units and non-units
+    mixed, and its entries stay small."""
+    diagonal = [rng.choice([1, 1, 2, 3, 4, 6]) for _ in range(min(nrows, ncols))]
+    mat = [[diagonal[i] if i == j and i < len(diagonal) else 0
+            for j in range(ncols)] for i in range(nrows)]
+    for _ in range(3):
+        c = rng.choice([-1, 1])
+        if nrows > 1:
+            i, j = rng.sample(range(nrows), 2)
+            mat[i] = [a + c * b for a, b in zip(mat[i], mat[j])]
+        if ncols > 1:
+            i, j = rng.sample(range(ncols), 2)
+            for row in mat:
+                row[i] += c * row[j]
+    return mat
+
+
+def test_smith_invariant_factors_match_determinantal_divisors():
+    rng = random.Random(1801)
+    seen = set()
+    for case in range(400):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 5)
+        if case % 2:
+            mat = _scrambled_diagonal(rng, nrows, ncols)
+        else:
+            mat = [[rng.randint(-4, 4) for _ in range(ncols)]
+                   for _ in range(nrows)]
+        if nrows > 1 and rng.random() < 0.3:
+            i, j = rng.sample(range(nrows), 2)
+            mat[i] = list(mat[j])
+            seen.add("repeated row")
+        if rng.random() < 0.3:
+            mat[rng.randrange(nrows)] = [0] * ncols
+            seen.add("zero row")
+        expected = smith_oracle(mat)
+        rows = [{c: v for c, v in enumerate(row) if v} for row in mat]
+        assert smith_invariant_factors(rows) == expected, mat
+        if 1 in expected and any(f > 1 for f in expected):
+            seen.add("mixed factors")
+    assert seen == {"repeated row", "zero row", "mixed factors"}

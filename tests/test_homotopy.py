@@ -1,3 +1,4 @@
+import copy
 import os
 import subprocess
 import sys
@@ -330,10 +331,10 @@ def _growth_snapshot(arr, degree, spelled):
 
 
 def test_envelope_and_complex_grown_by_degree_equal_cold_builds():
-    """One envelope per arrangement grows by degree under the public
-    caches, and each complex is built from it; whatever order the degrees
-    are asked in, and however the arguments are spelled, each answer
-    equals a build from cold caches."""
+    """Each envelope and complex is built once at its own degree under the
+    public caches; whatever order the degrees are asked in, and however
+    the arguments are spelled, each answer equals a build from cold
+    caches."""
     names = ["boolean3", "braid3", "generic4", "hattori4", "nearpencil3",
              "pencil3"]
     corpus = [(parse_arrangement(os.path.join(DATA, n + ".json")), 5)
@@ -356,9 +357,9 @@ def test_envelope_and_complex_grown_by_degree_equal_cold_builds():
 
 
 def test_capped_views_refuse_what_lies_above_their_degree():
-    # a product above a view's degree is refused even when a larger
-    # envelope has already cached it, and a complex built from a capped
-    # view has no rank beyond its own degree
+    # a product above an envelope's degree is refused even when a larger
+    # envelope is cached, and a complex built from an envelope has no rank
+    # beyond its own degree
     arr = braid3()
     clear_envelope_caches()
     small_env, small = holonomy_envelope(arr, 3), graded_complex(arr, 3)
@@ -377,30 +378,30 @@ def test_capped_views_refuse_what_lies_above_their_degree():
 
 
 def _complexes_in_order(arr, first, second, eliminated):
-    """graded_complex at two degrees in that order from cold caches; the
-    envelope degrees each call eliminated must be the ones not built yet."""
+    """graded_complex at two degrees in that order from cold caches; each
+    call eliminates envelope degrees 2..d afresh, and each complex holds
+    the lists of the envelope of its own degree."""
     clear_envelope_caches()
-    eliminated.clear()
-    complexes = [graded_complex(arr, first)]
-    assert eliminated == list(range(2, first + 1))
-    eliminated.clear()
-    complexes.append(graded_complex(arr, second))
-    assert eliminated == list(range(first + 1, second + 1))
-    env = holonomy_envelope(arr, max(first, second))
-    for complex_ in complexes:
+    complexes = []
+    for degree in (first, second):
+        eliminated.clear()
+        complex_ = graded_complex(arr, degree)
+        assert eliminated == list(range(2, degree + 1))
+        # graded_complex's own spelling, so this is its cached envelope
+        env = holonomy_envelope(arr, degree, projective=True, work_bound=None)
         for (q, t), rows in complex_.blocks.items():
             if q == 1:
                 assert rows is env._left[t]
             elif q == 2:
                 assert rows is env.relation_block(t)[0]
+        complexes.append(complex_)
     return sorted(complexes, key=lambda c: c.max_internal_degree)
 
 
-def test_complexes_of_two_degrees_share_one_envelope_in_either_order(
-        monkeypatch):
-    # each cached complex is built from the one envelope: it holds the
-    # envelope's own lists at q <= 2, and a second degree eliminates only
-    # the envelope degrees not built yet
+def test_complexes_of_two_degrees_each_hold_their_own_envelope(monkeypatch):
+    # each cached complex is built from the envelope of its own degree: it
+    # holds that envelope's lists at q <= 2, and in either order the
+    # second degree eliminates every envelope degree afresh
     eliminated = []
     eliminate = oscohomology.UEnvelope._eliminate
 
@@ -420,6 +421,29 @@ def test_complexes_of_two_degrees_share_one_envelope_in_either_order(
                 assert small.block_rank(*key) == large.block_rank(*key)
             assert any(q == 3 for q, _ in small.blocks) == (arr != braid3())
     monkeypatch.undo()
+    clear_envelope_caches()
+
+
+def test_cached_envelope_and_complex_are_unchanged_by_a_higher_degree():
+    # nothing built at degree 5 (envelope, complex, cokernel) may change
+    # the degree-3 envelope and complex already cached in the process
+    arr = boolean_arrangement(4)
+    clear_envelope_caches()
+    env = holonomy_envelope(arr, 3, projective=True, work_bound=None)
+    complex_ = graded_complex(arr, 3)
+    verify_resolution(complex_)  # ranks every block, so the memo is full
+
+    def snapshot():
+        state = {k: v for k, v in vars(env).items() if k != "_view"}
+        return copy.deepcopy((state, vars(complex_)))
+
+    before = snapshot()
+    holonomy_envelope(arr, 5)
+    verify_resolution(graded_complex(arr, 5))
+    homotopy_cokernel_ranks(SectionData(arr, 3), 5)
+    assert snapshot() == before
+    assert holonomy_envelope(arr, 3, projective=True, work_bound=None) is env
+    assert graded_complex(arr, 3) is complex_
     clear_envelope_caches()
 
 

@@ -486,13 +486,14 @@ def _reachable(root):
 
 def test_envelope_keeps_one_left_table_and_no_echelon():
     # once a degree is eliminated, its echelon goes; x_j w is read straight
-    # off the degree's table, and block (1, k) is that table itself
+    # off the degree's table, and block (1, k) is the table of the
+    # envelope of the complex's own degree
     arr = parse_arrangement(os.path.join(DATA, "hattori4.json"))
     env = holonomy_envelope(arr, 4)
     assert env.dims[4]
-    for view in (env, holonomy_envelope(arr, 3)):
+    for envelope in (env, holonomy_envelope(arr, 3)):
         assert not any(isinstance(obj, exactalg.SparseEchelon)
-                       for obj in _reachable(view))
+                       for obj in _reachable(envelope))
     for k in range(4):
         for w in range(env.dims[k]):
             for j in range(env.b1):
@@ -500,7 +501,9 @@ def test_envelope_keeps_one_left_table_and_no_echelon():
                 assert env._product(j, k, w) is xw
                 assert env.generator_product(j, k, w) == xw
     for k in range(1, 5):
-        assert graded_complex(arr, k).block(1, k) is env._left[k]
+        own = holonomy_envelope(arr, k, projective=True, work_bound=None)
+        assert graded_complex(arr, k).block(1, k) is own._left[k]
+        assert own._left[k] == env._left[k]
 
 
 def test_integer_data_stays_int(monkeypatch):
