@@ -64,7 +64,6 @@ from .homotopy import (
     supersolvable_exponents,
     verify_resolution,
 )
-from .oscohomology import _work_bound
 from .polar import DEFAULT_SEED, polar_degree
 
 DEFAULT_MAX_DEGREE = 4
@@ -401,10 +400,6 @@ def run_command(argv):
                 args.exponents = [int(x) for x in args.exponents.split(",")]
             except ValueError:
                 raise ParseError("--exponents must be a comma-separated integer list")
-    if command in ("gr-check", "pi-p", "report"):
-        # the cached stages read ARRTOP_WORK_BOUND only when they miss, so
-        # a malformed value is refused here, warm cache or cold
-        _work_bound()
 
     arr, raw, warnings = load_arrangement_file(args.file)
 

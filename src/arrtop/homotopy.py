@@ -39,7 +39,6 @@ from .errors import (
     NotProperSection,
     NotSupersolvable,
     RankOutOfRange,
-    WorkBoundExceeded,
 )
 from .exactalg import (
     IntPolynomial,
@@ -53,9 +52,10 @@ from .exactalg import (
     sparse_rank,
 )
 from .oscohomology import (
+    _check_square_bound,
     _check_work_bound,
     _delta_rows,
-    _work_bound,
+    _envelope,
     cohomology_view,
     holonomy_envelope,
 )
@@ -140,16 +140,21 @@ def _chain_exponents(arr: Arrangement):
 
 @lru_cache(maxsize=None)
 def _chain_or_refusal(arr: Arrangement):
-    """(exponents of _chain_exponents, None), or (None, level) when it
-    raised NotSupersolvable: lru_cache stores no exception, so the refusal
-    is memoized as its level."""
+    """(ExponentData, None), checked against the hyperplane count and the
+    Poincare polynomial, or (None, level): lru_cache stores no exception."""
     try:
-        return tuple(_chain_exponents(arr)), None
+        exps = sorted(_chain_exponents(arr))
     except NotSupersolvable as exc:
         return None, exc.level
+    if sum(exps) != arr.num_hyperplanes:
+        raise InternalInconsistency("exponents do not sum to the hyperplane count")
+    if linear_product(exps) != poincare_central(arr):
+        raise InternalInconsistency(
+            "exponent factorization disagrees with the Poincare polynomial"
+        )
+    return ExponentData(tuple(exps)), None
 
 
-@lru_cache(maxsize=None)
 def supersolvable_exponents(arr: Arrangement) -> ExponentData:
     """Exponents read off a maximal modular chain through the first
     modular coatom of each interval, all in the lattice of arr.  Raises
@@ -160,22 +165,19 @@ def supersolvable_exponents(arr: Arrangement) -> ExponentData:
     rank-r lattice meet in a modular flat of rank r - 2 (Brylawski, Trans.
     AMS 203, 1975), a modular coatom of both [0, X1] and [0, X2], so by
     induction on the rank every branch reaches the same verdict and level.
-    A refusal is memoized below this cache, so asking again raises the
-    same level without walking the chain.
+    NotEssential is checked on every call; the verdict, a refusal's level
+    too, is cached by arr (`cache_info()`, `cache_clear()`).
     """
     if not is_essential(arr):
         raise NotEssential("supersolvable recognition expects an essential arrangement")
-    chain, level = _chain_or_refusal(arr)
-    if chain is None:
+    exps, level = _chain_or_refusal(arr)
+    if exps is None:
         raise NotSupersolvable(level)
-    exps = sorted(chain)
-    if sum(exps) != arr.num_hyperplanes:
-        raise InternalInconsistency("exponents do not sum to the hyperplane count")
-    if linear_product(exps) != poincare_central(arr):
-        raise InternalInconsistency(
-            "exponent factorization disagrees with the Poincare polynomial"
-        )
-    return ExponentData(tuple(exps))
+    return exps
+
+
+supersolvable_exponents.cache_info = _chain_or_refusal.cache_info
+supersolvable_exponents.cache_clear = _chain_or_refusal.cache_clear
 
 
 def is_supersolvable(arr: Arrangement) -> bool:
@@ -252,7 +254,6 @@ def _unit_row_rank(env, t, rows):
     return env.dim(t)
 
 
-@lru_cache(maxsize=None)
 def graded_complex(arr: Arrangement, max_internal_degree=4,
                    work_bound=None) -> GradedChainComplex:
     """Associated-graded equivariant chain complex of the projective
@@ -260,22 +261,28 @@ def graded_complex(arr: Arrangement, max_internal_degree=4,
     extended by left multiplication, verified to square to zero in every
     internal degree.
 
-    Built on each cache miss from holonomy_envelope(arr,
-    max_internal_degree), the envelope of the complex's own degree.
-    Block (1, t) is the envelope's
-    table x_j w of degree t and block (2, t) its relation rows
-    R (x) U_(t-2): the envelope's own lists, shared and not copied, so
-    callers must not mutate them.  Their ranks are seeded, dim U_t by a
-    unit-row certificate and the rank of the degree-t echelon, so
-    exactness at q <= 1 holds by construction.  Blocks with q >= 3 are
-    _delta_rows of the envelope.  What still checks the complex is the
-    square-zero test (which composes the relation rows with the table),
-    the homology at q >= 2, which needs the ranks of blocks (q, t) with
-    q >= 3, still eliminated, and the tensor oracle of the test suite.
-    `cache_clear()` drops the complexes, not the envelope."""
+    The work bound is checked on every call; one cache keyed by (arr,
+    max_internal_degree), with `cache_info()` and `cache_clear()`, builds
+    the complex from the envelope of its degree, read past
+    holonomy_envelope's check so that a higher work_bound holds.  Block
+    (1, t) is the envelope's table x_j w of degree t and block (2, t) its
+    relation rows R (x) U_(t-2): the envelope's own lists, shared and not
+    copied, so callers must not mutate them.  Their ranks are seeded,
+    dim U_t by a unit-row certificate and the rank of the degree-t
+    echelon, so exactness at q <= 1 holds by construction.  Blocks with
+    q >= 3 are _delta_rows of the envelope.  What still checks the complex
+    is the square-zero test (which composes the relation rows with the
+    table), the homology at q >= 2, which needs the ranks of blocks (q, t)
+    with q >= 3, still eliminated, and the tensor oracle of the test suite."""
+    _check_work_bound("complex", cohomology_view(arr, True).dim(1),
+                      max_internal_degree, work_bound)
+    return _complex(arr, max_internal_degree)
+
+
+@lru_cache(maxsize=None)
+def _complex(arr, max_internal_degree):
     view = cohomology_view(arr, True)
-    env = holonomy_envelope(arr, max_internal_degree, projective=True,
-                            work_bound=work_bound)
+    env = _envelope(arr, max_internal_degree, True)
     blocks, ranks = {}, {}
     for q in range(1, view.top + 1):
         for t in range(q, max_internal_degree + 1):
@@ -293,6 +300,10 @@ def graded_complex(arr: Arrangement, max_internal_degree=4,
     complex_._rank_cache.update(ranks)
     complex_.check_square_zero()
     return complex_
+
+
+graded_complex.cache_info = _complex.cache_info
+graded_complex.cache_clear = _complex.cache_clear
 
 
 def torus_graded_complex(n, max_internal_degree=4) -> GradedChainComplex:
@@ -426,7 +437,8 @@ def homotopy_hilbert_series(exponents: ExponentData, connectivity, max_degree=5)
     Returns ((numerator, denominator), series).  The numerator collects the
     ambient Betti numbers above the connectivity with alternating signs; the
     denominator is the product of (1 - d_i t) over the exponents beyond the
-    first.  All coefficients must come out nonnegative integers.
+    first.  All coefficients must come out nonnegative integers.  The work,
+    about max_degree^2, is refused above the work bound.
     """
     p = connectivity
     ell = exponents.length
@@ -434,6 +446,7 @@ def homotopy_hilbert_series(exponents: ExponentData, connectivity, max_degree=5)
         raise RankOutOfRange(f"connectivity must lie in [2, {ell - 1}]")
     if max_degree < 0:
         raise RankOutOfRange("max_degree must be nonnegative")
+    _check_square_bound("series", "max_degree", max_degree)
     tail = exponents.exponents[1:]
     betti_poly = linear_product(tail, sign=1)
     num_coeffs = [
@@ -555,11 +568,7 @@ def lcs_ranks(exponents: ExponentData, max_k):
     bound (see oscohomology._work_bound) is refused."""
     if max_k < 0:
         raise RankOutOfRange("max_k must be nonnegative")
-    bound = _work_bound()
-    if max_k ** 2 > bound:
-        raise WorkBoundExceeded(
-            f"lcs: max_k^2 = {max_k}^2 exceeds work bound {bound}"
-        )
+    _check_square_bound("lcs", "max_k", max_k)
     phis = []
     exps = exponents.exponents
     for m in range(1, max_k + 1):
@@ -713,7 +722,7 @@ def integer_audit(arr: Arrangement, max_degree=3, work_bound=None):
     """
     view = cohomology_view(arr, True)
     b1 = view.dim(1)
-    _check_work_bound(b1, max_degree, work_bound)
+    _check_work_bound("integer_audit", b1, max_degree, work_bound)
     tensor = _FreeAlgebra(b1)
     slices = {}
     all_free = True

@@ -48,9 +48,9 @@ def _work_bound(override=None):
     return int(env)
 
 
-def _check_work_bound(b1, degree, override=None):
+def _check_work_bound(stage, b1, degree, override=None):
     """Refuse a negative degree, and a tensor slice of dimension b1^degree
-    above the work bound (see _work_bound)."""
+    above the work bound (see _work_bound), naming the stage."""
     if degree < 0:
         raise RankOutOfRange("max_degree must be nonnegative")
     bound = _work_bound(override)
@@ -60,9 +60,14 @@ def _check_work_bound(b1, degree, override=None):
     for _ in range(degree):  # stop at the first power past the bound
         size *= b1
         if size > bound:
-            raise WorkBoundExceeded(
-                f"tensor slice dimension {b1}^{degree} exceeds bound {bound}"
-            )
+            raise WorkBoundExceeded(f"{stage}: tensor slice dimension "
+                                    f"{b1}^{degree} exceeds bound {bound}")
+
+
+def _check_square_bound(stage, name, n):
+    """Refuse work growing as n^2 when n^2 exceeds the work bound."""
+    if n ** 2 > (bound := _work_bound()):
+        raise WorkBoundExceeded(f"{stage}: {name}^2 = {n}^2 exceeds work bound {bound}")
 
 
 def sort_sign(word):
@@ -518,20 +523,26 @@ class UEnvelope:
 
 
 @lru_cache(maxsize=None)
+def _envelope(arr, max_degree, projective):
+    return UEnvelope(cohomology_view(arr, projective), max_degree)
+
+
 def holonomy_envelope(arr: Arrangement, max_degree, projective=True,
                       work_bound=None) -> UEnvelope:
     """Enveloping algebra of the holonomy Lie algebra, degree by degree.
 
     Each degree is the quotient of H_1 tensored with the previous one by
     the image of the relations; dimensions are independent of the
-    hyperplane order.  The work bound still refuses b1^max_degree above
-    the bound, although no tensor power of that size is built.
-
-    Each cache entry is its own envelope, built once at max_degree and
-    never changed; calls spelled differently, or at another degree, build
-    their own.  graded_complex builds each complex it caches from the
-    envelope of the complex's degree.
+    hyperplane order.  The work bound refuses b1^max_degree above the
+    bound on every call, although no tensor power of that size is built;
+    then one cache keyed by (arr, max_degree, projective), with
+    `cache_info()` and `cache_clear()`, builds each envelope once, never
+    changed and shared however the call is spelled.
     """
     view = cohomology_view(arr, projective)
-    _check_work_bound(view.dim(1), max_degree, work_bound)
-    return UEnvelope(view, max_degree)
+    _check_work_bound("envelope", view.dim(1), max_degree, work_bound)
+    return _envelope(arr, max_degree, projective)
+
+
+holonomy_envelope.cache_info = _envelope.cache_info
+holonomy_envelope.cache_clear = _envelope.cache_clear

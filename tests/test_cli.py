@@ -357,6 +357,35 @@ def test_work_bound_env_override(monkeypatch):
     holonomy_envelope.cache_clear()
 
 
+def test_lowered_work_bound_refuses_warm_caches(monkeypatch, capsys):
+    from arrtop import graded_complex, holonomy_envelope
+    from arrtop.errors import WorkBoundExceeded
+
+    def misses():
+        return (holonomy_envelope.cache_info().misses,
+                graded_complex.cache_info().misses)
+
+    monkeypatch.delenv("ARRTOP_WORK_BOUND", raising=False)
+    arr = parse_arrangement(path("braid3.json"))
+    env, complex_ = holonomy_envelope(arr, 4), graded_complex(arr, 4)
+    warm = misses()
+    monkeypatch.setenv("ARRTOP_WORK_BOUND", "50")
+    with pytest.raises(WorkBoundExceeded, match="^envelope: .* 5\\^4 "):
+        holonomy_envelope(arr, 4)
+    with pytest.raises(WorkBoundExceeded, match="^complex: .* 5\\^4 "):
+        graded_complex(arr, 4)
+    assert main(["gr-check", path("braid3.json"), "--max-degree", "4"]) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {
+        "type": "WorkBoundExceeded",
+        "message": "complex: tensor slice dimension 5^4 exceeds bound 50",
+    }
+    monkeypatch.delenv("ARRTOP_WORK_BOUND")
+    assert holonomy_envelope(arr, 4) is env
+    assert graded_complex(arr, 4) is complex_
+    assert misses() == warm
+
+
 MALFORMED_ARRANGEMENTS = {
     "boolean-dim-and-form": '{"ambient_dim": true, "forms": [[true]]}',
     "float-dim": '{"ambient_dim": 2.0, "forms": [[1, 0], [0, 1]]}',
@@ -416,7 +445,7 @@ def test_subspace_of_other_ambient_dimension_is_malformed(tmp_path, capsys):
 def test_malformed_work_bound_env_is_malformed(monkeypatch, capsys, value):
     from arrtop import graded_complex, holonomy_envelope
 
-    # the bound is read when the envelope is built, so start from cold caches
+    # cold caches first; every cached stage reads the bound before its cache
     monkeypatch.setenv("ARRTOP_WORK_BOUND", value)
     graded_complex.cache_clear()
     holonomy_envelope.cache_clear()
@@ -424,7 +453,7 @@ def test_malformed_work_bound_env_is_malformed(monkeypatch, capsys, value):
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"]["type"] == "ParseError"
     assert "ARRTOP_WORK_BOUND" in payload["error"]["message"]
-    # on warm caches no cached stage reads the bound, so the CLI checks it
+    # on warm caches each stage still reads the bound, on a hit too
     warm = [
         ["gr-check", path("hattori4.json")],
         ["pi-p", path("hattori4.json"), "--section-rank", "3", "--max-degree", "4"],
@@ -493,6 +522,40 @@ def test_degree_beyond_work_bound_is_refused_at_once():
         error = json.loads(proc.stdout)["error"]
         assert error["type"] == "WorkBoundExceeded"
         assert "100000000" in error["message"]
+
+
+def test_series_max_degree_beyond_work_bound_is_refused_at_once():
+    # without the bound the closed-form series runs for minutes here
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    env.pop("ARRTOP_WORK_BOUND", None)
+    argv = ["pi-p", path("braid3.json"), "--exponents", "1,2,3", "--p", "2",
+            "--max-degree", "200000"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "arrtop.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "WorkBoundExceeded"
+    assert "series" in error["message"] and "200000" in error["message"]
+
+
+def test_series_work_bound_reads_the_environment(monkeypatch, capsys):
+    argv = ["pi-p", path("braid3.json"), "--exponents", "1,2,3", "--p", "2",
+            "--max-degree"]
+    monkeypatch.delenv("ARRTOP_WORK_BOUND", raising=False)
+    assert main(argv + ["1000"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["results"]["series"]) == 1001
+    monkeypatch.setenv("ARRTOP_WORK_BOUND", "100")
+    assert main(argv + ["10"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["11"]) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "WorkBoundExceeded"
+    assert error["message"] == "series: max_degree^2 = 11^2 exceeds work bound 100"
+    monkeypatch.setenv("ARRTOP_WORK_BOUND", "abc")
+    assert main(argv + ["10"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "ParseError"
 
 
 def test_lcs_work_bound_reads_the_environment(monkeypatch, capsys):

@@ -36,9 +36,11 @@ from arrtop.errors import (
     FrameworkNotApplicable,
     InternalInconsistency,
     NonIntegerRank,
+    NotEssential,
     NotProperSection,
     NotSupersolvable,
     RankOutOfRange,
+    WorkBoundExceeded,
 )
 from arrtop.exactalg import linear_product, sparse_rank
 from arrtop import homotopy, oscohomology
@@ -447,6 +449,58 @@ def test_cached_envelope_and_complex_are_unchanged_by_a_higher_degree():
     clear_envelope_caches()
 
 
+def test_differently_spelled_calls_share_one_cache_entry():
+    # the cache keys hold what is built, not how the call is spelled or
+    # the work bound it was checked against
+    arr = braid3()
+    clear_envelope_caches()
+    env = holonomy_envelope(arr, 3)
+    assert holonomy_envelope(arr, 3, projective=True, work_bound=None) is env
+    assert holonomy_envelope(arr, 3, work_bound=10 ** 9) is env
+    assert holonomy_envelope.cache_info().misses == 1
+    complex_ = graded_complex(arr, 3)
+    assert graded_complex(arr, max_internal_degree=3) is complex_
+    assert graded_complex.cache_info().misses == 1
+    assert holonomy_envelope.cache_info().misses == 1
+    clear_envelope_caches()
+
+
+def test_work_bound_override_above_the_environment_reaches_the_build(
+        monkeypatch):
+    # the complex takes its envelope past holonomy_envelope's own check,
+    # which would read the environment's bound of 50 < 5^4
+    monkeypatch.setenv("ARRTOP_WORK_BOUND", "50")
+    clear_envelope_caches()
+    complex_ = graded_complex(braid3(), 4, work_bound=10 ** 6)
+    assert complex_.u_dims == (1, 5, 19, 65, 211)
+    clear_envelope_caches()
+
+
+def test_every_work_bound_refusal_names_its_stage(monkeypatch):
+    monkeypatch.setenv("ARRTOP_WORK_BOUND", "100")
+    arr, exps = braid3(), ExponentData((1, 2, 3))
+    section = SectionData(boolean_arrangement(5), 3)
+    envelope = "envelope: tensor slice dimension 4^4 exceeds bound 100"
+    refusals = [
+        ("envelope: tensor slice dimension 5^3 exceeds bound 100",
+         lambda: holonomy_envelope(arr, 3)),
+        (envelope, lambda: homotopy_cokernel_ranks(section, 4)),
+        (envelope, lambda: consistency_suite(section, 4)),
+        ("complex: tensor slice dimension 5^3 exceeds bound 100",
+         lambda: graded_complex(arr, 3)),
+        ("integer_audit: tensor slice dimension 5^3 exceeds bound 100",
+         lambda: integer_audit(arr, 3)),
+        ("lcs: max_k^2 = 11^2 exceeds work bound 100",
+         lambda: lcs_ranks(exps, 11)),
+        ("series: max_degree^2 = 11^2 exceeds work bound 100",
+         lambda: homotopy_hilbert_series(exps, 2, 11)),
+    ]
+    for message, call in refusals:
+        with pytest.raises(WorkBoundExceeded) as err:
+            call()
+        assert str(err.value) == message
+
+
 def test_refusal_is_memoized_with_its_level(monkeypatch):
     calls = []
 
@@ -457,6 +511,7 @@ def test_refusal_is_memoized_with_its_level(monkeypatch):
     chain = homotopy._chain_exponents
     monkeypatch.setattr(homotopy, "_chain_exponents", spy)
     homotopy._chain_or_refusal.cache_clear()
+    misses = supersolvable_exponents.cache_info().misses
     arr = generic4()
     for _ in range(2):
         with pytest.raises(NotSupersolvable) as err:
@@ -464,6 +519,13 @@ def test_refusal_is_memoized_with_its_level(monkeypatch):
         assert err.value.level == 3
     assert not is_supersolvable(arr)
     assert calls == [arr]
+    assert supersolvable_exponents.cache_info().misses == misses + 1
+    # NotEssential is checked in front of the cache, on every call
+    pencil = normalize([[1, 0, 0], [0, 1, 0], [1, 1, 0]], 3)
+    for _ in range(2):
+        with pytest.raises(NotEssential):
+            supersolvable_exponents(pencil)
+    assert supersolvable_exponents.cache_info().misses == misses + 1
 
 
 def test_unit_row_certificate_checks_every_row():
