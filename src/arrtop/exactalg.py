@@ -2,16 +2,17 @@
 forms, integer polynomials and truncated power series.
 
 No floating point anywhere: the ground field is Q, integers are Python
-ints.  `SparseEchelon` is the one elimination kernel over Q.  It holds an
-exact value as an int when it is integral and as a fractions.Fraction
-(canonically reduced, arbitrary precision) only when it is not: on the
-matrices that arise here almost every entry is an integer, and int
-arithmetic is many times cheaper than Fraction arithmetic.  A batch of
-rows is inserted sparsest first (Markowitz's ordering), so that early long
-rows do not fill in every later pivot row; the rank, the pivot columns and
-the normal forms depend only on the row space, so the order changes none
-of them, only the stored pivot rows.  The echelon caches nothing;
-everything else here is immutable and pure.
+ints.  `SparseEchelon` is the one elimination kernel over Q; Smith forms
+take their unit pivots from it.  It holds an exact value as an int when
+it is integral and as a fractions.Fraction (canonically reduced,
+arbitrary precision) only when it is not: on the matrices that arise
+here almost every entry is an integer, and int arithmetic is many times
+cheaper than Fraction arithmetic.  A batch of rows is inserted sparsest
+first (Markowitz's ordering), so that early long rows do not fill in
+every later pivot row; the rank, the pivot columns and the normal forms
+depend only on the row space, so the order changes none of them, only
+the stored pivot rows.  The echelon caches nothing; everything else here
+is immutable and pure.
 """
 
 from __future__ import annotations
@@ -178,30 +179,40 @@ def int_rank(vectors) -> int:
 
 
 def smith_invariant_factors(rows):
-    """Invariant factors of an integer matrix given as sparse rows.
+    """Positive invariant factors, in divisibility order, of an integer
+    matrix given as sparse rows {column: int}; a non-int entry raises
+    TypeError.
 
-    rows: list of {column: int}.  Returns the positive invariant factors in
-    divisibility order (zeros dropped).  Unit pivots are preferred, which
-    keeps fill-in and entry growth low on the matrices that arise here.
+    The rows pass through a SparseEchelon, sparsest first, and a residual
+    that leads with +-1 becomes a pivot row.  With the unit vectors of the
+    other columns these integral pivot rows are a basis of Z^n, so each is
+    one invariant factor 1.  Each other residual is carried onto the
+    non-pivot columns by the normal forms, which changes it by an integral
+    combination of pivot rows; only these go through the integer
+    elimination below.
     """
-    mat = {
-        i: {c: int(v) for c, v in row.items() if v}
-        for i, row in enumerate(rows)
-        if any(row.values())
-    }
+    ech = SparseEchelon()
+    rest = []
+    for row in sorted(rows, key=len):
+        values = int_entries(row.values(), TypeError,
+                             "integer Smith form: entries must be ints")
+        v = ech.reduce({c: x for c, x in zip(row, values) if x})
+        if v and abs(v[min(v)]) == 1:
+            ech.insert(v)
+        elif v:
+            rest.append(v)
+    forms = ech.normal_forms() if rest else {}
+    mat = {}
+    for i, v in enumerate(rest):
+        row = {}
+        for c, x in v.items():
+            sub_scaled(row, forms.get(c, {c: 1}), -x)
+        if row:
+            mat[i] = row
     factors = []
     while mat:
-        best = None
-        for i, row in mat.items():
-            for c, v in row.items():
-                a = abs(v)
-                if best is None or a < best[0]:
-                    best = (a, i, c)
-                if a == 1:
-                    break
-            if best and best[0] == 1:
-                break
-        _, pi, pc = best
+        pi = next(iter(mat))
+        pc = min(mat[pi])
         while True:
             # clear the pivot column with row operations; a nonzero
             # remainder becomes the new (smaller) pivot
@@ -246,22 +257,14 @@ def smith_invariant_factors(rows):
         # deleted every row it emptied
         factors.append(abs(mat[pi][pc]))
         del mat[pi]
-    # normalize to divisibility order; a unit divides everything, so only
-    # the non-unit factors are exchanged for their gcd and lcm
-    units = factors.count(1)
-    factors = sorted(f for f in factors if f != 1)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors)):
-            for j in range(i + 1, len(factors)):
-                a, b = factors[i], factors[j]
-                if b % a:
-                    g = gcd(a, b)
-                    factors[i], factors[j] = g, a // g * b
-                    changed = True
-        factors.sort()
-    return [1] * units + factors
+    # one pass exchanging each pair i < j for its gcd and lcm leaves each
+    # factor dividing every later one: factor i divides all later ones once
+    # its round ends, and gcds and lcms of its multiples stay its multiples
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            g = gcd(factors[i], factors[j])
+            factors[i], factors[j] = g, factors[i] // g * factors[j]
+    return [1] * ech.rank + factors
 
 
 def covector_kernel_basis(covector):
@@ -289,7 +292,8 @@ class IntPolynomial:
     coefficients: tuple
 
     def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coefficients)
+        coeffs = int_entries(self.coefficients, TypeError,
+                             "polynomial coefficients must be integers")
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coefficients", coeffs)

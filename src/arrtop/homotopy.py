@@ -419,12 +419,7 @@ def homotopy_cokernel_ranks(section: SectionData, max_degree=5, work_bound=None)
     for i in range(max_degree + 1):
         target = view.dim(p + 1) * env.dim(i)
         t = p + 1 + i
-        if p + 2 <= view.top and i >= 1:
-            rows = _delta_rows(view, env, p + 2, t)
-            rank = sparse_rank(rows)
-        else:
-            rank = 0
-        ranks.append(target - rank)
+        ranks.append(target - sparse_rank(_delta_rows(view, env, p + 2, t)))
     if ranks[0] != view.dim(p + 1):
         raise InternalInconsistency("lowest cokernel rank differs from b_(p+1)")
     return ranks
@@ -695,20 +690,6 @@ def asphericity_test(section_or_arrangement, subspace=None) -> AsphericityReport
 # ---------------------------------------------------------------------------
 # integer-coefficient audit
 
-class _FreeAlgebra:
-    """The tensor algebra on H_1, read as _delta_rows reads an envelope:
-    dim(k) = b1^k, and x_j w is word j*b1^k + w."""
-
-    def __init__(self, b1):
-        self.b1 = b1
-
-    def dim(self, k):
-        return self.b1 ** k
-
-    def _product(self, j, k, w):
-        return {j * self.b1 ** k + w: 1}
-
-
 def integer_audit(arr: Arrangement, max_degree=3, work_bound=None):
     """Certify that the graded data of this arrangement is torsion-free.
 
@@ -717,19 +698,26 @@ def integer_audit(arr: Arrangement, max_degree=3, work_bound=None):
     slice, hence every block of the graded complex, is a free abelian group
     and the rational ranks are valid integrally.  Slice k is spanned by
     I_k = R (x) T_(k-2) + H_1 (x) I_(k-1) inside T_k, the tensor power of
-    dimension b1^k: the rows _delta_rows(view, tensor, 2, k) over the free
-    algebra, then x_a times each row of slice k-1.
+    dimension b1^k: the envelope's degree-2 relation rows over T_2, each
+    shifted over the words of length k-2, then x_a times each row of
+    slice k-1.
     """
     view = cohomology_view(arr, True)
     b1 = view.dim(1)
     _check_work_bound("integer_audit", b1, max_degree, work_bound)
-    tensor = _FreeAlgebra(b1)
+    relations = []
+    if max_degree >= 2:
+        env = holonomy_envelope(arr, 2, work_bound=work_bound)
+        relations, _ = env.relation_block(2)
     slices = {}
     all_free = True
     rows = []  # slice k - 1; slice 1 is empty
     for k in range(2, max_degree + 1):
-        width = b1 ** (k - 1)
-        rows = _delta_rows(view, tensor, 2, k) + [
+        width, shift = b1 ** (k - 1), b1 ** (k - 2)
+        rows = [
+            {c * shift + w: v for c, v in row.items()}
+            for row in relations for w in range(shift)
+        ] + [
             {a * width + c: v for c, v in row.items()}
             for a in range(b1) for row in rows
         ]

@@ -335,22 +335,12 @@ class HolonomyRelations:
 def reduced_diagonal(arr: Arrangement, projective=False) -> HolonomyRelations:
     """Dual of the surjection from the wedge square of H^1 onto H^2."""
     view = cohomology_view(arr, projective)
-    b1 = view.dim(1)
     b2 = view.dim(2)
-    rows = view.cup_rows(2) if b2 else {}
-    relation_rows = []
-    for r in range(b2):
-        # the wedge x_i ^ x_j embeds as x_i (x) x_j - x_j (x) x_i
-        anti = [0] * (b1 * b1)
-        for i in range(b1):
-            for j in range(i + 1, b1):
-                c = rows[(i, j)].get(r, 0)
-                if c:
-                    anti[i * b1 + j] = c
-                    anti[j * b1 + i] = -c
-        relation_rows.append(tuple(anti))
-    rel = HolonomyRelations(b1, tuple(relation_rows))
-    if b2 and int_rank(rel.relation_basis) != b2:
+    # x_j x_i = -x_i x_j and x_i x_i = 0, so the dual of the cup product
+    # H^1 x H^1 -> H^2 is already antisymmetric
+    relation_rows = right_cup_dual(arr, 2, projective) if b2 else []
+    rel = HolonomyRelations(view.dim(1), tuple(relation_rows))
+    if int_rank(rel.relation_basis) != b2:
         raise InternalInconsistency("holonomy relations do not have rank b_2")
     return rel
 
@@ -377,11 +367,11 @@ def _delta_rows(view, env, q, t):
     and word w is sum c T (x) x_j w over the cup products T x_j = c r + ...,
     with x_j w read from env._product.
 
-    The one builder of differential and relation rows, with four callers:
+    The one builder of differential and relation rows, with three callers:
     the envelope at q = 2, whose rows of degree t are the relations
-    R (x) U_(t-2) it eliminates; graded_complex at q >= 3; the cokernel
-    (homotopy_cokernel_ranks) at q = p + 2; and integer_audit at q = 2 over
-    the free algebra, whose rows are R (x) T_(t-2)."""
+    R (x) U_(t-2) it eliminates (integer_audit reads those of degree 2);
+    graded_complex at q >= 3; and the cokernel (homotopy_cokernel_ranks) at
+    q = p + 2."""
     s = t - q
     dim_q = view.dim(q)
     if dim_q == 0 or s < 0 or env.dim(s) == 0:
@@ -453,11 +443,8 @@ class UEnvelope:
         self._columns = {}  # degree -> column i*dim U_(k-1) + p of each word
         self._relation_blocks = {}  # degree -> (rows of R (x) U_(k-2), rank)
         for k in range(1, max_degree + 1):
-            if self.b1 == 0:
-                self.dims.append(0)
-                self.basis_words.append(())
-            else:  # degree 1 is H_1 (x) U_0, with no relations
-                self._add_degree(self._eliminate(k) if k > 1 else {})
+            # degree 1 is H_1 (x) U_0, with no relations
+            self._add_degree(self._eliminate(k) if k > 1 else {})
             self.max_degree = k  # _product reads degree k from here on
 
     def _add_degree(self, forms):

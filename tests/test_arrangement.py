@@ -77,8 +77,11 @@ def test_normalize_collapses_proportional():
     (lambda: Subspace(((1, 0.5, 0),)), ZeroForm),
     (lambda: ExponentData((1, 2.9, 3)), NonIntegerRank),
     (lambda: ExponentData((1, Fraction(2), 3)), NonIntegerRank),
+    (lambda: IntPolynomial((Fraction(1, 2), 1.9, "3")), TypeError),
+    (lambda: IntPolynomial((1, Fraction(2))), TypeError),
 ], ids=["fraction-form", "string-form", "float-form", "float-basis",
-        "float-exponent", "fraction-exponent"])
+        "float-exponent", "fraction-exponent", "polynomial-coefficients",
+        "fraction-coefficient"])
 def test_constructors_refuse_non_integers(build, error):
     with pytest.raises(error):
         build()

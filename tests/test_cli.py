@@ -18,7 +18,10 @@ from arrtop import is_essential, normalize
 from arrtop.errors import (
     EmptyArrangement, InternalInconsistency, ParseError, ZeroForm,
 )
-from genutil import clear_envelope_caches, lattice_oracle, supersolvable_oracle
+from genutil import (
+    braid_arrangement, clear_envelope_caches, lattice_oracle,
+    supersolvable_oracle,
+)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -485,6 +488,39 @@ def test_lcs_negative_max_k_is_out_of_range(capsys):
     assert main(["lcs", path("braid3.json"), "--max-k", "-1"]) == 3
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"]["type"] == "RankOutOfRange"
+
+
+def test_gr_check_integers_one_hyperplane(tmp_path, capsys):
+    f = tmp_path / "line.json"
+    f.write_text('{"ambient_dim": 2, "forms": [[1, 0]]}')
+    assert main(["gr-check", str(f), "--integers"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["envelope_dims"] == [1, 0, 0, 0, 0]
+    audit = results["integer_audit"]
+    assert audit["free_over_integers"] is True
+    assert [s["rank"] for s in audit["slices"].values()] == [0, 0, 0]
+
+
+def test_gr_check_integers_braid4_degree_5(tmp_path):
+    # 9^5 words at degree 5, within the default work bound; the slice ranks
+    # are 9^k - h_k(2, 3, 4), read off 1/((1 - 2t)(1 - 3t)(1 - 4t))
+    forms = [list(v) for v in braid_arrangement(4).forms]
+    f = tmp_path / "braid4.json"
+    f.write_text(json.dumps({"ambient_dim": 4, "forms": forms}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    env.pop("ARRTOP_WORK_BOUND", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "arrtop.cli", "gr-check", str(f),
+         "--max-degree", "5", "--integers"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    audit = json.loads(proc.stdout)["results"]["integer_audit"]
+    assert audit["free_over_integers"] is True
+    slices = audit["slices"]
+    assert [slices[str(k)]["rank"] for k in range(2, 6)] == [
+        26, 444, 5210, 52980]
+    assert all(s["nonunit_factors"] == [] for s in slices.values())
 
 
 def test_lcs_max_k_beyond_work_bound_is_refused_at_once():

@@ -219,6 +219,22 @@ def test_smith_invariant_factors():
     rows = [{0: 1, 1: 1}, {1: 1, 2: 1}]
     assert smith_invariant_factors(rows) == [1, 1]
     assert smith_invariant_factors([{}]) == []
+    # no row leads with a unit, so every row reaches the integer loop
+    assert smith_invariant_factors([{0: 2}, {1: 2}]) == [2, 2]
+    assert smith_invariant_factors([{0: -2}, {0: 2, 1: 4}]) == [2, 4]
+    # the first row is set aside before {1: 1, ...} becomes a pivot row, and
+    # only its projection onto the non-pivot columns gives the factors
+    assert smith_invariant_factors([{0: 2, 1: 1}, {1: 1, 2: 2}]) == [1, 2]
+    rows = [{0: 3, 1: 1, 2: 1}, {1: 1, 2: -1, 3: 3}]
+    assert smith_invariant_factors(rows) == [1, 1]
+
+
+@pytest.mark.parametrize("rows", [
+    [{0: Fraction(1, 2)}], [{0: 2.7}], [{0: "3"}], [{0: 1, 1: Fraction(4)}],
+], ids=["fraction", "float", "string", "integral-fraction"])
+def test_smith_invariant_factors_refuse_non_integers(rows):
+    with pytest.raises(TypeError):
+        smith_invariant_factors(rows)
 
 
 def _scrambled_diagonal(rng, nrows, ncols):
@@ -240,16 +256,34 @@ def _scrambled_diagonal(rng, nrows, ncols):
     return mat
 
 
+def _set_aside_before_pivot(rng, ncols):
+    """Two rows, the first no longer than the second: the first leads with
+    a non-unit and holds column 1, where the second leads with a unit.
+    Sparsest first, the first row is set aside before the second becomes
+    the pivot row of column 1."""
+    first = ([rng.choice([-3, -2, 2, 3, 4]), rng.choice([-2, -1, 1, 2, 3])]
+             + [rng.randint(-3, 3) for _ in range(ncols - 3)] + [0])
+    second = [0, rng.choice([-1, 1])] + [
+        rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(ncols - 2)]
+    return [first, second]
+
+
 def test_smith_invariant_factors_match_determinantal_divisors():
     rng = random.Random(1801)
     seen = set()
-    for case in range(400):
+    for case in range(800):
         nrows, ncols = rng.randint(1, 4), rng.randint(1, 5)
-        if case % 2:
+        if case % 4 == 3:
+            ncols = rng.randint(3, 5)
+            mat = _set_aside_before_pivot(rng, ncols)
+            nrows = len(mat)
+        elif case % 2:
             mat = _scrambled_diagonal(rng, nrows, ncols)
         else:
             mat = [[rng.randint(-4, 4) for _ in range(ncols)]
                    for _ in range(nrows)]
+        if case % 4 == 2:  # no entry is a unit
+            mat = [[2 * x for x in row] for row in mat]
         if nrows > 1 and rng.random() < 0.3:
             i, j = rng.sample(range(nrows), 2)
             mat[i] = list(mat[j])

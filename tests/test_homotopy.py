@@ -244,11 +244,19 @@ def test_graded_complex_braid_blocks():
 
 
 def test_graded_complex_rank_one():
-    c = graded_complex(normalize([[1, 0]], 2), 3)
+    # b1 == 0: the envelope's general path builds empty degrees, with
+    # empty relation blocks
+    arr = normalize([[1, 0]], 2)
+    c = graded_complex(arr, 3)
     assert c.generator_ranks == (1,)
     assert c.u_dims == (1, 0, 0, 0)
     assert not c.blocks
-    assert is_acyclic(c)
+    assert verify_resolution(c) == {(0, 0): 0}
+    env = holonomy_envelope(arr, 4)
+    assert env.dims == [1, 0, 0, 0, 0]
+    assert env.basis_words == [((),), (), (), (), ()]
+    assert env.relation_block(2) == ([], 0)
+    assert integer_audit(arr, 4)["free_over_integers"]
 
 
 def test_resolution_fails_for_generic4():
