@@ -153,6 +153,11 @@ class SparseEchelon:
 
 
 def sparse_rank(rows) -> int:
+    """Rank over Q: the count of nonzero rows when each has its own
+    leading (smallest) column, so that they are independent; else eliminate."""
+    leads = [min(row) for row in rows if row]
+    if len(set(leads)) == len(leads):
+        return len(leads)
     ech = SparseEchelon()
     ech.extend(rows)
     return ech.rank

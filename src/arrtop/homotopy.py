@@ -39,6 +39,7 @@ from .errors import (
     NotProperSection,
     NotSupersolvable,
     RankOutOfRange,
+    WorkBoundExceeded,
 )
 from .exactalg import (
     IntPolynomial,
@@ -56,6 +57,7 @@ from .oscohomology import (
     _check_work_bound,
     _delta_rows,
     _envelope,
+    _work_bound,
     cohomology_view,
     holonomy_envelope,
 )
@@ -198,6 +200,7 @@ class GradedChainComplex:
     blocks[(q, t)] holds the differential leaving chain degree q in internal
     degree t, as sparse rows indexed by the source basis (h-index major,
     U-basis index minor); columns index the target block the same way.
+    The complex is checked to square to zero when it is made.
     """
 
     def __init__(self, generator_ranks, u_dims, max_internal_degree, blocks):
@@ -206,6 +209,7 @@ class GradedChainComplex:
         self.max_internal_degree = max_internal_degree
         self.blocks = blocks
         self._rank_cache = {}
+        self.check_square_zero()
 
     @property
     def top(self):
@@ -223,9 +227,18 @@ class GradedChainComplex:
         return self.blocks.get((q, t), [])
 
     def block_rank(self, q, t):
+        """L, the number of distinct leading columns of block (q, t), when
+        it meets the square-zero bound dim(q-1, t) - rank(q-1, t): rows
+        with distinct leads are independent.  Otherwise sparse_rank."""
+        if (q, t) not in self.blocks:
+            return 0
         r = self._rank_cache.get((q, t))
         if r is None:
-            r = self._rank_cache[(q, t)] = sparse_rank(self.block(q, t))
+            rows = self.blocks[(q, t)]
+            leads = len({min(row) for row in rows if row})
+            bound = self.block_dim(q - 1, t) - self.block_rank(q - 1, t)
+            r = leads if leads == bound else sparse_rank(rows)
+            self._rank_cache[(q, t)] = r
         return r
 
     def check_square_zero(self):
@@ -237,21 +250,6 @@ class GradedChainComplex:
                 raise InternalInconsistency(
                     f"differential square nonzero at (q={q}, t={s})"
                 )
-
-
-def _unit_row_rank(env, t, rows):
-    """Rank of block (1, t), the rows x_j w over H_1 (x) U_(t-1), whose row
-    index is the envelope's column index at degree t.  A normal word of
-    degree t is x_i followed by a normal word, so the row at its column is
-    that word alone: these unit rows cover every column and certify rank
-    dim U_t.  The rows are the envelope's own table, shared with the
-    complex, and are only read here."""
-    for pos, col in enumerate(env._columns[t]):
-        if rows[col] != {pos: 1}:
-            raise InternalInconsistency(
-                f"block (1, {t}) has no unit row at column {pos}"
-            )
-    return env.dim(t)
 
 
 def graded_complex(arr: Arrangement, max_internal_degree=4,
@@ -267,13 +265,14 @@ def graded_complex(arr: Arrangement, max_internal_degree=4,
     holonomy_envelope's check so that a higher work_bound holds.  Block
     (1, t) is the envelope's table x_j w of degree t and block (2, t) its
     relation rows R (x) U_(t-2): the envelope's own lists, shared and not
-    copied, so callers must not mutate them.  Their ranks are seeded,
-    dim U_t by a unit-row certificate and the rank of the degree-t
-    echelon, so exactness at q <= 1 holds by construction.  Blocks with
-    q >= 3 are _delta_rows of the envelope.  What still checks the complex
-    is the square-zero test (which composes the relation rows with the
-    table), the homology at q >= 2, which needs the ranks of blocks (q, t)
-    with q >= 3, still eliminated, and the tensor oracle of the test suite."""
+    copied, so callers must not mutate them.  Block (1, t) has a unit row
+    at each of its dim U_t columns, so its leads certify its rank; that of
+    block (2, t) is seeded from the degree-t echelon.  So exactness at
+    q <= 1 holds by construction.  Blocks with q >= 3 are _delta_rows of
+    the envelope.  What still checks the complex is the constructor's
+    square-zero test (which composes the relation rows with the table),
+    the homology at q >= 2, which needs the ranks of blocks (q, t) with
+    q >= 3, and the tensor oracle of the test suite."""
     _check_work_bound("complex", cohomology_view(arr, True).dim(1),
                       max_internal_degree, work_bound)
     return _complex(arr, max_internal_degree)
@@ -288,9 +287,8 @@ def _complex(arr, max_internal_degree):
         for t in range(q, max_internal_degree + 1):
             if q >= 3:
                 rows = _delta_rows(view, env, q, t)
-            elif q == 1:  # the table x_j w, of certified rank dim U_t
+            elif q == 1:  # the table x_j w
                 rows = env._left[t]
-                ranks[(q, t)] = _unit_row_rank(env, t, rows)
             else:  # the envelope's relation rows of degree t
                 rows, ranks[(q, t)] = env.relation_block(t)
             if rows:
@@ -298,7 +296,6 @@ def _complex(arr, max_internal_degree):
     complex_ = GradedChainComplex(view.betti, env.dims, max_internal_degree,
                                   blocks)
     complex_._rank_cache.update(ranks)
-    complex_.check_square_zero()
     return complex_
 
 
@@ -343,9 +340,7 @@ def torus_graded_complex(n, max_internal_degree=4) -> GradedChainComplex:
                         row[col] = row.get(col, 0) + coeff
                     rows.append({c: v for c, v in row.items() if v})
             blocks[(q, t)] = rows
-    complex_ = GradedChainComplex(gen_ranks, u_dims, max_internal_degree, blocks)
-    complex_.check_square_zero()
-    return complex_
+    return GradedChainComplex(gen_ranks, u_dims, max_internal_degree, blocks)
 
 
 def verify_resolution(complex_: GradedChainComplex):
@@ -700,7 +695,9 @@ def integer_audit(arr: Arrangement, max_degree=3, work_bound=None):
     I_k = R (x) T_(k-2) + H_1 (x) I_(k-1) inside T_k, the tensor power of
     dimension b1^k: the envelope's degree-2 relation rows over T_2, each
     shifted over the words of length k-2, then x_a times each row of
-    slice k-1.
+    slice k-1.  So slice k holds (k-1) * E2 * b1^(k-2) entries, E2 those
+    of the relation rows, and the work bound refuses b1^max_degree and,
+    before any slice above degree 2 is built, the entries of the last.
     """
     view = cohomology_view(arr, True)
     b1 = view.dim(1)
@@ -709,6 +706,14 @@ def integer_audit(arr: Arrangement, max_degree=3, work_bound=None):
     if max_degree >= 2:
         env = holonomy_envelope(arr, 2, work_bound=work_bound)
         relations, _ = env.relation_block(2)
+    if max_degree > 2:
+        entries = ((max_degree - 1) * sum(map(len, relations))
+                   * b1 ** (max_degree - 2))
+        if entries > (bound := _work_bound(work_bound)):
+            raise WorkBoundExceeded(
+                f"integer_audit: slice {max_degree} holds {entries} "
+                f"entries, above bound {bound}"
+            )
     slices = {}
     all_free = True
     rows = []  # slice k - 1; slice 1 is empty

@@ -440,7 +440,6 @@ class UEnvelope:
         self.dims = [1]
         self.basis_words = [((),)]
         self._left = {}  # degree k -> x_j w at j*dim U_(k-1) + w, see _add_degree
-        self._columns = {}  # degree -> column i*dim U_(k-1) + p of each word
         self._relation_blocks = {}  # degree -> (rows of R (x) U_(k-2), rank)
         for k in range(1, max_degree + 1):
             # degree 1 is H_1 (x) U_0, with no relations
@@ -459,7 +458,6 @@ class UEnvelope:
         self.basis_words.append(tuple(
             (c // width,) + prev[c % width] for c in columns
         ))
-        self._columns[k] = columns
         position = {c: pos for pos, c in enumerate(columns)}
         self._left[k] = [
             {position[c]: v for c, v in forms[col].items()} if col in forms

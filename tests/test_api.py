@@ -1,10 +1,11 @@
 """The public API, pinned: a name added to or dropped from `arrtop`, or a
-parameter added to the product methods, the envelope's constructor or
-the square-zero check, shows up as a diff here."""
+parameter added to the product methods, the envelope's constructor, the
+square-zero check or the rank calls, shows up as a diff here."""
 
 import inspect
 
 import arrtop
+from arrtop.exactalg import sparse_rank
 from arrtop.homotopy import GradedChainComplex
 from arrtop.oscohomology import CohomologyView, UEnvelope
 
@@ -56,3 +57,11 @@ def test_envelope_takes_a_view_and_square_zero_takes_no_degree():
     assert list(
         inspect.signature(GradedChainComplex.check_square_zero).parameters
     ) == ["self"]
+
+
+def test_ranks_take_no_bound():
+    # the lead certificate's bound comes from the complex, never a caller
+    assert list(inspect.signature(sparse_rank).parameters) == ["rows"]
+    assert list(inspect.signature(GradedChainComplex.block_rank).parameters) == [
+        "self", "q", "t",
+    ]

@@ -279,7 +279,7 @@ def test_golden_pi_p_section_byte_identical(capsys):
     assert capsys.readouterr().out == golden
 
 
-@pytest.mark.parametrize("name", GOLDEN_INPUTS)
+@pytest.mark.parametrize("name", GOLDEN_INPUTS + ["nonfano"])
 def test_golden_gr_check_integers_byte_identical(capsys, name):
     with open(path(f"golden_gr_check_integers_{name}.json")) as fh:
         golden = fh.read()
@@ -521,6 +521,25 @@ def test_gr_check_integers_braid4_degree_5(tmp_path):
     assert [slices[str(k)]["rank"] for k in range(2, 6)] == [
         26, 444, 5210, 52980]
     assert all(s["nonunit_factors"] == [] for s in slices.values())
+
+
+def test_gr_check_integers_braid4_degree_6_is_refused(tmp_path):
+    # 9^6 words pass the tensor bound, but slice 6 would hold 2,624,400
+    # entries; the audit is refused before it builds any slice above 2
+    forms = [list(v) for v in braid_arrangement(4).forms]
+    f = tmp_path / "braid4.json"
+    f.write_text(json.dumps({"ambient_dim": 4, "forms": forms}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    env.pop("ARRTOP_WORK_BOUND", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "arrtop.cli", "gr-check", str(f),
+         "--max-degree", "6", "--integers"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "WorkBoundExceeded"
+    assert error["message"].startswith("integer_audit: slice 6 holds 2624400")
 
 
 def test_lcs_max_k_beyond_work_bound_is_refused_at_once():

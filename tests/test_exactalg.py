@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arrtop import exactalg
 from arrtop.exactalg import (
     IntPolynomial,
     SparseEchelon,
@@ -138,6 +139,19 @@ def test_interleaved_inserts_and_queries_match_fraction_reference(operations):
         seen += rows
         assert fast.pivot_rows == ref.pivot_rows
         _check_normal_forms(fast, ref)
+
+
+def test_sparse_rank_reads_distinct_leads_before_it_eliminates(monkeypatch):
+    # rows with pairwise distinct leads are counted, with no echelon;
+    # a shared lead sends the rows to elimination
+    triangular = [{3: 5}, {0: 2, 3: 1}, {}, {1: Fraction(1, 2), 2: 1}]
+    shared = [{0: 1, 1: 1}, {0: 2, 1: 2}, {0: 1, 2: 1}]
+    assert exactalg.sparse_rank(shared) == 2
+    monkeypatch.setattr(exactalg, "SparseEchelon", None)
+    assert exactalg.sparse_rank(triangular) == 3
+    assert exactalg.sparse_rank([]) == 0
+    with pytest.raises(TypeError):
+        exactalg.sparse_rank(shared)
 
 
 def test_extend_inserts_shortest_rows_first():
