@@ -18,6 +18,7 @@ is immutable and pure.
 from __future__ import annotations
 
 import operator
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -183,18 +184,17 @@ def int_rank(vectors) -> int:
     return sparse_rank([{j: x for j, x in enumerate(v) if x} for v in vectors])
 
 
-def smith_invariant_factors(rows):
-    """Positive invariant factors, in divisibility order, of an integer
-    matrix given as sparse rows {column: int}; a non-int entry raises
-    TypeError.
+def unit_split(rows):
+    """Split an integer matrix, given as sparse rows {column: int}, at its
+    unit pivots; a non-int entry raises TypeError.
 
     The rows pass through a SparseEchelon, sparsest first, and a residual
     that leads with +-1 becomes a pivot row.  With the unit vectors of the
-    other columns these integral pivot rows are a basis of Z^n, so each is
-    one invariant factor 1.  Each other residual is carried onto the
-    non-pivot columns by the normal forms, which changes it by an integral
-    combination of pivot rows; only these go through the integer
-    elimination below.
+    other columns these integral pivot rows are a basis of Z^n, so the
+    normal forms of the pivot columns are integral.  Returns them and the
+    other residuals, carried onto the non-pivot columns by the normal
+    forms (an integral change) and renumbered by their place among those
+    m columns: Z^n modulo the rows is Z^m modulo the carried rows.
     """
     ech = SparseEchelon()
     rest = []
@@ -206,62 +206,54 @@ def smith_invariant_factors(rows):
             ech.insert(v)
         elif v:
             rest.append(v)
-    forms = ech.normal_forms() if rest else {}
-    mat = {}
-    for i, v in enumerate(rest):
+    forms = ech.normal_forms()
+    pivots = sorted(forms)
+    carried = []
+    for v in rest:
         row = {}
         for c, x in v.items():
             sub_scaled(row, forms.get(c, {c: 1}), -x)
         if row:
-            mat[i] = row
+            carried.append({c - bisect(pivots, c): x for c, x in row.items()})
+    return forms, carried
+
+
+def smith_invariant_factors(rows):
+    """Positive invariant factors, in divisibility order, of an integer
+    matrix given as sparse rows {column: int}; a non-int entry raises
+    TypeError.
+
+    Each unit pivot of unit_split is one factor 1; the carried rows go
+    through the integer loop below.  It pivots on an entry of least
+    absolute value, which keeps the entries small (on their growth see
+    Kannan and Bachem, SIAM J. Comput. 8, 1979), and moves the pivot to
+    the least remainder: first in its column, cleared by row operations,
+    then in its row, cleared by column operations on that row only.
+    """
+    forms, rest = unit_split(rows)
+    mat = dict(enumerate(rest))
     factors = []
     while mat:
-        pi = next(iter(mat))
-        pc = min(mat[pi])
+        _, pi, pc = min((abs(v), i, c) for i, row in mat.items()
+                        for c, v in row.items())
         while True:
-            # clear the pivot column with row operations; a nonzero
-            # remainder becomes the new (smaller) pivot
-            restart = False
-            for i in list(mat):
-                if i == pi:
-                    continue
-                row = mat[i]
-                v = row.get(pc)
-                if not v:
-                    continue
-                p = mat[pi][pc]
-                q = v // p
-                if q:
-                    sub_scaled(row, mat[pi], q)
-                if row.get(pc):
-                    pi = i
-                    restart = True
-                    break
-                if not row:
+            p = mat[pi][pc]
+            for i in [i for i in mat if i != pi and pc in mat[i]]:
+                sub_scaled(mat[i], mat[pi], mat[i][pc] // p)
+                if not mat[i]:
                     del mat[i]
-            if restart:
+            column = [i for i in mat if i != pi and pc in mat[i]]
+            if column:
+                pi = min(column, key=lambda i: abs(mat[i][pc]))
                 continue
             # the pivot column is zero off the pivot row, so clearing the
             # pivot row with column operations touches only that row
-            p = mat[pi][pc]
-            leftover = None
-            for c2, v2 in list(mat[pi].items()):
-                if c2 == pc:
-                    continue
-                r = v2 - (v2 // p) * p
-                if r:
-                    mat[pi][c2] = r
-                    leftover = c2
-                else:
-                    del mat[pi][c2]
-            if leftover is not None:
-                pc = leftover
-                continue
-            break
-        # column pc is zero off the pivot row, and the clearing loop has
-        # deleted every row it emptied
-        factors.append(abs(mat[pi][pc]))
-        del mat[pi]
+            row = mat[pi] = {c: v if c == pc else v % p
+                             for c, v in mat[pi].items() if c == pc or v % p}
+            if len(row) == 1:
+                break
+            pc = min((c for c in row if c != pc), key=lambda c: abs(row[c]))
+        factors.append(abs(mat.pop(pi)[pc]))
     # one pass exchanging each pair i < j for its gcd and lcm leaves each
     # factor dividing every later one: factor i divides all later ones once
     # its round ends, and gcds and lcms of its multiples stay its multiples
@@ -269,7 +261,7 @@ def smith_invariant_factors(rows):
         for j in range(i + 1, len(factors)):
             g = gcd(factors[i], factors[j])
             factors[i], factors[j] = g, factors[i] // g * factors[j]
-    return [1] * ech.rank + factors
+    return [1] * len(forms) + factors
 
 
 def covector_kernel_basis(covector):

@@ -39,7 +39,6 @@ from .errors import (
     NotProperSection,
     NotSupersolvable,
     RankOutOfRange,
-    WorkBoundExceeded,
 )
 from .exactalg import (
     IntPolynomial,
@@ -51,13 +50,14 @@ from .exactalg import (
     smith_invariant_factors,
     sparse_compose,
     sparse_rank,
+    unit_split,
 )
 from .oscohomology import (
+    UEnvelope,
     _check_square_bound,
     _check_work_bound,
     _delta_rows,
     _envelope,
-    _work_bound,
     cohomology_view,
     holonomy_envelope,
 )
@@ -685,53 +685,61 @@ def asphericity_test(section_or_arrangement, subspace=None) -> AsphericityReport
 # ---------------------------------------------------------------------------
 # integer-coefficient audit
 
+class _IntegralEnvelope(UEnvelope):
+    """The holonomy quotient over Z, for integer_audit.  Write T for the
+    tensor algebra on H_1 over Z, I for the ideal of the relations R and
+    M_j = T_j/I_j.  As x_b I_(k-2) lies in I_(k-1), M_k is H_1 (x) M_(k-1)
+    modulo the image of R (x) T_(k-2).  So degree k is presented by the
+    rows of R (x) (the basis of degree k-2), read through this envelope's
+    own table, and b1 shifted copies of lattice[k-1].  unit_split
+    eliminates their +-1 pivots, whose normal forms are integral, so the
+    table is built as over Q; the other rows, carried onto the non-pivot
+    columns, are lattice[k], and M_k is Z^dims[k] modulo them."""
+
+    def _eliminate(self, k):
+        if k == 2:  # degrees are built in order, and degree 1 has no rows
+            self.lattice = {1: []}
+        width = self.dims[k - 1]
+        rows = _delta_rows(self._view, self, 2, k) + [
+            {a * width + c: v for c, v in row.items()}
+            for a in range(self.b1) for row in self.lattice[k - 1]
+        ]
+        forms, self.lattice[k] = unit_split(rows)
+        return forms
+
+
 def integer_audit(arr: Arrangement, max_degree=3, work_bound=None):
     """Certify that the graded data of this arrangement is torsion-free.
 
-    For each tensor degree up to max_degree, the Smith invariant factors of
-    the holonomy ideal slice must all be 1: then every enveloping-algebra
-    slice, hence every block of the graded complex, is a free abelian group
-    and the rational ranks are valid integrally.  Slice k is spanned by
-    I_k = R (x) T_(k-2) + H_1 (x) I_(k-1) inside T_k, the tensor power of
-    dimension b1^k: the envelope's degree-2 relation rows over T_2, each
-    shifted over the words of length k-2, then x_a times each row of
-    slice k-1.  So slice k holds (k-1) * E2 * b1^(k-2) entries, E2 those
-    of the relation rows, and the work bound refuses b1^max_degree and,
-    before any slice above degree 2 is built, the entries of the last.
+    For each tensor degree k up to max_degree, the Smith invariant factors
+    of the holonomy ideal slice I_k inside T_k, the tensor power of
+    dimension b1^k, must all be 1: then every enveloping-algebra slice,
+    hence every block of the graded complex, is a free abelian group and
+    the rational ranks are valid integrally.  No slice is built: T_k/I_k
+    is Z^dims[k] modulo lattice[k] of _IntegralEnvelope, so slice k has
+    rank b1^k - dims[k] + rank(lattice[k]) and the non-unit factors of
+    lattice[k].  Each rank must equal b1^k - dim U_k of holonomy_envelope,
+    or InternalInconsistency is raised.  The work bound refuses
+    b1^max_degree, as for the envelope.
     """
     view = cohomology_view(arr, True)
     b1 = view.dim(1)
     _check_work_bound("integer_audit", b1, max_degree, work_bound)
-    relations = []
-    if max_degree >= 2:
-        env = holonomy_envelope(arr, 2, work_bound=work_bound)
-        relations, _ = env.relation_block(2)
-    if max_degree > 2:
-        entries = ((max_degree - 1) * sum(map(len, relations))
-                   * b1 ** (max_degree - 2))
-        if entries > (bound := _work_bound(work_bound)):
-            raise WorkBoundExceeded(
-                f"integer_audit: slice {max_degree} holds {entries} "
-                f"entries, above bound {bound}"
-            )
+    rational = holonomy_envelope(arr, max_degree, work_bound=work_bound)
+    env = _IntegralEnvelope(view, max_degree)
     slices = {}
-    all_free = True
-    rows = []  # slice k - 1; slice 1 is empty
     for k in range(2, max_degree + 1):
-        width, shift = b1 ** (k - 1), b1 ** (k - 2)
-        rows = [
-            {c * shift + w: v for c, v in row.items()}
-            for row in relations for w in range(shift)
-        ] + [
-            {a * width + c: v for c, v in row.items()}
-            for a in range(b1) for row in rows
-        ]
-        factors = smith_invariant_factors(rows)
-        free = all(f == 1 for f in factors)
-        all_free = all_free and free
+        factors = smith_invariant_factors(env.lattice[k])
+        rank = b1 ** k - env.dims[k] + len(factors)
+        if rank != (expected := b1 ** k - rational.dim(k)):
+            raise InternalInconsistency(f"integer_audit: slice {k} has rank "
+                                        f"{rank}, not b1^k - dim U_k = {expected}")
+        nonunit = [f for f in factors if f != 1]
         slices[k] = {
-            "rank": len(factors),
-            "free_over_integers": free,
-            "nonunit_factors": [f for f in factors if f != 1],
+            "rank": rank,
+            "free_over_integers": not nonunit,
+            "nonunit_factors": nonunit,
         }
-    return {"free_over_integers": all_free, "slices": slices}
+    return {"free_over_integers": all(s["free_over_integers"]
+                                      for s in slices.values()),
+            "slices": slices}

@@ -50,11 +50,16 @@ def _work_bound(override=None):
 
 def _check_work_bound(stage, b1, degree, override=None):
     """Refuse a negative degree, and a tensor slice of dimension b1^degree
-    above the work bound (see _work_bound), naming the stage."""
+    above the work bound (see _work_bound), naming the stage.  For b1 < 2
+    the slices never grow, and the degree itself, the number of degrees
+    built, is counted against the bound."""
     if degree < 0:
         raise RankOutOfRange("max_degree must be nonnegative")
     bound = _work_bound(override)
     if b1 < 2:
+        if degree > bound:
+            raise WorkBoundExceeded(f"{stage}: degree {degree} exceeds "
+                                    f"bound {bound}")
         return
     size = 1
     for _ in range(degree):  # stop at the first power past the bound
@@ -369,9 +374,9 @@ def _delta_rows(view, env, q, t):
 
     The one builder of differential and relation rows, with three callers:
     the envelope at q = 2, whose rows of degree t are the relations
-    R (x) U_(t-2) it eliminates (integer_audit reads those of degree 2);
-    graded_complex at q >= 3; and the cokernel (homotopy_cokernel_ranks) at
-    q = p + 2."""
+    R (x) U_(t-2) it eliminates (over Z too, in the envelope of
+    integer_audit, with env its own table); graded_complex at q >= 3; and
+    the cokernel (homotopy_cokernel_ranks) at q = p + 2."""
     s = t - q
     dim_q = view.dim(q)
     if dim_q == 0 or s < 0 or env.dim(s) == 0:

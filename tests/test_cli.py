@@ -523,9 +523,9 @@ def test_gr_check_integers_braid4_degree_5(tmp_path):
     assert all(s["nonunit_factors"] == [] for s in slices.values())
 
 
-def test_gr_check_integers_braid4_degree_6_is_refused(tmp_path):
-    # 9^6 words pass the tensor bound, but slice 6 would hold 2,624,400
-    # entries; the audit is refused before it builds any slice above 2
+def test_gr_check_integers_braid4_degree_6(tmp_path):
+    # 9^6 words pass the tensor bound, and no slice of them is built: the
+    # audit presents T_6/I_6 over Z with the envelope's own rows
     forms = [list(v) for v in braid_arrangement(4).forms]
     f = tmp_path / "braid4.json"
     f.write_text(json.dumps({"ambient_dim": 4, "forms": forms}))
@@ -536,10 +536,31 @@ def test_gr_check_integers_braid4_degree_6_is_refused(tmp_path):
          "--max-degree", "6", "--integers"],
         env=env, capture_output=True, text=True, timeout=60,
     )
-    assert proc.returncode == 3, proc.stderr
-    error = json.loads(proc.stdout)["error"]
-    assert error["type"] == "WorkBoundExceeded"
-    assert error["message"].startswith("integer_audit: slice 6 holds 2624400")
+    assert proc.returncode == 0, proc.stderr
+    audit = json.loads(proc.stdout)["results"]["integer_audit"]
+    assert audit["free_over_integers"] is True
+    assert audit["slices"]["6"]["rank"] == 505106
+
+
+def test_gr_check_integers_nonfano_degree_6():
+    # T_6/I_6 is presented by lattice[6]: 112 rows over 1,134 of its
+    # columns, entries up to 20.  The factors agree with its ranks over Q,
+    # GF(2) and GF(3) (see test_homotopy)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    env.pop("ARRTOP_WORK_BOUND", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "arrtop.cli", "gr-check", path("nonfano.json"),
+         "--max-degree", "6", "--integers"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    audit = json.loads(proc.stdout)["results"]["integer_audit"]
+    assert audit["free_over_integers"] is False
+    assert audit["slices"]["6"] == {
+        "rank": 41011,
+        "free_over_integers": False,
+        "nonunit_factors": [2] * 77 + [4] + [8] * 11,
+    }
 
 
 def test_lcs_max_k_beyond_work_bound_is_refused_at_once():
@@ -557,12 +578,17 @@ def test_lcs_max_k_beyond_work_bound_is_refused_at_once():
     assert "lcs" in error["message"] and "100000000" in error["message"]
 
 
-def test_degree_beyond_work_bound_is_refused_at_once():
+def test_degree_beyond_work_bound_is_refused_at_once(tmp_path):
     # the bound is checked before b1^degree is worked out: 5^100000000 is
-    # never computed
+    # never computed.  One hyperplane has b1 = 0, so its slices never grow
+    # and the degree itself is counted against the bound
+    line = tmp_path / "line.json"
+    line.write_text('{"ambient_dim": 2, "forms": [[1, 0]]}')
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     env.pop("ARRTOP_WORK_BOUND", None)
     for argv in (
+        ["gr-check", str(line), "--max-degree", "100000000"],
+        ["gr-check", str(line), "--max-degree", "100000000", "--integers"],
         ["gr-check", path("braid3.json"), "--max-degree", "100000000"],
         ["gr-check", path("braid3.json"), "--max-degree", "100000000",
          "--integers"],
@@ -577,6 +603,9 @@ def test_degree_beyond_work_bound_is_refused_at_once():
         error = json.loads(proc.stdout)["error"]
         assert error["type"] == "WorkBoundExceeded"
         assert "100000000" in error["message"]
+        if argv[1] == str(line):
+            assert error["message"] == (
+                "complex: degree 100000000 exceeds bound 1000000")
 
 
 def test_series_max_degree_beyond_work_bound_is_refused_at_once():

@@ -1,4 +1,9 @@
+import json
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +19,7 @@ from arrtop.exactalg import (
     poly_divide_exact,
     series_of_rational,
     smith_invariant_factors,
+    unit_split,
 )
 from arrtop.errors import InexactDivision, ZeroConstantTerm
 from genutil import FractionEchelon, rank_oracle, smith_oracle
@@ -243,6 +249,18 @@ def test_smith_invariant_factors():
     assert smith_invariant_factors(rows) == [1, 1]
 
 
+def test_unit_split_carries_the_other_rows_onto_the_non_pivot_columns():
+    # {1: 1, 2: 2} is the one unit pivot; {0: 2, 1: 1} is carried onto
+    # columns 0 and 2, renumbered 0 and 1, and the lead 2 is no unit
+    forms, rest = unit_split([{0: 2, 1: 1}, {1: 1, 2: 2}])
+    assert forms == {1: {2: -2}}
+    assert rest == [{0: 2, 1: -2}]
+    forms, rest = unit_split([{0: -1, 3: 4}, {0: 2, 2: 6}])
+    assert forms == {0: {3: 4}}
+    assert rest == [{1: 6, 2: 8}]
+    assert unit_split([{0: 2}, {}]) == ({}, [{0: 2}])
+
+
 @pytest.mark.parametrize("rows", [
     [{0: Fraction(1, 2)}], [{0: 2.7}], [{0: "3"}], [{0: 1, 1: Fraction(4)}],
 ], ids=["fraction", "float", "string", "integral-fraction"])
@@ -311,3 +329,40 @@ def test_smith_invariant_factors_match_determinantal_divisors():
         if 1 in expected and any(f > 1 for f in expected):
             seen.add("mixed factors")
     assert seen == {"repeated row", "zero row", "mixed factors"}
+
+
+def _fraction_det(mat):
+    m = [[Fraction(x) for x in row] for row in mat]
+    det = Fraction(1)
+    for i in range(len(m)):
+        p = next((r for r in range(i, len(m)) if m[r][i]), None)
+        if p is None:
+            return 0
+        if p != i:
+            m[i], m[p], det = m[p], m[i], -det
+        det *= m[i][i]
+        for r in range(i + 1, len(m)):
+            f = m[r][i] / m[i][i]
+            m[r] = [a - f * b for a, b in zip(m[r], m[i])]
+    return det
+
+
+def test_smith_form_of_a_dense_matrix_pivots_on_a_least_entry():
+    # 60 x 60 with no unit entry, so all of it reaches the integer loop.
+    # Pivoting on the first entry of the first row lets the entries grow
+    # until the loop runs for minutes; on a least entry it takes a fraction
+    # of a second.  The factors divide each other and multiply to |det|
+    rng = random.Random(5)
+    mat = [[rng.choice([-1, 1]) * rng.randint(2, 20) for _ in range(60)]
+           for _ in range(60)]
+    code = ("import json, sys; from arrtop.exactalg import "
+            "smith_invariant_factors as smith; print(json.dumps(smith("
+            "[dict(enumerate(row)) for row in json.load(sys.stdin)])))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run([sys.executable, "-c", code], input=json.dumps(mat),
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    factors = json.loads(proc.stdout)
+    assert len(factors) == 60
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+    assert math.prod(factors) == abs(_fraction_det(mat))

@@ -2,7 +2,6 @@ import copy
 import os
 import subprocess
 import sys
-from collections import Counter
 
 import pytest
 
@@ -43,7 +42,9 @@ from arrtop.errors import (
     RankOutOfRange,
     WorkBoundExceeded,
 )
-from arrtop.exactalg import SparseEchelon, linear_product, sparse_rank
+from arrtop.exactalg import (
+    SparseEchelon, linear_product, smith_invariant_factors, sparse_rank,
+)
 from arrtop import homotopy, oscohomology
 from arrtop.homotopy import _is_modular
 from arrtop.oscohomology import CohomologyView, _delta_rows, cohomology_view
@@ -500,8 +501,6 @@ def test_every_work_bound_refusal_names_its_stage(monkeypatch):
          lambda: graded_complex(arr, 3)),
         ("integer_audit: tensor slice dimension 5^3 exceeds bound 100",
          lambda: integer_audit(arr, 3)),
-        ("integer_audit: slice 4 holds 162 entries, above bound 100",
-         lambda: integer_audit(generic4(), 4)),
         ("lcs: max_k^2 = 11^2 exceeds work bound 100",
          lambda: lcs_ranks(exps, 11)),
         ("series: max_degree^2 = 11^2 exceeds work bound 100",
@@ -864,21 +863,23 @@ def test_integer_audit_braid():
     assert audit["slices"][3]["rank"] == 60
 
 
-def test_integer_audit_bound_counts_the_entries_of_the_last_slice():
-    # slice k holds (k - 1) * E2 * b1^(k - 2) entries; braid3 has b1 = 5
-    # and E2 = 20, so slice 3 holds 200 entries, though 5^3 = 125.  At the
-    # default bound braid A4 (E2 = 80) is admitted at degree 5 (233,280
-    # entries; test_cli runs it) and refused at degree 6 before any slice
-    # is built
-    assert integer_audit(braid3(), 3, work_bound=200)["slices"][3]["rank"] == 60
+def test_integer_audit_reaches_braid4_degree_6():
+    # no tensor slice is built, so the audit's one bound is b1^max_degree:
+    # braid A4 (b1 = 9) is admitted at degree 6, with slice ranks
+    # 9^k - h_k(2, 3, 4) read off 1/((1 - 2t)(1 - 3t)(1 - 4t)), and braid3
+    # (b1 = 5) is refused at degree 3 by a bound of 100 < 5^3
+    audit = integer_audit(braid_arrangement(4), 6)
+    assert audit["free_over_integers"]
+    h = [sum(2 ** a * 3 ** b * 4 ** (k - a - b)
+             for a in range(k + 1) for b in range(k + 1 - a))
+         for k in range(7)]
+    assert [audit["slices"][k]["rank"] for k in range(2, 7)] == [
+        9 ** k - h[k] for k in range(2, 7)]
+    assert audit["slices"][6]["rank"] == 505106
     with pytest.raises(WorkBoundExceeded) as err:
-        integer_audit(braid3(), 3, work_bound=150)
+        integer_audit(braid3(), 3, work_bound=100)
     assert str(err.value) == (
-        "integer_audit: slice 3 holds 200 entries, above bound 150")
-    with pytest.raises(WorkBoundExceeded) as err:
-        integer_audit(braid_arrangement(4), 6)
-    assert str(err.value) == (
-        "integer_audit: slice 6 holds 2624400 entries, above bound 1000000")
+        "integer_audit: tensor slice dimension 5^3 exceeds bound 100")
 
 
 def test_integer_audit_finds_the_torsion_of_the_non_fano_arrangement():
@@ -902,27 +903,53 @@ def test_integer_audit_finds_the_torsion_of_the_non_fano_arrangement():
         assert rank_mod_p_oracle(rows, 2) == rank - drop
 
 
-def test_audit_rows_equal_the_split_major_rows(monkeypatch):
-    # slice k is R (x) T_(k-2) plus x_a times slice k-1: as a multiset, the
-    # rows of every split of a relation inside the words of length k
-    audited = []
-
-    def spy(rows):
-        audited.append(rows)
-        return smith(rows)
-
-    smith = homotopy.smith_invariant_factors
-    monkeypatch.setattr(homotopy, "smith_invariant_factors", spy)
-    for name in ("braid3", "generic4", "hattori4"):
+def test_audit_equals_the_smith_form_of_the_split_major_rows():
+    # the slices of the tensor power are the reference: the Smith form of
+    # the split-major rows of I_k inside the b1^k words gives the rank and
+    # the non-unit factors that the envelope over Z reports
+    for name, degree in (("braid3", 4), ("generic4", 4), ("hattori4", 4),
+                         ("nonfano", 5)):
         arr = parse_arrangement(os.path.join(DATA, name + ".json"))
-        audited.clear()
+        slices = integer_audit(arr, degree)["slices"]
+        for k in range(2, degree + 1):
+            factors = smith_invariant_factors(audit_rows_oracle(arr, k))
+            assert slices[k] == {
+                "rank": len(factors),
+                "free_over_integers": all(f == 1 for f in factors),
+                "nonunit_factors": [f for f in factors if f != 1],
+            }, (name, k)
+
+
+def test_non_fano_torsion_at_degree_6_is_read_without_the_smith_form():
+    # T_6/I_6 is Z^dims[6] modulo lattice[6]; its ranks over Q, GF(3) and
+    # GF(2) give 102 invariant factors of which 89 are even and none is
+    # divisible by 3, as the Smith form reports (test_cli pins it), and
+    # slice 6 has rank 6^6 - dim U_6
+    arr = parse_arrangement(os.path.join(DATA, "nonfano.json"))
+    env = homotopy._IntegralEnvelope(cohomology_view(arr, True), 6)
+    lattice = env.lattice[6]
+    assert sparse_rank(lattice) == rank_mod_p_oracle(lattice, 3) == 102
+    assert rank_mod_p_oracle(lattice, 2) == 13
+    assert holonomy_envelope(arr, 6).dim(6) == 5645
+    assert 6 ** 6 - env.dims[6] + 102 == 6 ** 6 - 5645 == 41011
+
+
+def test_integer_audit_ranks_are_checked_against_the_rational_envelope(
+        monkeypatch):
+    # a builder over Z that loses a lattice row loses rank there; the audit
+    # compares every slice rank with b1^k - dim U_k over Q and raises
+    split = homotopy.unit_split
+
+    def lossy(rows):
+        forms, rest = split(rows)
+        return forms, rest[1:]
+
+    monkeypatch.setattr(homotopy, "unit_split", lossy)
+    arr = parse_arrangement(os.path.join(DATA, "nonfano.json"))
+    with pytest.raises(InternalInconsistency) as err:
         integer_audit(arr, 4)
-        assert len(audited) == 3
-        for k, rows in zip(range(2, 5), audited):
-            oracle = audit_rows_oracle(arr, k)
-            assert oracle
-            assert (Counter(frozenset(row.items()) for row in rows)
-                    == Counter(frozenset(row.items()) for row in oracle))
+    assert str(err.value) == (
+        "integer_audit: slice 4 has rank 878, not b1^k - dim U_k = 879")
 
 
 def test_envelope_dims_euler_identity():
