@@ -452,8 +452,10 @@ def series_of_rational(numerator: IntPolynomial, denominator: IntPolynomial,
 
 
 def series_mul(a, b, max_degree):
-    """Convolution of two Fraction coefficient lists, truncated."""
-    out = [Fraction(0)] * (max_degree + 1)
+    """Convolution of two coefficient lists, truncated.  It keeps the
+    inputs' types: int lists give an int list.  The work is the number of
+    nonzero entries of a times max_degree, so a sparse factor goes first."""
+    out = [0] * (max_degree + 1)
     for i, x in enumerate(a[: max_degree + 1]):
         if x:
             for j in range(max_degree + 1 - i):

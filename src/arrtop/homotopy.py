@@ -15,7 +15,6 @@ degree, and cross-checks the paired closed forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
@@ -44,7 +43,6 @@ from .exactalg import (
     IntPolynomial,
     int_entries,
     linear_product,
-    series_inverse,
     series_mul,
     series_of_rational,
     smith_invariant_factors,
@@ -434,8 +432,6 @@ def homotopy_hilbert_series(exponents: ExponentData, connectivity, max_degree=5)
     ell = exponents.length
     if not 2 <= p <= ell - 1:
         raise RankOutOfRange(f"connectivity must lie in [2, {ell - 1}]")
-    if max_degree < 0:
-        raise RankOutOfRange("max_degree must be nonnegative")
     _check_square_bound("series", "max_degree", max_degree)
     tail = exponents.exponents[1:]
     betti_poly = linear_product(tail, sign=1)
@@ -492,11 +488,9 @@ def consistency_suite(section: SectionData, max_degree=4,
 
     env = holonomy_envelope(arr, max_degree, projective=True,
                             work_bound=work_bound)
-    u_series = [Fraction(env.dim(k)) for k in range(max_degree + 1)]
-    signed_betti = [
-        Fraction((-1) ** k * (betti[k] if k < len(betti) else 0))
-        for k in range(max_degree + 1)
-    ]
+    u_series = [env.dim(k) for k in range(max_degree + 1)]
+    signed_betti = [(-1) ** k * (betti[k] if k < len(betti) else 0)
+                    for k in range(max_degree + 1)]
     pairing = series_mul(signed_betti, u_series, max_degree)
     diffs = [pairing[0] - 1] + pairing[1:]
     record("euler_pairing", diffs)
@@ -506,26 +500,14 @@ def consistency_suite(section: SectionData, max_degree=4,
         coker = homotopy_cokernel_ranks(section, max_degree, work_bound=work_bound)
         # boundary series two ways: shifted cokernel ranks against the
         # alternating Betti/enveloping convolution
-        truncated_betti = [
-            Fraction((-1) ** k * (betti[k] if k < len(betti) else 0))
-            if k <= p
-            else Fraction(0)
-            for k in range(max_degree + 1)
-        ]
-        conv = series_mul(truncated_betti, u_series, max_degree)
-        rhs = [Fraction((-1) ** (p + 1)) * ((1 if k == 0 else 0) - conv[k])
+        conv = series_mul(signed_betti[:p + 1], u_series, max_degree)
+        rhs = [(-1) ** (p + 1) * ((1 if k == 0 else 0) - conv[k])
                for k in range(max_degree + 1)]
-        lhs = [
-            Fraction(coker[k - (p + 1)]) if k >= p + 1 else Fraction(0)
-            for k in range(max_degree + 1)
-        ]
+        lhs = [coker[k - p - 1] if k > p else 0 for k in range(max_degree + 1)]
         record("boundary_series", [a - b for a, b in zip(lhs, rhs)])
 
         _, series = homotopy_hilbert_series(exps, p, max_degree)
-        diffs = [
-            Fraction(coker[i]) - series.coefficient(i)
-            for i in range(max_degree + 1)
-        ]
+        diffs = [a - b for a, b in zip(coker, series.integer_coefficients())]
         record("cokernel_matches_closed_form", diffs)
     return report
 
@@ -533,96 +515,86 @@ def consistency_suite(section: SectionData, max_degree=4,
 # ---------------------------------------------------------------------------
 # rank series
 
-def _moebius_mu(n):
-    if n == 1:
-        return 1
-    out = 1
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            out = -out
-        p += 1
-    if m > 1:
-        out = -out
-    return out
-
-
 def lcs_ranks(exponents: ExponentData, max_k):
     """Lower-central-series ranks phi_k with product of (1 - t^k)^phi_k equal
-    to the product of (1 - d_i t), by power-sum Moebius inversion.  The
-    work grows about as max_k^2, so a max_k whose square exceeds the work
-    bound (see oscohomology._work_bound) is refused."""
-    if max_k < 0:
-        raise RankOutOfRange("max_k must be nonnegative")
+    to the product of (1 - d_i t).  Taking logarithms, the sum of k phi_k
+    over the divisors k of m is the power sum p_m of the exponents, so
+    phi_m is what the ranks below it leave of p_m, divided by m.  The work
+    grows about as max_k^2 (the power sums have about max_k digits), so a
+    max_k whose square exceeds the work bound (see
+    oscohomology._work_bound) is refused."""
     _check_square_bound("lcs", "max_k", max_k)
+    # rest[m] is p_m less k phi_k for the divisors k of m found so far
+    rest = [None] + [sum(d ** m for d in exponents.exponents)
+                     for m in range(1, max_k + 1)]
     phis = []
-    exps = exponents.exponents
     for m in range(1, max_k + 1):
-        acc = 0
-        for k in range(1, m + 1):
-            if m % k == 0:
-                acc += _moebius_mu(m // k) * sum(d ** k for d in exps)
-        if acc % m:
-            raise NonIntegerRank(f"rank at level {m} is {acc}/{m}")
-        phis.append(acc // m)
+        if rest[m] % m:
+            raise NonIntegerRank(f"rank at level {m} is {rest[m]}/{m}")
+        phis.append(rest[m] // m)
+        for n in range(2 * m, max_k + 1, m):
+            rest[n] -= rest[m]
     return phis
 
 
+def _binomial_factor(q, e, s, max_degree):
+    """(1 + s t^q)^e to max_degree, for an integer e (of either sign) and
+    s = +-1: the coefficient c_m of t^(qm) is s^m binom(e, m), from
+    c_(m+1) = c_m (e - m) s / (m + 1), an exact integer division."""
+    out = [0] * (max_degree + 1)
+    c = 1
+    for m in range(max_degree // q + 1):
+        out[q * m] = c
+        c = c * (e - m) * s // (m + 1)
+    return out
+
+
 def expand_lcs_product(phis, max_degree):
-    """Expand the product of (1 - t^k)^phi_k to max_degree (integer list)."""
-    coeffs = [Fraction(1)] + [Fraction(0)] * max_degree
-    for k, phi in enumerate(phis, start=1):
-        base = [Fraction(1)] + [Fraction(0)] * max_degree
-        if k <= max_degree:
-            base[k] = Fraction(-1)
-        for _ in range(phi):
-            coeffs = series_mul(coeffs, base, max_degree)
-    return [int(c) for c in coeffs]
+    """Expand the product of (1 - t^k)^phi_k to max_degree (integer list),
+    one binomial factor per k <= max_degree; a negative phi_k is the true
+    power.  A phi_k that is not an integer raises NonIntegerRank; a
+    negative max_degree, or one whose square exceeds the work bound, is
+    refused."""
+    _check_square_bound("lcs_product", "max_degree", max_degree)
+    phis = int_entries(phis, NonIntegerRank, "LCS ranks must be integers")
+    coeffs = [1] + [0] * max_degree
+    for k, phi in enumerate(phis[:max_degree], start=1):
+        coeffs = series_mul(_binomial_factor(k, phi, -1, max_degree), coeffs,
+                            max_degree)
+    return coeffs
 
 
 def free_graded_lie_ranks(generator_dims, max_degree):
     """Degreewise ranks of the free graded Lie algebra on generators with
     the given dimensions (index 0 = degree 1), recovered from the tensor
-    algebra series by graded Poincare-Birkhoff-Witt inversion.
+    algebra series T = 1/(1 - g) by graded Poincare-Birkhoff-Witt
+    inversion.
 
     Parity convention: a homotopy group in topological dimension q+1
     contributes to Lie degree q; odd Lie degrees contribute exterior
     factors (1 + t^q)^l, even ones symmetric factors (1 - t^q)^(-l).
+    Either factor is 1 + l t^q + (higher terms), so with C the product of
+    the factors below q, which agrees with T below q, l_q = T_q - C_q.
+    A dimension that is not an integer, or a negative rank, raises
+    NonIntegerRank; a negative max_degree, or one whose square exceeds
+    the work bound, is refused.
     """
-    g = [Fraction(0)] * (max_degree + 1)
-    for i, dim in enumerate(generator_dims):
-        deg = i + 1
-        if deg <= max_degree:
-            g[deg] = Fraction(dim)
-    one_minus_g = [Fraction(1)] + [-x for x in g[1:]]
-    target = series_inverse(one_minus_g, max_degree)
-    current = [Fraction(1)] + [Fraction(0)] * max_degree
+    _check_square_bound("lie", "max_degree", max_degree)
+    g = int_entries(generator_dims, NonIntegerRank,
+                    "generator dimensions must be integers")[:max_degree]
+    tensor = [1]
+    for n in range(1, max_degree + 1):
+        tensor.append(sum(x * tensor[n - i] for i, x in enumerate(g[:n], 1)))
+    current = [1] + [0] * max_degree
     ranks = []
     for q in range(1, max_degree + 1):
-        quotient = series_mul(target, series_inverse(current, max_degree), q)
-        l_q = quotient[q]
-        if l_q.denominator != 1 or l_q < 0:
+        l_q = tensor[q] - current[q]
+        if l_q < 0:
             raise NonIntegerRank(f"rank at degree {q} came out {l_q}")
-        l_q = l_q.numerator
         ranks.append(l_q)
-        if l_q:
-            if q % 2:
-                factor = [Fraction(1)] + [Fraction(0)] * max_degree
-                if q <= max_degree:
-                    factor[q] = Fraction(1)
-                for _ in range(l_q):
-                    current = series_mul(current, factor, max_degree)
-            else:
-                base = [Fraction(1)] + [Fraction(0)] * max_degree
-                if q <= max_degree:
-                    base[q] = Fraction(-1)
-                inv = series_inverse(base, max_degree)
-                for _ in range(l_q):
-                    current = series_mul(current, inv, max_degree)
+        s = 1 if q % 2 else -1
+        current = series_mul(_binomial_factor(q, s * l_q, s, max_degree),
+                             current, max_degree)
     return ranks
 
 

@@ -51,15 +51,16 @@ def _work_bound(override=None):
 def _check_work_bound(stage, b1, degree, override=None):
     """Refuse a negative degree, and a tensor slice of dimension b1^degree
     above the work bound (see _work_bound), naming the stage.  For b1 < 2
-    the slices never grow, and the degree itself, the number of degrees
-    built, is counted against the bound."""
+    the slices never grow, but the normal words of degrees 1 to degree
+    hold about degree^2/2 letters (b1 = 1), so the square of the degree is
+    counted against the bound."""
     if degree < 0:
         raise RankOutOfRange("max_degree must be nonnegative")
     bound = _work_bound(override)
     if b1 < 2:
-        if degree > bound:
-            raise WorkBoundExceeded(f"{stage}: degree {degree} exceeds "
-                                    f"bound {bound}")
+        if degree ** 2 > bound:
+            raise WorkBoundExceeded(f"{stage}: max_degree^2 = {degree}^2 "
+                                    f"exceeds work bound {bound}")
         return
     size = 1
     for _ in range(degree):  # stop at the first power past the bound
@@ -70,7 +71,10 @@ def _check_work_bound(stage, b1, degree, override=None):
 
 
 def _check_square_bound(stage, name, n):
-    """Refuse work growing as n^2 when n^2 exceeds the work bound."""
+    """Refuse a negative n, and work growing as n^2 when n^2 exceeds the
+    work bound."""
+    if n < 0:
+        raise RankOutOfRange(f"{name} must be nonnegative")
     if n ** 2 > (bound := _work_bound()):
         raise WorkBoundExceeded(f"{stage}: {name}^2 = {n}^2 exceeds work bound {bound}")
 

@@ -549,6 +549,88 @@ def clear_envelope_caches():
 
 
 # ---------------------------------------------------------------------------
+# rank series the slow way: Moebius inversion and one series product per
+# unit of rank, over Fraction
+
+def _series_mul_oracle(a, b, max_degree):
+    return [sum((a[i] * b[k - i] for i in range(k + 1)
+                 if i < len(a) and k - i < len(b)), Fraction(0))
+            for k in range(max_degree + 1)]
+
+
+def _series_inverse_oracle(a, max_degree):
+    inv = [1 / Fraction(a[0])]
+    for k in range(1, max_degree + 1):
+        inv.append(-sum((a[j] * inv[k - j] for j in range(1, min(k, len(a) - 1) + 1)),
+                        Fraction(0)) / a[0])
+    return inv
+
+
+def moebius_oracle(n):
+    """The number-theoretic Moebius function, by trial division."""
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
+def lcs_ranks_oracle(exponents, max_k):
+    """phi_m = (1/m) sum over k | m of mu(m/k) p_k, p_k the k-th power sum
+    of the exponents (a tuple)."""
+    phis = []
+    for m in range(1, max_k + 1):
+        acc = sum(moebius_oracle(m // k) * sum(d ** k for d in exponents)
+                  for k in range(1, m + 1) if m % k == 0)
+        assert acc % m == 0
+        phis.append(acc // m)
+    return phis
+
+
+def expand_lcs_product_oracle(phis, max_degree):
+    """The product of (1 - t^k)^phi_k, multiplied out one factor
+    (1 - t^k) or its inverse at a time."""
+    coeffs = [Fraction(1)] + [Fraction(0)] * max_degree
+    for k, phi in enumerate(phis[:max_degree], start=1):
+        base = [Fraction(0)] * (max_degree + 1)
+        base[0], base[k] = Fraction(1), Fraction(-1)
+        if phi < 0:
+            base = _series_inverse_oracle(base, max_degree)
+        for _ in range(abs(phi)):
+            coeffs = _series_mul_oracle(coeffs, base, max_degree)
+    return [int(c) for c in coeffs]
+
+
+def free_graded_lie_ranks_oracle(generator_dims, max_degree):
+    """Graded PBW inversion: at each degree q, l_q is the coefficient of
+    t^q in T / C, T = 1/(1 - g) and C the product of the factors found so
+    far, each factor multiplied in l_q times."""
+    one_minus_g = [Fraction(1)] + [Fraction(0)] * max_degree
+    for deg, dim in enumerate(generator_dims[:max_degree], start=1):
+        one_minus_g[deg] = -Fraction(dim)
+    target = _series_inverse_oracle(one_minus_g, max_degree)
+    current = [Fraction(1)] + [Fraction(0)] * max_degree
+    ranks = []
+    for q in range(1, max_degree + 1):
+        quotient = _series_mul_oracle(
+            target, _series_inverse_oracle(current, max_degree), q)
+        l_q = quotient[q]
+        assert l_q.denominator == 1 and l_q >= 0
+        ranks.append(int(l_q))
+        base = [Fraction(0)] * (max_degree + 1)
+        base[0], base[q] = Fraction(1), Fraction(1 if q % 2 else -1)
+        if q % 2 == 0:
+            base = _series_inverse_oracle(base, max_degree)
+        for _ in range(int(l_q)):
+            current = _series_mul_oracle(current, base, max_degree)
+    return ranks
+
+
+# ---------------------------------------------------------------------------
 # integer kernels (for constructing degenerate subspaces)
 
 def int_kernel_basis_oracle(rows):

@@ -501,6 +501,22 @@ def test_gr_check_integers_one_hyperplane(tmp_path, capsys):
     assert [s["rank"] for s in audit["slices"].values()] == [0, 0, 0]
 
 
+def test_two_lines_answer_to_degree_1000_and_are_refused_past_it(
+        tmp_path, capsys, monkeypatch):
+    # b1 = 1: the normal words to degree D hold about D^2/2 letters, so D^2
+    # is counted against the bound and degree 1000 is the largest accepted
+    monkeypatch.delenv("ARRTOP_WORK_BOUND", raising=False)
+    f = tmp_path / "twolines.json"
+    f.write_text('{"ambient_dim": 2, "forms": [[1, 0], [0, 1]]}')
+    assert main(["gr-check", str(f), "--max-degree", "1000", "--integers"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["envelope_dims"] == [1] * 1001
+    assert results["integer_audit"]["free_over_integers"] is True
+    assert main(["gr-check", str(f), "--max-degree", "1001", "--integers"]) == 3
+    assert json.loads(capsys.readouterr().out)["error"]["message"] == (
+        "complex: max_degree^2 = 1001^2 exceeds work bound 1000000")
+
+
 def test_gr_check_integers_braid4_degree_5(tmp_path):
     # 9^5 words at degree 5, within the default work bound; the slice ranks
     # are 9^k - h_k(2, 3, 4), read off 1/((1 - 2t)(1 - 3t)(1 - 4t))
@@ -580,15 +596,19 @@ def test_lcs_max_k_beyond_work_bound_is_refused_at_once():
 
 def test_degree_beyond_work_bound_is_refused_at_once(tmp_path):
     # the bound is checked before b1^degree is worked out: 5^100000000 is
-    # never computed.  One hyperplane has b1 = 0, so its slices never grow
-    # and the degree itself is counted against the bound
+    # never computed.  One hyperplane (b1 = 0) and two lines (b1 = 1) have
+    # slices that never grow, but the normal words of the two lines hold
+    # about degree^2/2 letters, so the square of the degree is counted
     line = tmp_path / "line.json"
     line.write_text('{"ambient_dim": 2, "forms": [[1, 0]]}')
+    twolines = tmp_path / "twolines.json"
+    twolines.write_text('{"ambient_dim": 2, "forms": [[1, 0], [0, 1]]}')
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     env.pop("ARRTOP_WORK_BOUND", None)
     for argv in (
         ["gr-check", str(line), "--max-degree", "100000000"],
         ["gr-check", str(line), "--max-degree", "100000000", "--integers"],
+        ["gr-check", str(twolines), "--max-degree", "20000", "--integers"],
         ["gr-check", path("braid3.json"), "--max-degree", "100000000"],
         ["gr-check", path("braid3.json"), "--max-degree", "100000000",
          "--integers"],
@@ -602,10 +622,10 @@ def test_degree_beyond_work_bound_is_refused_at_once(tmp_path):
         assert proc.returncode == 3, proc.stderr
         error = json.loads(proc.stdout)["error"]
         assert error["type"] == "WorkBoundExceeded"
-        assert "100000000" in error["message"]
+        assert argv[3] in error["message"]
         if argv[1] == str(line):
             assert error["message"] == (
-                "complex: degree 100000000 exceeds bound 1000000")
+                "complex: max_degree^2 = 100000000^2 exceeds work bound 1000000")
 
 
 def test_series_max_degree_beyond_work_bound_is_refused_at_once():

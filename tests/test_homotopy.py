@@ -1,5 +1,6 @@
 import copy
 import os
+import random
 import subprocess
 import sys
 
@@ -56,8 +57,11 @@ from genutil import (
     clear_envelope_caches,
     braid_arrangement,
     direct_sum,
+    expand_lcs_product_oracle,
+    free_graded_lie_ranks_oracle,
     generic4,
     lattice_oracle,
+    lcs_ranks_oracle,
     mirror_complex_oracle,
     modular_oracle,
     near_pencil,
@@ -505,6 +509,10 @@ def test_every_work_bound_refusal_names_its_stage(monkeypatch):
          lambda: lcs_ranks(exps, 11)),
         ("series: max_degree^2 = 11^2 exceeds work bound 100",
          lambda: homotopy_hilbert_series(exps, 2, 11)),
+        ("lcs_product: max_degree^2 = 11^2 exceeds work bound 100",
+         lambda: expand_lcs_product([1], 11)),
+        ("lie: max_degree^2 = 11^2 exceeds work bound 100",
+         lambda: free_graded_lie_ranks([1], 11)),
     ]
     for message, call in refusals:
         with pytest.raises(WorkBoundExceeded) as err:
@@ -687,6 +695,10 @@ def test_lcs_and_integer_audit_reject_negative_degree():
         lcs_ranks(ExponentData((1, 2, 3)), -1)
     with pytest.raises(RankOutOfRange):
         integer_audit(braid3(), -1)
+    with pytest.raises(RankOutOfRange):
+        expand_lcs_product([1], -1)
+    with pytest.raises(RankOutOfRange):
+        free_graded_lie_ranks([1], -1)
 
 
 def test_hilbert_series_leading_coefficient_is_next_betti():
@@ -800,6 +812,68 @@ def test_free_graded_lie_truncation_one():
 def test_free_graded_lie_rejects_bad_series():
     with pytest.raises(NonIntegerRank):
         free_graded_lie_ranks([-1], 2)
+
+
+def _seeded_exponents(rng):
+    return (1,) + tuple(sorted(rng.randint(1, 9) for _ in range(rng.randint(0, 4))))
+
+
+def test_lcs_ranks_match_the_moebius_oracle():
+    rng = random.Random(20261020)
+    for _ in range(200):
+        exps = _seeded_exponents(rng)
+        assert lcs_ranks(ExponentData(exps), 30) == lcs_ranks_oracle(exps, 30)
+
+
+def test_rank_series_match_the_repeated_product_oracles():
+    # small dimensions and degrees: the oracles' work grows with the ranks
+    rng = random.Random(24)
+    for _ in range(50):
+        dims = [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]
+        degree = rng.randint(0, 6)
+        assert (free_graded_lie_ranks(dims, degree)
+                == free_graded_lie_ranks_oracle(dims, degree))
+        phis = [rng.randint(-3, 6) for _ in range(rng.randint(0, 9))]
+        degree = rng.randint(0, 8)
+        assert (expand_lcs_product(phis, degree)
+                == expand_lcs_product_oracle(phis, degree))
+
+
+def test_lcs_product_round_trip_to_degree_12():
+    rng = random.Random(12)
+    for _ in range(60):
+        exps = _seeded_exponents(rng)
+        target = linear_product(exps, sign=-1)
+        assert expand_lcs_product(lcs_ranks(ExponentData(exps), 12), 12) == [
+            target.coefficient(k) for k in range(13)]
+
+
+def test_rank_series_end_quickly_at_degree_10():
+    # the work must not grow with the ranks, which reach about 10^6 here;
+    # both calls take about a millisecond.  Degree 10 on five odd generators
+    # is (5^10 + 5^5 - 5^2 - 5)/10 by the Witt formula for Lie superalgebras
+    code = "\n".join([
+        "from arrtop import ExponentData, expand_lcs_product, "
+        "free_graded_lie_ranks, lcs_ranks",
+        "assert free_graded_lie_ranks([5], 10)[-1] == 976872",
+        "phis = lcs_ranks(ExponentData((1, 5, 6)), 10)",
+        "assert expand_lcs_product(phis, 10) == [1, -12, 41, -30] + [0] * 7",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_rank_series_refuse_non_integers_and_expand_negative_powers():
+    # a float is refused, not truncated or accepted as an integer
+    for call in (lambda: free_graded_lie_ranks([2.0], 3),
+                 lambda: expand_lcs_product([1, 0.5], 3)):
+        with pytest.raises(NonIntegerRank):
+            call()
+    # a negative phi_k is the true power: (1 - t)^-2 = sum (k + 1) t^k
+    assert expand_lcs_product([-2], 4) == [1, 2, 3, 4, 5]
+    assert expand_lcs_product([0, -1], 5) == [1, 0, 1, 0, 1, 0]
 
 
 def test_asphericity_full_rank_section():
