@@ -168,15 +168,13 @@ def sparse_compose(rows_a, rows_b):
     """Row-convention composition: source --A--> mid --B--> target.
 
     rows_a[i] maps source basis vector i to a vector over mid indices;
-    the result maps source directly to target.
+    the result maps source directly to target, yielded one row at a time.
     """
-    out = []
     for ra in rows_a:
         acc = {}
         for mid, ca in ra.items():
             sub_scaled(acc, rows_b[mid], -ca)
-        out.append(acc)
-    return out
+        yield acc
 
 
 def int_rank(vectors) -> int:

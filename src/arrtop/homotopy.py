@@ -38,6 +38,7 @@ from .errors import (
     NotProperSection,
     NotSupersolvable,
     RankOutOfRange,
+    WorkBoundExceeded,
 )
 from .exactalg import (
     IntPolynomial,
@@ -56,6 +57,7 @@ from .oscohomology import (
     _check_work_bound,
     _delta_rows,
     _envelope,
+    _work_bound,
     cohomology_view,
     holonomy_envelope,
 )
@@ -241,13 +243,19 @@ class GradedChainComplex:
 
     def check_square_zero(self):
         """Raise unless every differential composes to zero with the next
-        one, in every internal degree."""
+        one, in every internal degree; the rows are composed one at a time,
+        and the message names the first that is not sent to zero and the
+        lead column of its image."""
         for (q, s), rows in self.blocks.items():
             nxt = self.blocks.get((q - 1, s))
-            if nxt and any(sparse_compose(rows, nxt)):
-                raise InternalInconsistency(
-                    f"differential square nonzero at (q={q}, t={s})"
-                )
+            if not nxt:
+                continue
+            for i, image in enumerate(sparse_compose(rows, nxt)):
+                if image:
+                    raise InternalInconsistency(
+                        f"differential square nonzero at (q={q}, t={s}), "
+                        f"row {i}, lead column {min(image)}"
+                    )
 
 
 def graded_complex(arr: Arrangement, max_internal_degree=4,
@@ -398,7 +406,13 @@ def homotopy_cokernel_ranks(section: SectionData, max_degree=5, work_bound=None)
     """Graded ranks of the first nontrivial higher homotopy group of the
     section, as the cokernel of the dual-cup differential out of chain
     degree p+2 of the ambient complex, desuspended so index 0 is the lowest
-    graded piece."""
+    graded piece.
+
+    After the envelope's work bound, the rows to be built are counted
+    against the same bound: the sum of b_(p+2) dim U_(i-1) over i, where
+    dim U_k is h_k of the exponents beyond the first (the ambient is
+    supersolvable), so nothing is built before the check.  A refusal names
+    the stage `cokernel` and the count."""
     if section.section_rank >= section.ambient.rank:
         raise NotProperSection(
             "section rank equals the ambient rank; the complement is aspherical"
@@ -406,8 +420,15 @@ def homotopy_cokernel_ranks(section: SectionData, max_degree=5, work_bound=None)
     p = section.connectivity
     arr = section.ambient
     view = cohomology_view(arr, True)
-    env = holonomy_envelope(arr, max_degree, projective=True,
-                            work_bound=work_bound)
+    _check_work_bound("envelope", view.dim(1), max_degree, work_bound)
+    tail = supersolvable_exponents(arr).exponents[1:]
+    u_dims = series_of_rational(IntPolynomial.one(), linear_product(tail, -1),
+                                max_degree).integer_coefficients()
+    rows = view.dim(p + 2) * sum(u_dims[:max_degree])
+    if rows > (bound := _work_bound(work_bound)):
+        raise WorkBoundExceeded(f"cokernel: {rows} rows in chain degree "
+                                f"{p + 2} exceed work bound {bound}")
+    env = _envelope(arr, max_degree, True)
     ranks = []
     for i in range(max_degree + 1):
         target = view.dim(p + 1) * env.dim(i)

@@ -380,30 +380,37 @@ def _delta_rows(view, env, q, t):
     the envelope at q = 2, whose rows of degree t are the relations
     R (x) U_(t-2) it eliminates (over Z too, in the envelope of
     integer_audit, with env its own table); graded_complex at q >= 3; and
-    the cokernel (homotopy_cokernel_ranks) at q = p + 2."""
+    the cokernel (homotopy_cokernel_ranks) at q = p + 2.
+
+    Each x_j w is read once per call, and each row is summed in one pass
+    straight into its final columns tt * dim U_(s+1) + w2.  A row in which
+    an entry cancelled is copied once, so that it holds no freed slots."""
     s = t - q
-    dim_q = view.dim(q)
-    if dim_q == 0 or s < 0 or env.dim(s) == 0:
+    dim_q, dim_s = view.dim(q), env.dim(s)
+    if dim_q == 0 or s < 0 or dim_s == 0:
         return []
-    # transpose once: for each H_q basis index, the (T, j, coeff) triples
-    # with T in H_(q-1) and j in H_1
+    dim_u_next = env.dim(s + 1)
+    products = [[env._product(j, s, w) for w in range(dim_s)]
+                for j in range(view.dim(1))]
+    # transpose once: for each H_q basis index, the (column offset of T,
+    # products x_j w, coeff) triples over the cup products T x_j = c r + ...
     transposed = [[] for _ in range(dim_q)]
     for (tt, j), entry in view.cup_rows(q).items():
         for r, c in entry.items():
-            transposed[r].append((tt, j, c))
-    dim_u_next = env.dim(s + 1)
+            transposed[r].append((tt * dim_u_next, products[j], c))
     rows = []
-    for r in range(dim_q):
-        for w in range(env.dim(s)):
-            parts = {}  # T -> coordinates in U^(s+1)
-            for tt, j, c in transposed[r]:
-                part = parts.setdefault(tt, {})
-                sub_scaled(part, env._product(j, s, w), -c)
-            rows.append({
-                tt * dim_u_next + w2: f
-                for tt, part in parts.items()
-                for w2, f in part.items()
-            })
+    for terms in transposed:
+        for w in range(dim_s):
+            row, cancelled = {}, False
+            for offset, xw, c in terms:
+                for w2, v in xw[w].items():
+                    col = offset + w2
+                    if (nv := row.get(col, 0) + c * v):
+                        row[col] = nv
+                    else:
+                        del row[col]
+                        cancelled = True
+            rows.append(dict(row) if cancelled else row)
     return rows
 
 

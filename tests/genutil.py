@@ -12,6 +12,7 @@ from arrtop import (
     normalize, oscohomology,
 )
 from arrtop.errors import EmptyArrangement, ZeroForm
+from arrtop.exactalg import sub_scaled
 from arrtop.oscohomology import central_algebra, cohomology_view, reduced_diagonal
 
 
@@ -515,6 +516,36 @@ def relation_rows_oracle(arr, env, k):
                     for p, v in env.generator_product(b, k - 2, u).items():
                         row[a * width + p] = row.get(a * width + p, 0) + c * v
             rows.append({pos: v for pos, v in row.items() if v})
+    return rows
+
+
+def delta_rows_oracle(view, env, q, t):
+    """Block H_q (x) U_(t-q) -> H_(q-1) (x) U_(t-q+1) the slow way, for
+    arrtop.oscohomology._delta_rows: for each row (r, w), one dict per
+    H_(q-1) class T, one env._product and one sub_scaled call per cup
+    product T x_j = c r + ..., then the parts flattened into the columns
+    T * dim U_(t-q+1) + w2.  Rows in (r, w) order."""
+    s = t - q
+    dim_q = view.dim(q)
+    if dim_q == 0 or s < 0 or env.dim(s) == 0:
+        return []
+    transposed = [[] for _ in range(dim_q)]
+    for (tt, j), entry in view.cup_rows(q).items():
+        for r, c in entry.items():
+            transposed[r].append((tt, j, c))
+    dim_u_next = env.dim(s + 1)
+    rows = []
+    for r in range(dim_q):
+        for w in range(env.dim(s)):
+            parts = {}  # T -> coordinates in U^(s+1)
+            for tt, j, c in transposed[r]:
+                part = parts.setdefault(tt, {})
+                sub_scaled(part, env._product(j, s, w), -c)
+            rows.append({
+                tt * dim_u_next + w2: f
+                for tt, part in parts.items()
+                for w2, f in part.items()
+            })
     return rows
 
 

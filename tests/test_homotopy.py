@@ -501,6 +501,9 @@ def test_every_work_bound_refusal_names_its_stage(monkeypatch):
          lambda: holonomy_envelope(arr, 3)),
         (envelope, lambda: homotopy_cokernel_ranks(section, 4)),
         (envelope, lambda: consistency_suite(section, 4)),
+        ("cokernel: 120 rows in chain degree 4 exceed work bound 100",
+         lambda: homotopy_cokernel_ranks(SectionData(braid_arrangement(5), 3),
+                                         1)),
         ("complex: tensor slice dimension 5^3 exceeds bound 100",
          lambda: graded_complex(arr, 3)),
         ("integer_audit: tensor slice dimension 5^3 exceeds bound 100",
@@ -518,6 +521,34 @@ def test_every_work_bound_refusal_names_its_stage(monkeypatch):
         with pytest.raises(WorkBoundExceeded) as err:
             call()
         assert str(err.value) == message
+
+
+def test_cokernel_rows_are_counted_against_the_work_bound(monkeypatch):
+    # the rows of blocks (p+2, p+1+i), b_(p+2) dim U_(i-1) summed over i,
+    # come from the exponents before anything is built: braid A5 section
+    # 3 builds 120 * (1 + 14) rows to degree 2 and 834,120 to degree 5,
+    # under the default bound; A6 is refused at once at degree 4
+    monkeypatch.delenv("ARRTOP_WORK_BOUND", raising=False)
+    a5, a6 = braid_arrangement(5), braid_arrangement(6)
+    section = SectionData(a5, 3)
+    assert (homotopy_cokernel_ranks(section, 2, work_bound=1800)
+            == [154, 2036, 17570])
+    refusals = [
+        ("cokernel: 1800 rows in chain degree 4 exceed work bound 1799",
+         lambda: homotopy_cokernel_ranks(section, 2, work_bound=1799)),
+        ("cokernel: 834120 rows in chain degree 4 exceed work bound 834119",
+         lambda: homotopy_cokernel_ranks(section, 5, work_bound=834119)),
+        ("cokernel: 2762424 rows in chain degree 4 exceed work bound 1000000",
+         lambda: homotopy_cokernel_ranks(SectionData(a6, 3), 4)),
+        ("cokernel: 1905120 rows in chain degree 5 exceed work bound 1000000",
+         lambda: homotopy_cokernel_ranks(SectionData(a6, 4), 4)),
+    ]
+    misses = holonomy_envelope.cache_info().misses
+    for message, call in refusals:
+        with pytest.raises(WorkBoundExceeded) as err:
+            call()
+        assert str(err.value) == message
+    assert holonomy_envelope.cache_info().misses == misses  # nothing built
 
 
 def test_refusal_is_memoized_with_its_level(monkeypatch):
@@ -608,8 +639,10 @@ def test_block_ranks_equal_the_eliminated_ranks():
 
 def test_graded_complex_refuses_blocks_that_do_not_square_to_zero(
         monkeypatch):
-    # one cup product at q = 3 of a fresh view flipped: block (3, 3) no
-    # longer composes to zero with the envelope's relation rows
+    # one cup product T x_j = c r + ... at q = 3 of a fresh view flipped:
+    # row r of block (3, 3) gains -2c at column (T, x_j), so it alone no
+    # longer composes to zero with the envelope's relation rows, and its
+    # image leads where the relation row of that column does
     arr = boolean_arrangement(4)
     fresh = CohomologyView(arr, True)
     products = {key: dict(entry) for key, entry in fresh.cup_rows(3).items()}
@@ -617,12 +650,18 @@ def test_graded_complex_refuses_blocks_that_do_not_square_to_zero(
     r = next(iter(products[key]))
     products[key][r] = -products[key][r]
     fresh._cup_rows[3] = products
+    env = holonomy_envelope(arr, 3)
+    tt, j = key
+    lead = min(env.relation_block(3)[0][tt * env.dim(1) + j])
     monkeypatch.setattr(homotopy, "cohomology_view",
                         lambda arr, projective: fresh)
     homotopy.graded_complex.cache_clear()
     try:
-        with pytest.raises(InternalInconsistency, match="square nonzero"):
+        with pytest.raises(InternalInconsistency) as err:
             graded_complex(arr, 3)
+        assert str(err.value) == (
+            "differential square nonzero at (q=3, t=3), "
+            f"row {r}, lead column {lead}")
     finally:
         homotopy.graded_complex.cache_clear()
 

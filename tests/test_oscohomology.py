@@ -29,7 +29,7 @@ from arrtop.cli import parse_arrangement
 from arrtop.errors import (
     InternalInconsistency, RankOutOfRange, WorkBoundExceeded,
 )
-from arrtop import exactalg, oscohomology
+from arrtop import exactalg, homotopy, oscohomology
 from arrtop.exactalg import IntPolynomial, int_rank, linear_product, sub_scaled
 from arrtop.homotopy import is_acyclic
 from arrtop.oscohomology import (
@@ -42,6 +42,7 @@ from genutil import (
     clear_envelope_caches,
     braid_arrangement,
     direct_sum,
+    delta_rows_oracle,
     envelope_oracle,
     generic4,
     nbc_oracle,
@@ -365,6 +366,53 @@ def test_complexes_match_tensor_oracle_braid3_degree5():
     assert complex_.blocks == expected
 
 
+def test_delta_rows_match_the_part_dict_oracle():
+    # every block with q >= 2, at every internal degree the envelope can
+    # read, list for list against the builder that summed each H_(q-1)
+    # class apart and flattened the parts, over Q (UEnvelope), Z
+    # (_IntegralEnvelope) and the tensor oracle; no row stores a zero,
+    # and every entry has the oracle's type, so integer data stays int
+    names = ["boolean3", "braid3", "generic4", "hattori4", "nearpencil3",
+             "nonfano", "pencil3"]
+    corpus = [parse_arrangement(os.path.join(DATA, n + ".json"))
+              for n in names]
+    corpus += [braid_arrangement(3), braid_arrangement(4)]
+    corpus += seeded_rank3_corpus(2525, 12)
+    cancelled = 0
+    for arr in corpus:
+        view = cohomology_view(arr, True)
+        envs = [holonomy_envelope(arr, 4),
+                homotopy._IntegralEnvelope(view, 4), envelope_oracle(arr, 3)]
+        for env in envs:
+            for q in range(2, view.top + 1):
+                for t in range(q, q + env.max_degree):
+                    rows = _delta_rows(view, env, q, t)
+                    expected = delta_rows_oracle(view, env, q, t)
+                    assert rows == expected, (arr, type(env), q, t)
+                    for row, old in zip(rows, expected):
+                        assert all(row.values())
+                        assert ({c: type(v) for c, v in row.items()}
+                                == {c: type(v) for c, v in old.items()})
+                    if isinstance(env, homotopy._IntegralEnvelope):
+                        assert all(type(v) is int
+                                   for row in rows for v in row.values())
+                    cancelled += sum(len(row) < n for row, n in zip(
+                        rows, _summed_entries(view, env, q, t)))
+    assert cancelled  # the corpus reaches rows in which an entry cancelled
+
+
+def _summed_entries(view, env, q, t):
+    """For each row of block (q, t), in (r, w) order, the number of
+    entries of the products x_j w summed into it."""
+    s = t - q
+    letters = [[] for _ in range(view.dim(q))]
+    for (_, j), entry in view.cup_rows(q).items():
+        for r in entry:
+            letters[r].append(j)
+    return [sum(len(env._product(j, s, w)) for j in letters[r])
+            for r in range(view.dim(q)) for w in range(env.dim(s))]
+
+
 def _rescaled_permutation(data, arr):
     perm = data.draw(st.permutations(range(arr.num_hyperplanes)))
     scales = data.draw(st.lists(st.sampled_from([1, -1, 2, -2]),
@@ -512,7 +560,10 @@ def test_integer_data_stays_int(monkeypatch):
     # pivots, so no Fraction may reach the kernel there: a Fraction(...)
     # wrapper on any input (cohomology bases, relations, product seeds,
     # complex blocks, int_rank) or a return to generation-order insertion
-    # would put the elimination back on Fraction arithmetic.
+    # would put the elimination back on Fraction arithmetic.  _delta_rows
+    # sums its rows without sub_scaled; a Fraction on its products or cup
+    # coefficients reaches the spy through the envelope's elimination, and
+    # the blocks' entries are read below.
     fractions_seen = []
 
     def spy(acc, vec, coeff):
@@ -521,7 +572,7 @@ def test_integer_data_stays_int(monkeypatch):
             fractions_seen.append((acc, vec, coeff))
         sub_scaled(acc, vec, coeff)
 
-    for module in (exactalg, oscohomology):  # _delta_rows is oscohomology's
+    for module in (exactalg, oscohomology):  # oscohomology's: cup products
         monkeypatch.setattr(module, "sub_scaled", spy)
     # forms scaled by 3: a cache key no other test builds
     arr = Arrangement(3, tuple(tuple(3 * x for x in f) for f in braid3().forms))
