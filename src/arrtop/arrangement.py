@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
 from math import gcd
 
 from .errors import (
@@ -20,6 +21,7 @@ from .errors import (
     InternalInconsistency,
     NotEssential,
     NotL0Generic,
+    NotSupersolvable,
     RankOutOfRange,
     SamplingFailed,
     ZeroForm,
@@ -217,6 +219,7 @@ class IntersectionLattice:
             for i in f.hyperplanes:
                 self._containing[i] |= 1 << k
         self._mobius = dict(mobius)
+        self._chain = None  # modular_chain's verdict, once walked
 
     @property
     def rank(self):
@@ -268,6 +271,70 @@ class IntersectionLattice:
             if not self.in_span(i, basis):
                 basis.append(i)
         return basis
+
+    def modular_chain(self):
+        """The flats X_l > ... > X_1 of _modular_chain, top first; raises
+        NotSupersolvable with the level of the first interval that has no
+        modular coatom.  Walked once per lattice, refusal included."""
+        if self._chain is None:
+            try:
+                self._chain = _modular_chain(self)
+            except NotSupersolvable as exc:
+                self._chain = exc.level
+        if isinstance(self._chain, int):
+            raise NotSupersolvable(self._chain)
+        return self._chain
+
+
+def _is_modular(lat, closed, top, coatom):
+    """Modularity of a coatom X of the interval [0, top] by the line
+    criterion: a hyperplane of a geometric lattice is modular iff it meets
+    every line (Oxley, Matroid Theory, 6.9).  A line with at most one atom
+    outside X already holds an atom of X, so X is modular iff every two
+    hyperplanes of top outside X span a line holding a hyperplane of X.
+    That line is their closure in the lattice, which stays below top; the
+    intersection of two closed index sets is closed, so each meet is
+    checked against `closed`, the hyperplane tuples of the flats."""
+    fs = set(coatom.hyperplanes)
+    outside = [i for i in top.hyperplanes if i not in fs]
+    for pair in combinations(outside, 2):
+        meet = tuple(k for k in lat.closure(pair).hyperplanes if k in fs)
+        if meet not in closed:
+            raise InternalInconsistency("intersection of two flats is not a flat")
+        if not meet:
+            return False
+    return True
+
+
+def _modular_chain(lat):
+    """A maximal chain of modular flats, walked down from the top flat:
+    each X_(i-1) is the first modular coatom of [0, X_i] in the lattice's
+    (codim, hyperplanes) order.  The interval below a flat is the lattice
+    of the arrangement of its hyperplanes (Stanley, "Supersolvable
+    lattices", Algebra Universalis 2, 1972), so no smaller lattice is
+    built; a modular flat of a modular flat is modular in the lattice.
+
+    The order puts the coatoms through hyperplane 0 first, so hyperplane 0
+    stays in every X_i, hence in the bottom block X_1, exactly when each
+    interval on the way has a modular coatom through it.  That can fail:
+    with the lines y = 0, y = x, y = 2x - 2 first and the four lines x = c
+    for c = 0, 1, 2, 3, only the point at infinity of the x = c lines is
+    modular, so hyperplane 0 falls in the top block."""
+    closed = {f.hyperplanes for f in lat.flats}
+    top = lat.flats[-1]
+    chain = [top]
+    while top.codim > 1:
+        below = set(top.hyperplanes)
+        coatom = next((
+            x for x in lat.flats_of_codim(top.codim - 1)
+            if below.issuperset(x.hyperplanes)
+            and _is_modular(lat, closed, top, x)
+        ), None)
+        if coatom is None:
+            raise NotSupersolvable(top.codim)
+        chain.append(coatom)
+        top = coatom
+    return tuple(chain)
 
 
 def _eliminate(residual, pivot, col):

@@ -95,49 +95,13 @@ class ExponentData:
         return len(self.exponents)
 
 
-def _is_modular(lat, closed, top, coatom):
-    """Modularity of a coatom X of the interval [0, top] by the line
-    criterion: a hyperplane of a geometric lattice is modular iff it meets
-    every line (Oxley, Matroid Theory, 6.9).  A line with at most one atom
-    outside X already holds an atom of X, so X is modular iff every two
-    hyperplanes of top outside X span a line holding a hyperplane of X.
-    That line is their closure in the lattice, which stays below top; the
-    intersection of two closed index sets is closed, so each meet is
-    checked against `closed`, the hyperplane tuples of the flats."""
-    fs = set(coatom.hyperplanes)
-    outside = [i for i in top.hyperplanes if i not in fs]
-    for pair in combinations(outside, 2):
-        meet = tuple(k for k in lat.closure(pair).hyperplanes if k in fs)
-        if meet not in closed:
-            raise InternalInconsistency("intersection of two flats is not a flat")
-        if not meet:
-            return False
-    return True
-
-
 def _chain_exponents(arr: Arrangement):
-    """Exponents |top| - |X| down a chain of modular coatoms, each the
-    first (in hyperplane order) of its interval [0, top], read in the
-    lattice of arr: the interval below a flat is the lattice of the
-    arrangement of its hyperplanes (Stanley, "Supersolvable lattices",
-    Algebra Universalis 2, 1972), so no smaller lattice is built."""
-    lat = intersection_lattice(arr)
-    closed = {f.hyperplanes for f in lat.flats}
-    top = lat.flats[-1]
-    exps = []
-    while top.codim > 1:
-        below = set(top.hyperplanes)
-        coatom = next((
-            x for x in lat.flats_of_codim(top.codim - 1)
-            if below.issuperset(x.hyperplanes)
-            and _is_modular(lat, closed, top, x)
-        ), None)
-        if coatom is None:
-            raise NotSupersolvable(top.codim)
-        exps.append(len(top.hyperplanes) - len(coatom.hyperplanes))
-        top = coatom
-    exps.append(len(top.hyperplanes))
-    return exps
+    """Exponents |X_i| - |X_(i-1)| down the lattice's modular chain
+    (IntersectionLattice.modular_chain), the bottom flat X_1 counting
+    its own hyperplanes."""
+    chain = intersection_lattice(arr).modular_chain()
+    return [len(x.hyperplanes) - len(y.hyperplanes)
+            for x, y in zip(chain, chain[1:])] + [len(chain[-1].hyperplanes)]
 
 
 @lru_cache(maxsize=None)
@@ -269,16 +233,17 @@ def graded_complex(arr: Arrangement, max_internal_degree=4,
     max_internal_degree), with `cache_info()` and `cache_clear()`, builds
     the complex from the envelope of its degree, read past
     holonomy_envelope's check so that a higher work_bound holds.  Block
-    (1, t) is the envelope's table x_j w of degree t and block (2, t) its
-    relation rows R (x) U_(t-2): the envelope's own lists, shared and not
-    copied, so callers must not mutate them.  Block (1, t) has a unit row
-    at each of its dim U_t columns, so its leads certify its rank; that of
-    block (2, t) is seeded from the degree-t echelon.  So exactness at
-    q <= 1 holds by construction.  Blocks with q >= 3 are _delta_rows of
-    the envelope.  What still checks the complex is the constructor's
-    square-zero test (which composes the relation rows with the table),
-    the homology at q >= 2, which needs the ranks of blocks (q, t) with
-    q >= 3, and the tensor oracle of the test suite."""
+    (1, t) is the envelope's table x_j w of degree t, shared and not
+    copied, so callers must not mutate it; it has a unit row at each of
+    its dim U_t columns, so its leads certify its rank, and exactness at
+    q = 0 holds by construction.  Blocks with q >= 2, the relation rows
+    R (x) U_(t-2) at q = 2 included, are _delta_rows of the envelope, in
+    the view's bases: for a supersolvable input these follow the modular
+    chain (see CohomologyView), where the leads of every block of braid
+    A4 to degree 6 and A5 to degree 4 certify its rank.  What checks the
+    complex is the constructor's square-zero test, the homology at
+    q >= 1, read off the ranks of blocks with q >= 2, and the tensor
+    oracle of the test suite."""
     _check_work_bound("complex", cohomology_view(arr, True).dim(1),
                       max_internal_degree, work_bound)
     return _complex(arr, max_internal_degree)
@@ -288,21 +253,15 @@ def graded_complex(arr: Arrangement, max_internal_degree=4,
 def _complex(arr, max_internal_degree):
     view = cohomology_view(arr, True)
     env = _envelope(arr, max_internal_degree, True)
-    blocks, ranks = {}, {}
+    blocks = {}
     for q in range(1, view.top + 1):
         for t in range(q, max_internal_degree + 1):
-            if q >= 3:
-                rows = _delta_rows(view, env, q, t)
-            elif q == 1:  # the table x_j w
-                rows = env._left[t]
-            else:  # the envelope's relation rows of degree t
-                rows, ranks[(q, t)] = env.relation_block(t)
+            # block (1, t) is the table x_j w
+            rows = env._left[t] if q == 1 else _delta_rows(view, env, q, t)
             if rows:
                 blocks[(q, t)] = rows
-    complex_ = GradedChainComplex(view.betti, env.dims, max_internal_degree,
-                                  blocks)
-    complex_._rank_cache.update(ranks)
-    return complex_
+    return GradedChainComplex(view.betti, env.dims, max_internal_degree,
+                              blocks)
 
 
 graded_complex.cache_info = _complex.cache_info
@@ -687,7 +646,10 @@ class _IntegralEnvelope(UEnvelope):
     own table, and b1 shifted copies of lattice[k-1].  unit_split
     eliminates their +-1 pivots, whose normal forms are integral, so the
     table is built as over Q; the other rows, carried onto the non-pivot
-    columns, are lattice[k], and M_k is Z^dims[k] modulo them."""
+    columns, are lattice[k], and M_k is Z^dims[k] modulo them.  Every
+    degree is eliminated, so that each keeps its lattice rows."""
+
+    _rewrites = False
 
     def _eliminate(self, k):
         if k == 2:  # degrees are built in order, and degree 1 has no rows

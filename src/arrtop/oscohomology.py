@@ -26,9 +26,12 @@ from .arrangement import (
     Arrangement, intersection_lattice, poincare_central, poincare_projective,
 )
 from .errors import (
-    InternalInconsistency, ParseError, RankOutOfRange, WorkBoundExceeded,
+    InternalInconsistency, NotSupersolvable, ParseError, RankOutOfRange,
+    WorkBoundExceeded,
 )
-from .exactalg import SparseEchelon, int_rank, sub_scaled
+from .exactalg import (
+    SparseEchelon, int_rank, narrowed, sparse_compose, sub_scaled,
+)
 
 DEFAULT_WORK_BOUND = 10 ** 6
 WORK_BOUND_ENV = "ARRTOP_WORK_BOUND"
@@ -214,6 +217,16 @@ class CohomologyView:
     the labels (0,) + S, the NBC sets whose boundaries form the basis; a
     product is read off the NBC expansion of e_S e_T by dropping the
     monomials through 0 (Orlik-Terao, Arrangements of Hyperplanes, ch. 3).
+
+    The central side lists each degree in NBC order, and so does the
+    projective side when the lattice has no modular chain.  When it has
+    one (IntersectionLattice.modular_chain), block i of the chain holds
+    the hyperplanes of X_i outside X_(i-1), and each projective degree is
+    listed by the sorted (block, hyperplane) pairs of its keys: degree 1
+    by block, ties by index.  These are the envelope's letters, and in
+    that order the leading words of its degree-2 relations form a
+    quadratic Groebner basis on every supersolvable input of the test
+    data and the benchmark (see UEnvelope).
     """
 
     def __init__(self, arr: Arrangement, projective: bool):
@@ -225,6 +238,17 @@ class CohomologyView:
         poly = poincare_projective(arr) if projective else poincare_central(arr)
         self.betti = list(poly.coefficients)
         self.top = len(self.betti) - 1
+        self._block = None  # hyperplane -> chain block, or None
+        if projective:
+            try:
+                chain = intersection_lattice(arr).modular_chain()
+            except NotSupersolvable:
+                pass
+            else:
+                self._block = {}
+                for i, flat in enumerate(reversed(chain)):
+                    for h in flat.hyperplanes:
+                        self._block.setdefault(h, i)
 
     def dim(self, q):
         return self.betti[q] if 0 <= q <= self.top else 0
@@ -236,6 +260,9 @@ class CohomologyView:
         keys = self.algebra.nbc(q)
         if self.projective:
             keys = tuple(s for s in keys if s[:1] != (0,))
+            if self._block is not None:
+                keys = tuple(sorted(keys, key=lambda s: sorted(
+                    (self._block[h], h) for h in s)))
             b = _Basis(tuple((0,) + s for s in keys), keys)
         else:
             b = _Basis(keys, keys)
@@ -378,9 +405,10 @@ def _delta_rows(view, env, q, t):
 
     The one builder of differential and relation rows, with three callers:
     the envelope at q = 2, whose rows of degree t are the relations
-    R (x) U_(t-2) it eliminates (over Z too, in the envelope of
-    integer_audit, with env its own table); graded_complex at q >= 3; and
-    the cokernel (homotopy_cokernel_ranks) at q = p + 2.
+    R (x) U_(t-2) it eliminates at degree 2 and wherever its rules fail,
+    and composes with its rewritten table at degree 3 (over Z too, in the
+    envelope of integer_audit, with env its own table); graded_complex at
+    q >= 2; and the cokernel (homotopy_cokernel_ranks) at q = p + 2.
 
     Each x_j w is read once per call, and each row is summed in one pass
     straight into its final columns tt * dim U_(s+1) + w2.  A row in which
@@ -418,35 +446,43 @@ class UEnvelope:
     """Degreewise bases of the quotient of the tensor algebra on H_1 by the
     two-sided ideal generated by the holonomy relations R, read from the
     cup products of the cohomology view (one relation per basis class of
-    H^2).
+    H^2).  The letters are the view's degree-1 basis, in modular-chain
+    order when the lattice has a modular chain (see CohomologyView).
 
-    Degree k >= 2 is built by prepending letters, as the quotient of
-    H_1 (x) U_(k-1) by the image of R (x) U_(k-2), never inside the full
-    tensor power: column i*dim U_(k-1) + p stands for the letter x_i
-    followed by basis word p of degree k-1, so the column order is the
-    lexicographic order of those words.  With the smallest column as pivot,
-    the non-pivot columns are the normal words of degree k, the standard
-    monomials of the lexicographic order (a normal word's suffix is
-    normal), listed in basis_words[k].  The rows of R (x) U_(k-2) are
-    _delta_rows(view, self, 2, k): the row of r (x) u, for
-    r = sum c_ab x_a x_b, is sum c_ab x_a (x) x_b u.  They are kept in
-    (relation, u) order, which is block (2, k) of the graded complex, and
-    eliminated as one batch, sparsest first.  The pivot columns, hence the
-    normal words, and every normal form depend only on the row space, not
-    on that order.  At k = 2 the rows are the relations themselves, and
-    an echelon of rank other than b_2 raises InternalInconsistency.
-
-    Once a degree is eliminated its echelon is dropped and one table is
-    kept: the normal form of column j*dim U_(k-1) + w is x_j w, stored in
-    basis positions.  Multiplication by x_j (from the left) is a lookup in
-    it, and so are the next degree's rows.  The table of degree k is block
-    (1, k) of the graded complex and the relation rows are block (2, k):
-    both lists are shared with the complex, not copied, and must not be
+    Degree k is a quotient of H_1 (x) U_(k-1), never of the full tensor
+    power: column j*dim U_(k-1) + w stands for the letter x_j followed by
+    basis word w of degree k-1, so the column order is the lexicographic
+    order of those words, and the smallest column of a relation is its
+    leading word.  The normal words of degree k, the columns that lead no
+    relation, are listed in basis_words[k] in column order.  Each degree
+    keeps one table: its entry j*dim U_(k-1) + w is x_j w in basis
+    positions, a unit row when x_j w is normal.  Multiplication by x_j
+    (from the left) is a lookup in it.  The table of degree k is block
+    (1, k) of the graded complex, shared with it, so it must not be
     mutated.
+
+    Degree 2 eliminates R over H_1 (x) H_1; an echelon of rank other than
+    b_2 raises InternalInconsistency.  Its pivots are the rules
+    x_a x_b -> NF(x_a x_b), one per leading 2-word.  Each degree k >= 3 is
+    filled from them without elimination (_rewrite): x_j w is normal iff
+    x_j x_(w_1) leads no rule, and otherwise x_j x_(w_1) w' is
+    sum c x_a NF(x_b w') over the rule's terms.  The words that hold no
+    leading 2-word span every degree; they are a basis of every degree iff
+    the overlaps x_a x_b x_c of the rules resolve (Bergman's diamond
+    lemma, Adv. Math. 29, 1978), that is iff the rows of R (x) U_1 compose
+    to zero with the rewritten degree-3 table.  That is checked: then the
+    rules are a quadratic Groebner basis, U is a PBW algebra (Priddy,
+    Trans. AMS 152, 1970) and `rewritten` is True.  Otherwise each degree
+    k >= 3 eliminates the rows of R (x) U_(k-2), _delta_rows(view, self,
+    2, k), as one batch over H_1 (x) U_(k-1).  Both paths give the same
+    normal words and tables, which depend on the ideal and the letter
+    order alone.
 
     The degrees 1 .. max_degree are built once, in order, when the envelope
     is made; nothing changes it afterwards.
     """
+
+    _rewrites = True  # False: every degree is eliminated (_IntegralEnvelope)
 
     def __init__(self, view, max_degree):
         self._view = view
@@ -455,54 +491,94 @@ class UEnvelope:
         self.b1 = view.dim(1)
         self.dims = [1]
         self.basis_words = [((),)]
-        self._left = {}  # degree k -> x_j w at j*dim U_(k-1) + w, see _add_degree
-        self._relation_blocks = {}  # degree -> (rows of R (x) U_(k-2), rank)
+        self.rewritten = False
+        self._left = {}  # degree k -> x_j w at j*dim U_(k-1) + w
+        self._columns = [0]  # the top degree's normal words, as columns
         for k in range(1, max_degree + 1):
-            # degree 1 is H_1 (x) U_0, with no relations
-            self._add_degree(self._eliminate(k) if k > 1 else {})
+            self._add_degree(*self._build(k))
             self.max_degree = k  # _product reads degree k from here on
 
-    def _add_degree(self, forms):
-        """Record the next degree k from the normal forms of the pivot
-        columns over H_1 (x) U_(k-1): the other columns are its normal
-        words, and its table holds the normal form of every column in
-        basis positions."""
-        k = len(self.dims)
-        prev, width = self.basis_words[-1], self.dims[-1]
-        columns = [c for c in range(self.b1 * width) if c not in forms]
+    def _build(self, k):
+        """The normal words of degree k as columns over H_1 (x) U_(k-1),
+        ascending, and the table of degree k."""
+        if k == 3 and self._rewrites:
+            built = self._rewrite(3)
+            rows = _delta_rows(self._view, self, 2, 3)
+            self.rewritten = not any(sparse_compose(rows, built[1]))
+            if self.rewritten:
+                return built
+        elif k > 3 and self.rewritten:
+            return self._rewrite(k)
+        # degree 1 is H_1 (x) U_0, with no relations
+        forms = self._eliminate(k) if k > 1 else {}
+        columns = [c for c in range(self.b1 * self.dims[-1]) if c not in forms]
+        position = {c: pos for pos, c in enumerate(columns)}
+        return columns, [
+            {position[c]: v for c, v in forms[col].items()} if col in forms
+            else {position[col]: 1}
+            for col in range(self.b1 * self.dims[-1])
+        ]
+
+    def _add_degree(self, columns, table):
+        """Record the next degree k: its normal words, the given columns
+        over H_1 (x) U_(k-1), and its table."""
+        width, prev = self.dims[-1], self.basis_words[-1]
+        self._left[len(self.dims)] = table
         self.dims.append(len(columns))
         self.basis_words.append(tuple(
             (c // width,) + prev[c % width] for c in columns
         ))
-        position = {c: pos for pos, c in enumerate(columns)}
-        self._left[k] = [
-            {position[c]: v for c, v in forms[col].items()} if col in forms
-            else {position[col]: 1}
-            for col in range(self.b1 * width)
-        ]
+        self._columns = columns
+
+    def _rewrite(self, k):
+        """Degree k >= 3 from the rules of degree 2, with no elimination.
+        The normal words are the x_j w with x_j x_(w_1) normal, each a unit
+        row.  Every other x_j w = x_j x_(w_1) w' is sum c x_a NF(x_b w')
+        over the rule's terms c x_a x_b, each x_a x_b after x_j x_(w_1), so
+        each column x_a w'' read here comes after x_j w and is filled
+        first, in descending column order."""
+        b1, width, lower = self.b1, self.dims[-1], self.dims[-2]
+        heads = [divmod(c, lower) for c in self._columns]  # (w_1, w')
+        pairs = self.basis_words[2]  # the normal 2-words (a, b)
+        normal2 = {a * b1 + b for a, b in pairs}
+        rules, prev = self._left[2], self._left[k - 1]
+        columns = [j * width + w for j in range(b1)
+                   for w, (first, _) in enumerate(heads)
+                   if j * b1 + first in normal2]
+        table = [None] * (b1 * width)
+        for pos, c in enumerate(columns):
+            table[c] = {pos: 1}
+        for c in range(b1 * width - 1, -1, -1):
+            if table[c] is None:
+                j, w = divmod(c, width)
+                first, tail = heads[w]
+                acc = {}
+                for p2, coeff in rules[j * b1 + first].items():
+                    a, b = pairs[p2]
+                    for w2, v in prev[b * lower + tail].items():
+                        cv = coeff * v
+                        for pos, x in table[a * width + w2].items():
+                            if (nv := acc.get(pos, 0) + cv * x):
+                                acc[pos] = nv
+                            else:
+                                del acc[pos]
+                table[c] = narrowed(acc)
+        return columns, table
 
     def _eliminate(self, k):
-        """Eliminate the rows of R (x) U_(k-2) over H_1 (x) U_(k-1), keep
-        them with their rank as relation_block(k), and return the normal
-        forms of the pivot columns; the echelon goes with the call."""
-        rows = _delta_rows(self._view, self, 2, k)
+        """Eliminate the rows of R (x) U_(k-2) over H_1 (x) U_(k-1) and
+        return the normal forms of the pivot columns; the echelon goes
+        with the call."""
         ech = SparseEchelon()
-        ech.extend(rows)
+        ech.extend(_delta_rows(self._view, self, 2, k))
         if k == 2 and ech.rank != self._view.dim(2):
             raise InternalInconsistency(
                 "holonomy relations do not have rank b_2"
             )
-        self._relation_blocks[k] = rows, ech.rank
         return ech.normal_forms()
 
     def dim(self, k):
         return self.dims[k] if 0 <= k <= self.max_degree else 0
-
-    def relation_block(self, k):
-        """The rows of R (x) U_(k-2) over H_1 (x) U_(k-1), in (relation, u)
-        order, and their rank; k >= 2.  Shared with the caller, which must
-        not mutate them."""
-        return self._relation_blocks[k]
 
     def generator_product(self, j, k, word_pos):
         """Coordinates of x_j * (basis word at degree k) inside degree k+1.

@@ -13,7 +13,9 @@ from arrtop import (
 )
 from arrtop.errors import EmptyArrangement, ZeroForm
 from arrtop.exactalg import sub_scaled
-from arrtop.oscohomology import central_algebra, cohomology_view, reduced_diagonal
+from arrtop.oscohomology import (
+    UEnvelope, central_algebra, cohomology_view, reduced_diagonal,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +351,17 @@ def projective_cup_oracle(arr, q):
     Returns (labels, right, left): labels maps k in {q-1, 1, q} to the NBC
     sets that name the basis of H^k; right[t * b_1 + j] is the coordinate
     tuple of (basis t of H^(q-1)) * (basis j of H^1), and
-    left[j * b_(q-1) + t] that of (basis j of H^1) * (basis t of H^(q-1))."""
+    left[j * b_(q-1) + t] that of (basis j of H^1) * (basis t of H^(q-1)).
+    Each degree is listed in the projective view's order, which must
+    permute these NBC sets; test_projective_bases_follow_the_modular_chain
+    checks that order."""
     nbc = _nbc_oracle_of(arr.forms)
     alg = central_algebra(arr)
     labels, expansions = {}, {}
     for k in {q - 1, 1, q}:
-        labels[k] = tuple(s for s in nbc[k + 1] if s[0] == 0)
+        labels[k] = cohomology_view(arr, True).basis(k).labels
+        if sorted(labels[k]) != [s for s in nbc[k + 1] if s[0] == 0]:
+            raise AssertionError(f"the view's basis of H^{k} is not NBC")
         expansions[k] = [boundary_expansion(alg, s) for s in labels[k]]
     index = {m: i for i, m in enumerate(nbc[q])}
     n = len(index)
@@ -457,6 +464,14 @@ class TensorEnvelope:
     # the name under which arrtop's own callers (oscohomology._delta_rows) read
     # products; here the values are Fractions throughout
     _product = generator_product
+
+
+class EliminatedEnvelope(UEnvelope):
+    """UEnvelope with every degree eliminated, none rewritten: the
+    envelope as it was built before the degree-2 rules were used, in the
+    same letter order."""
+
+    _rewrites = False
 
 
 def envelope_oracle(arr, degree, projective=True) -> TensorEnvelope:

@@ -262,7 +262,9 @@ def test_golden_full_report_byte_identical(capsys, name):
     assert capsys.readouterr().out == golden
 
 
-@pytest.mark.parametrize("name", GOLDEN_INPUTS)
+# braid A4 as CI writes it, checked at degree 5 (its golden file comes from
+# the hyperplane-order envelope, before the letters took the chain order)
+@pytest.mark.parametrize("name", GOLDEN_INPUTS + ["braid4"])
 def test_golden_gr_check_byte_identical(capsys, name):
     with open(path(f"golden_gr_check_{name}.json")) as fh:
         golden = fh.read()

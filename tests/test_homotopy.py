@@ -46,8 +46,8 @@ from arrtop.errors import (
 from arrtop.exactalg import (
     SparseEchelon, linear_product, smith_invariant_factors, sparse_rank,
 )
-from arrtop import homotopy, oscohomology
-from arrtop.homotopy import _is_modular
+from arrtop import arrangement, homotopy, oscohomology
+from arrtop.arrangement import _is_modular
 from arrtop.oscohomology import CohomologyView, _delta_rows, cohomology_view
 from arrtop import Subspace, genericity_level
 from genutil import (
@@ -203,13 +203,14 @@ def test_chain_asks_only_coatoms_of_each_interval(monkeypatch):
         asked.append((top, coatom))
         return _is_modular(lat, closed, top, coatom)
 
-    monkeypatch.setattr(homotopy, "_is_modular", spy)
+    monkeypatch.setattr(arrangement, "_is_modular", spy)
     corpus = [braid_arrangement(n) for n in (3, 4, 5, 6)]
     corpus += [direct_sum(generic4(), boolean_arrangement(2))]
     corpus += seeded_rank3_corpus(2028, 30)
     for arr in corpus:
         try:
-            homotopy._chain_exponents(arr)
+            # the walker itself: the lattice keeps the verdict of its walk
+            arrangement._modular_chain(intersection_lattice(arr))
         except NotSupersolvable:
             pass
     # every input has rank >= 3, so codim-2 tops lie below the lattice top
@@ -262,7 +263,7 @@ def test_graded_complex_rank_one():
     env = holonomy_envelope(arr, 4)
     assert env.dims == [1, 0, 0, 0, 0]
     assert env.basis_words == [((),), (), (), (), ()]
-    assert env.relation_block(2) == ([], 0)
+    assert env.rewritten  # no rule, so nothing to resolve at degree 3
     assert integer_audit(arr, 4)["free_over_integers"]
 
 
@@ -292,11 +293,11 @@ def test_left_and_right_complexes_same_homology():
 
 
 def test_blocks_taken_from_the_envelope_match_the_dual_cup_blocks():
-    # blocks (1, t) and (2, t) of graded_complex come from the envelope,
-    # with the ranks of blocks (2, t) seeded; they must be the dual cup
-    # blocks, block (2, t) as assembled from reduced_diagonal's rows apart
-    # from the envelope's row builder, and every rank, seeded or not, must
-    # be the block's
+    # block (1, t) of graded_complex is the envelope's table and block
+    # (2, t) is built from it; they must be the dual cup blocks, block
+    # (2, t) as assembled from reduced_diagonal's rows apart from the row
+    # builder, and every rank, certified by leads or eliminated, must be
+    # the block's; no rank is seeded
     names = ["boolean3", "braid3", "generic4", "hattori4", "nearpencil3",
              "pencil3"]
     corpus = [(parse_arrangement(os.path.join(DATA, n + ".json")), 5)
@@ -309,7 +310,6 @@ def test_blocks_taken_from_the_envelope_match_the_dual_cup_blocks():
         complex_ = graded_complex(arr, degree)
         view = cohomology_view(arr, True)
         env = holonomy_envelope(arr, degree)
-        seeded_keys = set(complex_._rank_cache)
         for q in range(1, complex_.top + 1):
             for t in range(q, degree + 1):
                 if q == 1:
@@ -318,8 +318,6 @@ def test_blocks_taken_from_the_envelope_match_the_dual_cup_blocks():
                 elif q == 2:
                     assert (complex_.block(q, t)
                             == relation_rows_oracle(arr, env, t))
-                if q == 2:
-                    assert (q, t) in seeded_keys
                 assert (complex_.block_rank(q, t)
                         == sparse_rank(complex_.block(q, t)))
 
@@ -338,10 +336,8 @@ def _growth_snapshot(arr, degree, spelled):
         for k in range(degree) for w in range(env.dim(k))
         for j in range(env.b1)
     }
-    relations = {k: env.relation_block(k) for k in range(2, degree + 1)
-                 if env.b1}
     ranks = {key: complex_.block_rank(*key) for key in complex_.blocks}
-    return (env.max_degree, env.dims, env.basis_words, products, relations,
+    return (env.max_degree, env.dims, env.basis_words, products, env.rewritten,
             complex_.u_dims, complex_.max_internal_degree,
             list(complex_.blocks.items()), ranks,
             verify_resolution(complex_))
@@ -396,29 +392,29 @@ def test_capped_views_refuse_what_lies_above_their_degree():
 
 def _complexes_in_order(arr, first, second, eliminated):
     """graded_complex at two degrees in that order from cold caches; each
-    call eliminates envelope degrees 2..d afresh, and each complex holds
-    the lists of the envelope of its own degree."""
+    call builds its envelope afresh, eliminating degree 2 and rewriting
+    the rest, and each complex holds the tables of the envelope of its own
+    degree."""
     clear_envelope_caches()
     complexes = []
     for degree in (first, second):
         eliminated.clear()
         complex_ = graded_complex(arr, degree)
-        assert eliminated == list(range(2, degree + 1))
+        assert eliminated == [2]
         # graded_complex's own spelling, so this is its cached envelope
         env = holonomy_envelope(arr, degree, projective=True, work_bound=None)
+        assert env.rewritten
         for (q, t), rows in complex_.blocks.items():
             if q == 1:
                 assert rows is env._left[t]
-            elif q == 2:
-                assert rows is env.relation_block(t)[0]
         complexes.append(complex_)
     return sorted(complexes, key=lambda c: c.max_internal_degree)
 
 
 def test_complexes_of_two_degrees_each_hold_their_own_envelope(monkeypatch):
     # each cached complex is built from the envelope of its own degree: it
-    # holds that envelope's lists at q <= 2, and in either order the
-    # second degree eliminates every envelope degree afresh
+    # holds that envelope's tables at q = 1, and in either order the
+    # second degree builds its envelope afresh
     eliminated = []
     eliminate = oscohomology.UEnvelope._eliminate
 
@@ -614,8 +610,10 @@ def test_unit_row_certificate_checks_every_row():
 
 def test_block_ranks_equal_the_eliminated_ranks():
     # every block rank, certified by its leads or eliminated, is the
-    # echelon's; braid A4's block (3, 5) has 1305 distinct leads for rank
-    # 1320, so it must reach elimination, and the non-Fano arrangement's
+    # echelon's; in modular-chain order no block of braid A4 or A5 falls
+    # short of its rank in leads (in hyperplane order A4's block (3, 5)
+    # had 1305 for rank 1320), while the non-Fano arrangement's block
+    # (2, 3) has 52 for rank 53, so it must reach elimination, and its
     # complex is not exact
     names = ["boolean3", "braid3", "generic4", "hattori4", "nearpencil3",
              "pencil3", "nonfano"]
@@ -631,10 +629,32 @@ def test_block_ranks_equal_the_eliminated_ranks():
             assert complex_.block_rank(q, t) == rank
             if len({min(row) for row in rows if row}) < rank:
                 short.add((arr, q, t))
-    assert (braid_arrangement(4), 3, 5) in short
-    nonfano = graded_complex(corpus[names.index("nonfano")][0], 5)
+    braids = {braid_arrangement(4), braid_arrangement(5)}
+    assert not any(arr in braids for arr, _, _ in short)
+    nonfano_arr = corpus[names.index("nonfano")][0]
+    assert (nonfano_arr, 2, 3) in short
+    nonfano = graded_complex(nonfano_arr, 5)
     assert {key: h for key, h in verify_resolution(nonfano).items() if h} == {
         (2, 3): 1, (2, 4): 6, (2, 5): 27}
+
+
+def test_braid_a5_section_cokernel_is_ranked_by_its_leads(monkeypatch):
+    # in modular-chain order every row of the cokernel blocks (4, 3 + i)
+    # of braid A5's section of rank 3 has its own lead for i <= 3, so
+    # sparse_rank counts the rows and never eliminates
+    arr = braid_arrangement(5)
+    view, env = cohomology_view(arr, True), holonomy_envelope(arr, 3)
+    assert env.rewritten
+    for t in range(4, 7):
+        rows = _delta_rows(view, env, 4, t)
+        assert len({min(row) for row in rows}) == len(rows) > 0
+
+    def refuse(self, rows):
+        raise AssertionError("the cokernel eliminated")
+
+    monkeypatch.setattr(SparseEchelon, "extend", refuse)
+    section = SectionData(arr, 3)
+    assert homotopy_cokernel_ranks(section, 3) == [154, 2036, 17570, 125140]
 
 
 def test_graded_complex_refuses_blocks_that_do_not_square_to_zero(
@@ -652,7 +672,8 @@ def test_graded_complex_refuses_blocks_that_do_not_square_to_zero(
     fresh._cup_rows[3] = products
     env = holonomy_envelope(arr, 3)
     tt, j = key
-    lead = min(env.relation_block(3)[0][tt * env.dim(1) + j])
+    relation_rows = _delta_rows(cohomology_view(arr, True), env, 2, 3)
+    lead = min(relation_rows[tt * env.dim(1) + j])
     monkeypatch.setattr(homotopy, "cohomology_view",
                         lambda arr, projective: fresh)
     homotopy.graded_complex.cache_clear()

@@ -12,6 +12,7 @@ from arrtop import (
     Arrangement,
     SectionData,
     cup_matrix,
+    intersection_lattice,
     graded_complex,
     homotopy_cokernel_ranks,
     holonomy_envelope,
@@ -23,19 +24,24 @@ from arrtop import (
     reduced_diagonal,
     right_cup_dual,
     series_of_rational,
+    supersolvable_exponents,
     torus_graded_complex,
 )
 from arrtop.cli import parse_arrangement
 from arrtop.errors import (
-    InternalInconsistency, RankOutOfRange, WorkBoundExceeded,
+    InternalInconsistency, NotSupersolvable, RankOutOfRange,
+    WorkBoundExceeded,
 )
 from arrtop import exactalg, homotopy, oscohomology
-from arrtop.exactalg import IntPolynomial, int_rank, linear_product, sub_scaled
+from arrtop.exactalg import (
+    IntPolynomial, int_rank, linear_product, sparse_compose, sub_scaled,
+)
 from arrtop.homotopy import is_acyclic
 from arrtop.oscohomology import (
-    _delta_rows, central_algebra, cohomology_view, sort_sign,
+    UEnvelope, _delta_rows, central_algebra, cohomology_view, sort_sign,
 )
 from genutil import (
+    EliminatedEnvelope,
     boolean_arrangement,
     boundary_expansion,
     braid3,
@@ -45,6 +51,8 @@ from genutil import (
     delta_rows_oracle,
     envelope_oracle,
     generic4,
+    lattice_oracle,
+    modular_oracle,
     nbc_oracle,
     near_pencil,
     projective_cup_oracle,
@@ -341,6 +349,132 @@ def test_envelope_matches_tensor_oracle():
     for arr in corpus:
         for projective in (True, False):
             _assert_envelope_matches_oracle(arr, 4, projective)
+
+
+def _off_bottom_chain():
+    """The lines y = 0, y = x and y = 2x - 2, then x = c for c = 0 .. 3,
+    in C^3.  The point where the x = c lines meet is modular: two of the
+    other lines meet on one of them.  No point on the first three lines is
+    modular, as x = 3 meets none of their crossings.  So the modular chain
+    ends in x = 0, and hyperplane 0 lies in its top block."""
+    forms = [[0, 1, 0], [-1, 1, 0], [-2, 1, 2]]
+    forms += [[1, 0, -c] for c in range(4)]
+    return normalize(forms, 3)
+
+
+def test_projective_bases_follow_the_modular_chain():
+    # with a modular chain, each projective degree lists its NBC sets by
+    # their (block, hyperplane) pairs, sorted; degree 1 by block, ties by
+    # index; without one, and on the central side, in NBC order.  The
+    # chain's flats are modular by the full definition, each a coatom of
+    # the one above it.
+    corpus = [parse_arrangement(os.path.join(DATA, n + ".json"))
+              for n in ("boolean3", "braid3", "generic4", "hattori4",
+                        "nearpencil3", "nonfano", "pencil3")]
+    corpus += [braid_arrangement(4), _off_bottom_chain()]
+    corpus += seeded_rank3_corpus(2626, 24)
+    chained = 0
+    for arr in corpus:
+        view, central = cohomology_view(arr, True), cohomology_view(arr, False)
+        try:
+            chain = intersection_lattice(arr).modular_chain()
+        except NotSupersolvable:
+            chain = None
+        if chain is None:
+            order = tuple
+        else:
+            chained += 1
+            if arr.num_hyperplanes <= 7:  # the oracle expands minors
+                closed, _ = lattice_oracle(arr.forms)
+                assert all(modular_oracle(closed, x.hyperplanes)
+                           for x in chain)
+            for x, y in zip(chain, chain[1:]):
+                assert y.codim == x.codim - 1
+                assert set(y.hyperplanes) < set(x.hyperplanes)
+            block = {h: len(chain) - 1 - i for i, x in enumerate(chain)
+                     for h in x.hyperplanes}
+
+            def order(s):
+                return sorted((block[h], h) for h in s)
+        for q in range(view.top + 1):
+            nbc = central_algebra(arr).nbc(q)
+            assert central.basis(q).keys == nbc
+            keys = view.basis(q).keys
+            assert sorted(keys) == [s for s in nbc if 0 not in s]
+            assert [order(s) for s in keys] == sorted(map(order, keys))
+    assert 8 <= chained < len(corpus)
+
+
+def test_hyperplane_zero_off_the_bottom_block():
+    # the projective side drops hyperplane 0, which the chain puts in its
+    # top block here; the letters, in chain order, then carry no quadratic
+    # Groebner basis: the degree-3 check fails and every degree is
+    # eliminated, to the closed form 1/(1 - 3t)^2 and the tensor oracle
+    arr = _off_bottom_chain()
+    chain = intersection_lattice(arr).modular_chain()
+    assert [x.hyperplanes for x in chain] == [tuple(range(7)), (3, 4, 5, 6),
+                                              (3,)]
+    assert supersolvable_exponents(arr).exponents == (1, 3, 3)
+    letters = cohomology_view(arr, True).basis(1).keys
+    assert letters == ((3,), (4,), (5,), (6,), (1,), (2,))
+    env = holonomy_envelope(arr, 5)
+    assert not env.rewritten
+    assert env.dims == [1, 6, 27, 108, 405, 1458]
+    _assert_envelope_matches_oracle(arr, 4, True)
+
+
+def test_rewritten_envelope_equals_the_eliminated_one():
+    # the tables filled from the degree-2 rules are the elimination's,
+    # list for list and entry type for entry type, in the same letter
+    # order; every input with a modular chain here takes the rewriting
+    # path, and the corpus also reaches the fallback
+    corpus = [(parse_arrangement(os.path.join(DATA, n + ".json")), 5)
+              for n in ("boolean3", "braid3", "braid4", "generic4",
+                        "hattori4", "nearpencil3", "pencil3")]
+    corpus += [(braid_arrangement(3), 6), (braid_arrangement(4), 5)]
+    corpus += [(arr, 4) for arr in seeded_rank3_corpus(2626, 24)]
+    paths = set()
+    for arr, degree in corpus:
+        view = cohomology_view(arr, True)
+        env, eliminated = UEnvelope(view, degree), EliminatedEnvelope(view,
+                                                                      degree)
+        assert not eliminated.rewritten
+        assert env.dims == eliminated.dims
+        assert env.basis_words == eliminated.basis_words
+        assert env._left == eliminated._left
+        for k, table in env._left.items():
+            assert [{p: type(v) for p, v in xw.items()} for xw in table] == [
+                {p: type(v) for p, v in xw.items()}
+                for xw in eliminated._left[k]]
+        if view._block is not None:
+            assert env.rewritten, arr
+        paths.add(env.rewritten)
+    assert paths == {True, False}
+
+
+def test_non_fano_envelope_takes_the_elimination_path(monkeypatch):
+    # the non-Fano rules rewrite degree 3 onto 114 words, but dim U_3 is
+    # 109: their overlaps do not resolve, the rows of R (x) U_1 do not
+    # compose to zero with that table, and degrees 3 and up are eliminated
+    arr = parse_arrangement(os.path.join(DATA, "nonfano.json"))
+    view = cohomology_view(arr, True)
+    two = UEnvelope(view, 2)
+    columns, table = two._rewrite(3)
+    assert len(columns) == 114
+    assert any(sparse_compose(_delta_rows(view, two, 2, 3), table))
+    eliminated = []
+    eliminate = UEnvelope._eliminate
+
+    def spy(self, k):
+        eliminated.append(k)
+        return eliminate(self, k)
+
+    monkeypatch.setattr(UEnvelope, "_eliminate", spy)
+    env = UEnvelope(view, 5)
+    assert not env.rewritten and eliminated == [2, 3, 4, 5]
+    assert env.dims == [1, 6, 27, 109, 417, 1548]
+    monkeypatch.undo()
+    assert env._left == EliminatedEnvelope(view, 5)._left
 
 
 def test_envelope_matches_tensor_oracle_braid3_degree5():
