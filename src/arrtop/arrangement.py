@@ -24,13 +24,14 @@ from .errors import (
     NotSupersolvable,
     RankOutOfRange,
     SamplingFailed,
+    WorkBoundExceeded,
     ZeroForm,
+    _work_bound,
 )
 from .exactalg import (
     IntPolynomial,
     SparseEchelon,
     int_entries,
-    int_rank,
     poly_divide_exact,
 )
 
@@ -145,7 +146,7 @@ class Arrangement:
 
 @lru_cache(maxsize=None)
 def _form_rank(forms):
-    return int_rank(forms)
+    return _rank(forms)
 
 
 def normalize(raw_forms, ambient_dim, labels=None, multiplicities=None) -> Arrangement:
@@ -264,6 +265,8 @@ class IntersectionLattice:
     def basis(self, flat):
         """codim(flat) independent hyperplanes of the flat, greedily in
         index order."""
+        if len(flat.hyperplanes) == flat.codim:
+            return list(flat.hyperplanes)
         basis = []
         for i in flat.hyperplanes:
             if len(basis) == flat.codim:
@@ -338,22 +341,53 @@ def _modular_chain(lat):
 
 
 def _eliminate(residual, pivot, col):
-    """Primitive direction of `residual` modulo `pivot`, fraction-free, one
-    coordinate shorter.
+    """Primitive direction of `residual` modulo `pivot`, fraction-free, at
+    full length.
 
-    Both are primitive integer vectors of equal length; `pivot` has its
-    leading entry at `col`.  The combination that clears `col` is made
-    primitive with a positive leading entry, and entry `col`, now zero, is
-    dropped.  Dropping a coordinate that is zero in every residual keeps
-    equality, proportionality and primitivity, so a chain of eliminations
-    works in coordinates that shrink by one per step.  None when the two
-    are proportional.
+    Both are primitive integer tuples of equal length with a positive
+    leading entry; `pivot` leads at `col`.  A residual zero at `col` comes
+    back as the same tuple, not a copy.  Otherwise the combination that
+    clears `col` is made primitive with a positive leading entry (one gcd,
+    the sign folded into it); it is zero wherever both are, so a chain of
+    steps keeps a zero at every pivot column met.  None when the two are
+    proportional.
     """
-    a, b = pivot[col], residual[col]
+    b = residual[col]
     if not b:
-        return residual[:col] + residual[col + 1:]
-    v = tuple(a * x - b * y for x, y in zip(residual, pivot))
-    return _primitive(v[:col] + v[col + 1:])
+        return residual
+    a = pivot[col]
+    v = [a * x - b * y for x, y in zip(residual, pivot)]
+    g = gcd(*v)
+    if not g:
+        return None
+    if next(filter(None, v)) < 0:
+        g = -g
+    return tuple([x // g for x in v] if g != 1 else v)
+
+
+def _extend(pivots, row):
+    """The tuple `pivots` of (row, leading column) with the primitive `row`,
+    reduced against each of them by _eliminate, added; None when `row`
+    lies in their span.  A new tuple, so a caller may keep the old one."""
+    for pivot, col in pivots:
+        row = _eliminate(row, pivot, col)
+        if row is None:
+            return None
+    return pivots + ((row, row.index(next(filter(None, row)))),)
+
+
+def _rank(rows):
+    """Rank over Q of integer tuples of equal length."""
+    pivots = ()
+    for row in filter(None, map(_primitive, rows)):
+        pivots = _extend(pivots, row) or pivots
+    return len(pivots)
+
+
+def _count_flats(n, bound):
+    """Refuse the n-th flat of a lattice when n exceeds the work bound."""
+    if n > bound:
+        raise WorkBoundExceeded(f"lattice: {n} flats exceed work bound {bound}")
 
 
 @lru_cache(maxsize=None)
@@ -361,17 +395,16 @@ def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
     """Enumerate flats cover by cover, with their Moebius values.
 
     Each flat X of the current frontier keeps, for every hyperplane j
-    outside it, the primitive integer direction of form j modulo span(X):
-    the unique representative supported off the pivot columns of span(X),
-    with those columns dropped, so a flat of codim c holds residuals of
-    length ambient_dim - c.  The covers of X are the lines of V*/span(X)
-    that forms span: the hyperplanes outside X sharing one direction, added
-    to X, make one cover of codimension codim(X) + 1 (Orlik-Terao,
-    Arrangements of Hyperplanes, ch. 2).  A new cover's residuals come from
-    X's by one fraction-free elimination against that direction, which
-    drops that direction's leading column.  Only the current and the next
-    frontier hold residuals.  A flat of codim rank - 1 has one cover, the
-    top flat holding every hyperplane, so it gets no residuals.
+    outside it, the primitive integer direction of form j modulo span(X),
+    at full length and zero at the pivot columns of span(X).  The covers
+    of X are the lines of V*/span(X) that forms span: the hyperplanes
+    outside X sharing one direction, added to X, make one cover of codim
+    codim(X) + 1 (Orlik-Terao, Arrangements of Hyperplanes, ch. 2).  A new
+    cover's residuals are X's after one _eliminate step against that
+    direction, so those zero at its leading column are shared.  Only the
+    current and the next frontier hold residuals; a flat of codim rank - 1
+    has one cover, the top flat, so it gets none.  Flats are counted as
+    they are made, against the work bound (stage `lattice`).
 
     Moebius values come from Weisner's theorem (Trans. AMS 38, 1935;
     Stanley, Enumerative Combinatorics I, 3.9): for an atom a below X,
@@ -379,6 +412,7 @@ def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
     the smallest hyperplane of X, each (flat, cover) pair met adds its
     term; a flat's value is complete before its own covers are met.
     """
+    bound = _work_bound()
     rank = arr.rank
     flats = {(): 0}
     mobius = {(): 1}
@@ -394,6 +428,7 @@ def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
                 if cover not in flats:
                     flats[cover] = codim
                     mobius[cover] = 0
+                    _count_flats(len(flats), bound)
                     if codim < rank - 1:
                         # the first nonzero entry's value first occurs at
                         # its column
@@ -413,6 +448,7 @@ def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
             f"lattice enumeration does not reach codim {rank}, the arrangement rank"
         )
     flats[top] = rank
+    _count_flats(len(flats), bound)
     mobius[top] = -sum(
         mobius[f] for f, c in flats.items() if c == rank - 1 and f[:1] != (0,)
     )
@@ -505,7 +541,7 @@ class Subspace:
             raise ZeroForm("subspace needs at least one basis vector")
         if len({len(v) for v in basis}) != 1:
             raise ZeroForm("subspace basis vectors have unequal lengths")
-        if int_rank(basis) != len(basis):
+        if _rank(basis) != len(basis):
             raise ZeroForm("subspace basis vectors are dependent")
 
     @property
@@ -551,9 +587,8 @@ def is_lattice_generic(arr: Arrangement, u: Subspace, level) -> bool:
     tested.  Restriction is linear, so the restricted span of X is that of
     any basis of X: codim X independent hyperplanes of X, read off the
     lattice.  Their restricted forms are tested for independence by the
-    lattice's fraction-free elimination: pivot k, counted from 0, is
-    built after k eliminations, so it lives in the same shortened
-    coordinates as each later row that reaches it.
+    lattice's _eliminate step (see _extend).  Bases are greedy in index
+    order, so flats share prefixes, and each prefix is reduced once.
     """
     if not 0 <= level < arr.rank:
         raise RankOutOfRange(f"level must lie in [0, rank), got {level}")
@@ -562,15 +597,19 @@ def is_lattice_generic(arr: Arrangement, u: Subspace, level) -> bool:
         # a hyperplane holding U: its flat of codim 1 drops to codim 0
         return False
     lat = intersection_lattice(arr)
+    reduced = {}  # basis prefix -> the _extend pivots of its rows
     for flat in lat.flats_of_codim(level + 1):
-        pivots = []
-        for i in lat.basis(flat):
-            row = restricted[i]
-            for pivot, col in pivots:
-                row = _eliminate(row, pivot, col)
-                if row is None:
-                    return False
-            pivots.append((row, row.index(next(filter(None, row)))))
+        basis = tuple(lat.basis(flat))
+        pivots = ()
+        for m in range(1, len(basis) + 1):
+            prefix = basis[:m]
+            if prefix in reduced:
+                pivots = reduced[prefix]
+                continue
+            pivots = _extend(pivots, restricted[basis[m - 1]])
+            if pivots is None:
+                return False
+            reduced[prefix] = pivots
     return True
 
 
@@ -657,9 +696,10 @@ def sample_generic_subspace(arr: Arrangement, dim, seed, level=None) -> Subspace
             tuple(rng.randint(-bound, bound) for _ in range(arr.ambient_dim))
             for _ in range(dim)
         ]
-        if int_rank(vecs) != dim:
+        try:
+            u = Subspace(tuple(vecs))
+        except ZeroForm:  # dependent: draw again
             continue
-        u = Subspace(tuple(vecs))
         if is_lattice_generic(arr, u, level):
             return u
     raise SamplingFailed(

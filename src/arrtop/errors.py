@@ -3,8 +3,13 @@
 InputError covers malformed input data (CLI exit code 2); PreconditionError
 covers violated mathematical preconditions (CLI exit code 3);
 InternalInconsistency means an identity the computation guarantees failed
-(CLI exit code 4).
+(CLI exit code 4).  The work bound that stages count against is read here.
 """
+
+import os as _os
+
+DEFAULT_WORK_BOUND = 10 ** 6
+WORK_BOUND_ENV = "ARRTOP_WORK_BOUND"
 
 
 class ArrtopError(Exception):
@@ -71,8 +76,22 @@ class SamplingFailed(PreconditionError):
 # Orlik-Solomon / enveloping algebra
 
 class WorkBoundExceeded(PreconditionError):
-    """A stage's work size (a tensor-slice dimension, or lcs max_k^2)
-    exceeds the configured work bound."""
+    """A stage's work size (a tensor-slice dimension, lcs max_k^2, or the
+    flats of a lattice) exceeds the configured work bound."""
+
+
+def _work_bound(override=None):
+    """The work bound: the override, else ARRTOP_WORK_BOUND, else the
+    default.  A set, nonempty ARRTOP_WORK_BOUND must be a positive decimal
+    integer."""
+    if override is not None:
+        return override
+    env = _os.environ.get(WORK_BOUND_ENV) or str(DEFAULT_WORK_BOUND)
+    if not (env.isascii() and env.isdigit() and int(env) > 0):
+        raise ParseError(
+            f"{WORK_BOUND_ENV} must be a positive integer, got {env!r}"
+        )
+    return int(env)
 
 
 # polar / singularity formulas

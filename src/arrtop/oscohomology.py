@@ -16,7 +16,6 @@ combinatorics; functions take a `projective` flag where both make sense.
 
 from __future__ import annotations
 
-import os as _os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,30 +24,13 @@ from itertools import combinations
 from .arrangement import (
     Arrangement, intersection_lattice, poincare_central, poincare_projective,
 )
-from .errors import (
-    InternalInconsistency, NotSupersolvable, ParseError, RankOutOfRange,
-    WorkBoundExceeded,
+from .errors import (  # the work bound's names stay importable from here
+    DEFAULT_WORK_BOUND, WORK_BOUND_ENV, InternalInconsistency,
+    NotSupersolvable, RankOutOfRange, WorkBoundExceeded, _work_bound,
 )
 from .exactalg import (
     SparseEchelon, int_rank, narrowed, sparse_compose, sub_scaled,
 )
-
-DEFAULT_WORK_BOUND = 10 ** 6
-WORK_BOUND_ENV = "ARRTOP_WORK_BOUND"
-
-
-def _work_bound(override=None):
-    """The work bound: the override, else ARRTOP_WORK_BOUND, else the
-    default.  A set, nonempty ARRTOP_WORK_BOUND must be a positive decimal
-    integer."""
-    if override is not None:
-        return override
-    env = _os.environ.get(WORK_BOUND_ENV) or str(DEFAULT_WORK_BOUND)
-    if not (env.isascii() and env.isdigit() and int(env) > 0):
-        raise ParseError(
-            f"{WORK_BOUND_ENV} must be a positive integer, got {env!r}"
-        )
-    return int(env)
 
 
 def _check_work_bound(stage, b1, degree, override=None):

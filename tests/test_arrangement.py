@@ -49,6 +49,7 @@ from arrtop.exactalg import IntPolynomial, linear_product
 from genutil import (
     boolean_arrangement,
     braid3,
+    braid_arrangement,
     direct_sum,
     generic4,
     genericity_oracle,
@@ -188,6 +189,34 @@ def test_lattice_braid_matches_oracle_and_chi():
         IntPolynomial((-1, 1)) * IntPolynomial((-2, 1)) * IntPolynomial((-3, 1))
     )
     assert chi == expected
+
+
+def _stirling2(n, k):
+    """Stirling number of the second kind, by S(n, k) = k S(n-1, k) +
+    S(n-1, k-1)."""
+    row = [1]  # S(0, .)
+    for m in range(1, n + 1):
+        row = [0] + [j * (row[j] if j < len(row) else 0) + row[j - 1]
+                     for j in range(1, m + 1)]
+    return row[k] if k < len(row) else 0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_braid_lattice_meets_the_closed_forms(n):
+    """The flats of braid A_n are the set partitions of n + 1 points, one
+    of codim k having n + 1 - k blocks, so S(n + 1, n + 1 - k) of them; A_n
+    is supersolvable with exponents 1..n, so its central Poincare
+    polynomial is prod (1 + i t).  A6 (877 flats) is beyond the
+    minor-expansion oracle."""
+    arr = braid_arrangement(n)
+    lat = intersection_lattice(arr)
+    assert [len(lat.flats_of_codim(k)) for k in range(n + 1)] == [
+        _stirling2(n + 1, n + 1 - k) for k in range(n + 1)
+    ]
+    expected = IntPolynomial((1,))
+    for i in range(1, n + 1):
+        expected = expected * IntPolynomial((1, i))
+    assert poincare_central(arr) == expected
 
 
 def _lattice_table(arr):
@@ -591,6 +620,55 @@ def test_genericity_against_oracle():
             negatives += expected.count(False)
     assert non_essential >= 5
     assert negatives >= seen // 4
+
+
+def test_genericity_reduces_each_basis_prefix_once(monkeypatch):
+    """The forms (1, t, ..., t^4), t = 1..9, are generic in C^5.  At level 3
+    their 126 flats of codim 4 have the 4-subsets as bases; a basis prefix
+    of m rows takes m - 1 eliminations, and each distinct prefix is reduced
+    once: 378 + 112 + 21 = 511, where every basis on its own takes
+    126 * 6 = 756."""
+    arr = normalize([[t ** e for e in range(5)] for t in range(1, 10)], 5)
+    lat = intersection_lattice(arr)
+    u = sample_generic_subspace(arr, 4, 7)
+    prefixes = {tuple(lat.basis(f))[:m]
+                for f in lat.flats_of_codim(4) for m in range(1, 5)}
+    calls = []
+    eliminate = arrangement_module._eliminate
+
+    def spy(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(arrangement_module, "_eliminate", spy)
+    assert is_lattice_generic(arr, u, 3)
+    assert len(calls) == sum(len(p) - 1 for p in prefixes) == 511
+
+
+def test_sampler_ranks_each_draw_once(monkeypatch):
+    """Subspace is the one independence test of a draw, and a dependent
+    draw is drawn again: here (1, 2), (2, 4), then (1, 0), (0, 1)."""
+    class Scripted:
+        def __init__(self, seed):
+            self.values = iter([1, 2, 2, 4, 1, 0, 0, 1])
+
+        def randint(self, a, b):
+            return next(self.values)
+
+    arr = boolean_arrangement(2)
+    assert arr.rank == 2  # ranked before the spy goes in
+    ranked = []
+    rank = arrangement_module._rank
+
+    def spy(rows):
+        ranked.append(rows)
+        return rank(rows)
+
+    monkeypatch.setattr(arrangement_module.random, "Random", Scripted)
+    monkeypatch.setattr(arrangement_module, "_rank", spy)
+    u = sample_generic_subspace(arr, 2, seed=0)
+    assert u.basis == ((1, 0), (0, 1))
+    assert ranked == [((1, 2), (2, 4)), ((1, 0), (0, 1))]
 
 
 def test_sampled_subspaces_are_pinned():

@@ -254,7 +254,9 @@ GOLDEN_INPUTS = [
 ]
 
 
-@pytest.mark.parametrize("name", GOLDEN_INPUTS)
+# braid A4 and the non-supersolvable non-Fano lattice, generated before the
+# lattice kept its residuals at full length
+@pytest.mark.parametrize("name", GOLDEN_INPUTS + ["braid4", "nonfano"])
 def test_golden_full_report_byte_identical(capsys, name):
     with open(path(f"golden_report_{name}.json")) as fh:
         golden = fh.read()
@@ -277,6 +279,15 @@ def test_golden_pi_p_section_byte_identical(capsys):
     with open(path("golden_pi_p_hattori4.json")) as fh:
         golden = fh.read()
     argv = ["pi-p", path("hattori4.json"), "--section-rank", "3", "--max-degree", "6"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == golden
+
+
+def test_golden_genericity_byte_identical(capsys):
+    with open(path("golden_genericity_hattori4.json")) as fh:
+        golden = fh.read()
+    argv = ["genericity", path("hattori4.json"),
+            "--subspace", path("subspace_generic3.json")]
     assert main(argv) == 0
     assert capsys.readouterr().out == golden
 
@@ -389,6 +400,29 @@ def test_lowered_work_bound_refuses_warm_caches(monkeypatch, capsys):
     assert holonomy_envelope(arr, 4) is env
     assert graded_complex(arr, 4) is complex_
     assert misses() == warm
+
+
+def test_lattice_counts_its_flats_against_the_work_bound(monkeypatch, capsys,
+                                                        tmp_path):
+    """Braid A5 has 203 flats: a bound of 203 admits it, and 202 refuses it
+    as its 203rd flat is made (exit 3).  A refusal fills no cache."""
+    from arrtop import intersection_lattice
+    from arrtop.errors import WorkBoundExceeded
+
+    # its own hyperplane order, so no other test has its lattice cached
+    arr = normalize(list(reversed(braid_arrangement(5).forms)), 5)
+    f = tmp_path / "braid5.json"
+    f.write_text(json.dumps({"ambient_dim": 5, "forms": arr.forms}))
+    monkeypatch.setenv("ARRTOP_WORK_BOUND", "202")
+    message = "lattice: 203 flats exceed work bound 202"
+    with pytest.raises(WorkBoundExceeded, match=f"^{message}$"):
+        intersection_lattice(arr)
+    assert main(["lattice", str(f)]) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "WorkBoundExceeded", "message": message}
+    monkeypatch.setenv("ARRTOP_WORK_BOUND", "203")
+    assert len(intersection_lattice(arr).flats) == 203
+    assert main(["lattice", str(f)]) == 0
 
 
 MALFORMED_ARRANGEMENTS = {
