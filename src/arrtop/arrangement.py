@@ -13,7 +13,6 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
 
 from .errors import (
     EmptyArrangement,
@@ -31,7 +30,11 @@ from .errors import (
 from .exactalg import (
     IntPolynomial,
     SparseEchelon,
+    _eliminate,
+    _extend,
+    _primitive,
     int_entries,
+    int_rank,
     poly_divide_exact,
 )
 
@@ -69,21 +72,6 @@ class _Infinite:
 
 
 INFINITE = _Infinite()
-
-
-def _primitive(form):
-    """The tuple of ints `form` scaled primitive with a positive leading
-    entry, or None when it is zero.  One gcd call; the sign of the first
-    nonzero entry is folded into the divisor, and a form that is already
-    primitive and positive comes back unchanged."""
-    g = gcd(*form)
-    if g == 0:
-        return None
-    if next(filter(None, form)) < 0:
-        g = -g
-    if g == 1:
-        return form
-    return tuple(x // g for x in form)
 
 
 @dataclass(frozen=True)
@@ -146,7 +134,7 @@ class Arrangement:
 
 @lru_cache(maxsize=None)
 def _form_rank(forms):
-    return _rank(forms)
+    return int_rank(forms)
 
 
 def normalize(raw_forms, ambient_dim, labels=None, multiplicities=None) -> Arrangement:
@@ -264,7 +252,8 @@ class IntersectionLattice:
 
     def basis(self, flat):
         """codim(flat) independent hyperplanes of the flat, greedily in
-        index order."""
+        index order; a flat of exactly codim(flat) hyperplanes is its own
+        basis, so every flat below the top of a generic arrangement."""
         if len(flat.hyperplanes) == flat.codim:
             return list(flat.hyperplanes)
         basis = []
@@ -340,50 +329,6 @@ def _modular_chain(lat):
     return tuple(chain)
 
 
-def _eliminate(residual, pivot, col):
-    """Primitive direction of `residual` modulo `pivot`, fraction-free, at
-    full length.
-
-    Both are primitive integer tuples of equal length with a positive
-    leading entry; `pivot` leads at `col`.  A residual zero at `col` comes
-    back as the same tuple, not a copy.  Otherwise the combination that
-    clears `col` is made primitive with a positive leading entry (one gcd,
-    the sign folded into it); it is zero wherever both are, so a chain of
-    steps keeps a zero at every pivot column met.  None when the two are
-    proportional.
-    """
-    b = residual[col]
-    if not b:
-        return residual
-    a = pivot[col]
-    v = [a * x - b * y for x, y in zip(residual, pivot)]
-    g = gcd(*v)
-    if not g:
-        return None
-    if next(filter(None, v)) < 0:
-        g = -g
-    return tuple([x // g for x in v] if g != 1 else v)
-
-
-def _extend(pivots, row):
-    """The tuple `pivots` of (row, leading column) with the primitive `row`,
-    reduced against each of them by _eliminate, added; None when `row`
-    lies in their span.  A new tuple, so a caller may keep the old one."""
-    for pivot, col in pivots:
-        row = _eliminate(row, pivot, col)
-        if row is None:
-            return None
-    return pivots + ((row, row.index(next(filter(None, row)))),)
-
-
-def _rank(rows):
-    """Rank over Q of integer tuples of equal length."""
-    pivots = ()
-    for row in filter(None, map(_primitive, rows)):
-        pivots = _extend(pivots, row) or pivots
-    return len(pivots)
-
-
 def _count_flats(n, bound):
     """Refuse the n-th flat of a lattice when n exceeds the work bound."""
     if n > bound:
@@ -404,7 +349,8 @@ def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
     direction, so those zero at its leading column are shared.  Only the
     current and the next frontier hold residuals; a flat of codim rank - 1
     has one cover, the top flat, so it gets none.  Flats are counted as
-    they are made, against the work bound (stage `lattice`).
+    they are made, against the environment's work bound (stage
+    `lattice`); a caller's `work_bound` argument does not reach here.
 
     Moebius values come from Weisner's theorem (Trans. AMS 38, 1935;
     Stanley, Enumerative Combinatorics I, 3.9): for an atom a below X,
@@ -541,7 +487,7 @@ class Subspace:
             raise ZeroForm("subspace needs at least one basis vector")
         if len({len(v) for v in basis}) != 1:
             raise ZeroForm("subspace basis vectors have unequal lengths")
-        if _rank(basis) != len(basis):
+        if int_rank(basis) != len(basis):
             raise ZeroForm("subspace basis vectors are dependent")
 
     @property

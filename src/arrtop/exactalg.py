@@ -2,16 +2,19 @@
 forms, integer polynomials and truncated power series.
 
 No floating point anywhere: the ground field is Q, integers are Python
-ints.  `SparseEchelon` is the one elimination kernel over Q; Smith forms
-take their unit pivots from it.  It holds an exact value as an int when
-it is integral and as a fractions.Fraction (canonically reduced,
-arbitrary precision) only when it is not: on the matrices that arise
-here almost every entry is an integer, and int arithmetic is many times
-cheaper than Fraction arithmetic.  A batch of rows is inserted sparsest
-first (Markowitz's ordering), so that early long rows do not fill in
-every later pivot row; the rank, the pivot columns and the normal forms
-depend only on the row space, so the order changes none of them, only
-the stored pivot rows.  The echelon caches nothing; everything else here
+ints.  `SparseEchelon` is the elimination kernel for sparse rows over Q;
+Smith forms take their unit pivots from it.  It holds an exact value as
+an int when it is integral and as a fractions.Fraction (canonically
+reduced, arbitrary precision) only when it is not: on the matrices that
+arise here almost every entry is an integer, and int arithmetic is many
+times cheaper than Fraction arithmetic.  A batch of rows is inserted
+sparsest first (Markowitz's ordering), so that early long rows do not
+fill in every later pivot row; the rank, the pivot columns and the
+normal forms depend only on the row space, so the order changes none of
+them, only the stored pivot rows.  Dense integer vectors (the forms
+of an arrangement, its lattice residuals, `int_rank`) are reduced instead
+by one fraction-free step, `_eliminate`, that keeps them primitive
+integer vectors.  The echelon caches nothing; everything else here
 is immutable and pure.
 """
 
@@ -177,9 +180,63 @@ def sparse_compose(rows_a, rows_b):
         yield acc
 
 
+def _primitive(form):
+    """The int vector `form` scaled primitive with a positive leading
+    entry, or None when it is zero.  One gcd call; the sign of the first
+    nonzero entry is folded into the divisor, and a form that is already
+    primitive and positive comes back unchanged."""
+    g = gcd(*form)
+    if g == 0:
+        return None
+    if next(filter(None, form)) < 0:
+        g = -g
+    if g == 1:
+        return form
+    return tuple(x // g for x in form)
+
+
+def _eliminate(residual, pivot, col):
+    """Primitive direction of `residual` modulo `pivot`, fraction-free, at
+    full length.
+
+    Both are primitive integer vectors of equal length with a positive
+    leading entry; `pivot` leads at `col`.  A residual zero at `col` comes
+    back as the same object, not a copy.  Otherwise the combination that
+    clears `col` is made primitive with a positive leading entry (one gcd,
+    the sign folded into it); it is zero wherever both are, so a chain of
+    steps keeps a zero at every pivot column met.  None when the two are
+    proportional.
+    """
+    b = residual[col]
+    if not b:
+        return residual
+    a = pivot[col]
+    v = [a * x - b * y for x, y in zip(residual, pivot)]
+    g = gcd(*v)
+    if not g:
+        return None
+    if next(filter(None, v)) < 0:
+        g = -g
+    return tuple([x // g for x in v] if g != 1 else v)
+
+
+def _extend(pivots, row):
+    """The tuple `pivots` of (row, leading column) with the primitive `row`,
+    reduced against each of them by _eliminate, added; None when `row`
+    lies in their span.  A new tuple, so a caller may keep the old one."""
+    for pivot, col in pivots:
+        row = _eliminate(row, pivot, col)
+        if row is None:
+            return None
+    return pivots + ((row, row.index(next(filter(None, row)))),)
+
+
 def int_rank(vectors) -> int:
-    """Rank over Q of a list of integer vectors."""
-    return sparse_rank([{j: x for j, x in enumerate(v) if x} for v in vectors])
+    """Rank over Q of integer vectors of equal length, by _extend."""
+    pivots = ()
+    for row in filter(None, map(_primitive, vectors)):
+        pivots = _extend(pivots, row) or pivots
+    return len(pivots)
 
 
 def unit_split(rows):

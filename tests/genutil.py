@@ -8,8 +8,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from arrtop import (
-    Arrangement, GradedChainComplex, Subspace, homotopy, is_essential,
-    normalize, oscohomology,
+    Arrangement, GradedChainComplex, Subspace, arrangement, homotopy,
+    is_essential, normalize, oscohomology,
 )
 from arrtop.errors import EmptyArrangement, ZeroForm
 from arrtop.exactalg import sub_scaled
@@ -592,6 +592,17 @@ def clear_envelope_caches():
     next call builds from degree 0."""
     oscohomology.holonomy_envelope.cache_clear()
     homotopy.graded_complex.cache_clear()
+
+
+def clear_arrangement_caches():
+    """Empty every per-arrangement cache, the lattice's included, so the
+    next call starts cold."""
+    clear_envelope_caches()
+    homotopy.supersolvable_exponents.cache_clear()
+    oscohomology.cohomology_view.cache_clear()
+    oscohomology.central_algebra.cache_clear()
+    arrangement.intersection_lattice.cache_clear()
+    arrangement._form_rank.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arrtop import arrangement as arrangement_module
+from arrtop import exactalg
 from arrtop import (
     INFINITE,
     Arrangement,
@@ -634,13 +635,13 @@ def test_genericity_reduces_each_basis_prefix_once(monkeypatch):
     prefixes = {tuple(lat.basis(f))[:m]
                 for f in lat.flats_of_codim(4) for m in range(1, 5)}
     calls = []
-    eliminate = arrangement_module._eliminate
+    eliminate = exactalg._eliminate
 
     def spy(*args):
         calls.append(args)
         return eliminate(*args)
 
-    monkeypatch.setattr(arrangement_module, "_eliminate", spy)
+    monkeypatch.setattr(exactalg, "_eliminate", spy)
     assert is_lattice_generic(arr, u, 3)
     assert len(calls) == sum(len(p) - 1 for p in prefixes) == 511
 
@@ -658,14 +659,14 @@ def test_sampler_ranks_each_draw_once(monkeypatch):
     arr = boolean_arrangement(2)
     assert arr.rank == 2  # ranked before the spy goes in
     ranked = []
-    rank = arrangement_module._rank
+    rank = arrangement_module.int_rank
 
     def spy(rows):
         ranked.append(rows)
         return rank(rows)
 
     monkeypatch.setattr(arrangement_module.random, "Random", Scripted)
-    monkeypatch.setattr(arrangement_module, "_rank", spy)
+    monkeypatch.setattr(arrangement_module, "int_rank", spy)
     u = sample_generic_subspace(arr, 2, seed=0)
     assert u.basis == ((1, 0), (0, 1))
     assert ranked == [((1, 2), (2, 4)), ((1, 0), (0, 1))]

@@ -54,6 +54,7 @@ from genutil import (
     audit_rows_oracle,
     boolean_arrangement,
     braid3,
+    clear_arrangement_caches,
     clear_envelope_caches,
     braid_arrangement,
     direct_sum,
@@ -488,18 +489,24 @@ def test_work_bound_override_above_the_environment_reaches_the_build(
 
 
 def test_every_work_bound_refusal_names_its_stage(monkeypatch):
+    # from cold caches, so the outcome does not hang on what earlier tests
+    # built: braid A5's lattice (203 flats) is built before the bound is
+    # lowered, and its section is then refused at the cokernel
+    clear_arrangement_caches()
+    a5_section = SectionData(braid_arrangement(5), 3)
     monkeypatch.setenv("ARRTOP_WORK_BOUND", "100")
     arr, exps = braid3(), ExponentData((1, 2, 3))
     section = SectionData(boolean_arrangement(5), 3)
     envelope = "envelope: tensor slice dimension 4^4 exceeds bound 100"
     refusals = [
+        ("lattice: 101 flats exceed work bound 100",
+         lambda: intersection_lattice(boolean_arrangement(7))),
         ("envelope: tensor slice dimension 5^3 exceeds bound 100",
          lambda: holonomy_envelope(arr, 3)),
         (envelope, lambda: homotopy_cokernel_ranks(section, 4)),
         (envelope, lambda: consistency_suite(section, 4)),
         ("cokernel: 120 rows in chain degree 4 exceed work bound 100",
-         lambda: homotopy_cokernel_ranks(SectionData(braid_arrangement(5), 3),
-                                         1)),
+         lambda: homotopy_cokernel_ranks(a5_section, 1)),
         ("complex: tensor slice dimension 5^3 exceeds bound 100",
          lambda: graded_complex(arr, 3)),
         ("integer_audit: tensor slice dimension 5^3 exceeds bound 100",
