@@ -12,14 +12,17 @@ Arrangement file grammar (JSON):
 Subspace file grammar (JSON): {"basis": [[...], ...]}.
 
 Every number in either file must be a JSON integer: booleans, floats and
-numeric strings are malformed input.
+numeric strings are malformed input, and so is any file that cannot be read
+as JSON (bad encoding, nesting too deep, an over-long integer literal).
 
 Exit codes: 0 success, 2 malformed input or arguments, 3 violated
 precondition (for example `exponents` on a non-supersolvable arrangement), 4
 internal inconsistency (an identity every valid input satisfies failed, which
-points at a defect in arrtop itself).  Every error is a JSON object on
-stdout.  Every report embeds the input digest and tool version; identical
-inputs produce byte identical reports.
+points at a defect in arrtop itself); each error class carries its code.
+Every error is a JSON object on stdout.  Every report embeds the input
+digest and tool version; identical inputs produce byte identical reports.
+Output integers are written in full, so a Python >= 3.11 reader needs
+sys.set_int_max_str_digits(0).
 """
 
 from __future__ import annotations
@@ -45,14 +48,7 @@ from .arrangement import (
     poincare_central,
     poincare_projective,
 )
-from .errors import (
-    ArrtopError,
-    InputError,
-    InternalInconsistency,
-    NotSupersolvable,
-    ParseError,
-    PreconditionError,
-)
+from .errors import ArrtopError, NotSupersolvable, ParseError
 from .homotopy import (
     SectionData,
     ExponentData,
@@ -92,18 +88,26 @@ def _is_int(value):
     return type(value) is int
 
 
-def load_arrangement_file(path):
-    """Parse and normalize an arrangement file; returns (arrangement, raw
-    bytes, warnings)."""
+def _read_json(path):
+    """The raw bytes of a JSON file and the value they hold.  A file that
+    cannot be read, decoded or parsed (nesting too deep, an integer literal
+    past the digit limit) is a ParseError."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
+        return raw, json.loads(raw)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
-    try:
-        data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}")
+
+
+def load_arrangement_file(path):
+    """Parse and normalize an arrangement file; returns (arrangement, raw
+    bytes, warnings)."""
+    raw, data = _read_json(path)
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be an object")
     for key in ("ambient_dim", "forms"):
@@ -152,13 +156,7 @@ def parse_arrangement(path) -> Arrangement:
 
 
 def load_subspace_file(path) -> Subspace:
-    try:
-        with open(path, "rb") as fh:
-            data = json.loads(fh.read())
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc.msg}")
+    _, data = _read_json(path)
     if not isinstance(data, dict) or "basis" not in data:
         raise ParseError(f"{path}: expected an object with a 'basis' field")
     basis = data["basis"]
@@ -183,7 +181,17 @@ def make_report(command, raw_bytes, results, warnings):
 
 
 def emit(report):
-    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    """Write a report to stdout, its integers in full: the int-to-str digit
+    limit (Python >= 3.11) is lifted for this dump only."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    sys.stdout.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -240,46 +248,33 @@ def _genericity_payload(arr, sub):
     k = genericity_level(arr, sub)
     p = betti_agreement_order(arr, sub)
     return {
-        "genericity_level": _encode(k),
-        "betti_agreement_order": _encode(p),
+        "genericity_level": k,
+        "betti_agreement_order": p,
         "equal": k is p or k == p,
     }
 
 
 def _pi_p_payload(arr, args):
-    max_degree = args.max_degree
+    coker = None
     if args.section_rank is not None:
         section = SectionData(arr, args.section_rank)
-        exps = supersolvable_exponents(arr)
-        coker = homotopy_cokernel_ranks(section, max_degree)
-        (num, den), series = homotopy_hilbert_series(
-            exps, section.connectivity, max_degree
-        )
-        ints = series.integer_coefficients()
-        return {
-            "mode": "section",
-            "section_rank": args.section_rank,
-            "connectivity": section.connectivity,
-            "closed_form": {
-                "numerator": list(num.coefficients),
-                "denominator": list(den.coefficients),
-            },
-            "series": ints,
-            "cokernel_ranks": coker,
-            "match": ints == coker,
-        }
-    exps = ExponentData(tuple(sorted(args.exponents)))
-    (num, den), series = homotopy_hilbert_series(exps, args.p, max_degree)
-    return {
-        "mode": "exponents",
-        "exponents": list(exps.exponents),
-        "connectivity": args.p,
-        "closed_form": {
-            "numerator": list(num.coefficients),
-            "denominator": list(den.coefficients),
-        },
-        "series": series.integer_coefficients(),
+        exps, p = supersolvable_exponents(arr), section.connectivity
+        coker = homotopy_cokernel_ranks(section, args.max_degree)
+        payload = {"mode": "section", "section_rank": args.section_rank,
+                   "cokernel_ranks": coker}
+    else:
+        exps, p = ExponentData(tuple(sorted(args.exponents))), args.p
+        payload = {"mode": "exponents", "exponents": list(exps.exponents)}
+    (num, den), series = homotopy_hilbert_series(exps, p, args.max_degree)
+    payload["connectivity"] = p
+    payload["closed_form"] = {
+        "numerator": list(num.coefficients),
+        "denominator": list(den.coefficients),
     }
+    payload["series"] = series.integer_coefficients()
+    if coker is not None:
+        payload["match"] = payload["series"] == coker
+    return payload
 
 
 def _gr_check_payload(arr, max_degree, integers):
@@ -337,44 +332,74 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
+def _check_pi_p(args):
+    """pi-p's argument checks, run before its file is read."""
+    if (args.section_rank is None) == (args.exponents is None):
+        raise ParseError("pi-p needs exactly one of --section-rank / --exponents")
+    if args.exponents is not None:
+        if args.p is None:
+            raise ParseError("--exponents mode needs --p")
+        try:
+            args.exponents = [int(x) for x in args.exponents.split(",")]
+        except ValueError:
+            raise ParseError("--exponents must be a comma-separated integer list")
+
+
 def build_parser():
+    """Each subcommand with its arguments and its payload, a function of the
+    arrangement and the parsed arguments.  A payload looks its module-level
+    helper up when it runs, so a patched helper is seen through the cached
+    parser."""
     parser = _Parser(
         prog="arrtop",
         description="Exact invariants of complex hyperplane arrangements",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, needs_file=True):
+    def add(name, help_, payload, check=None):
         p = sub.add_parser(name, help=help_)
-        if needs_file:
-            p.add_argument("file", help="arrangement JSON file")
+        p.add_argument("file", help="arrangement JSON file")
+        p.set_defaults(payload=payload, check=check)
         return p
 
-    add("lattice", "intersection lattice with Moebius values")
-    p = add("poincare", "Poincare polynomial of the complement")
+    add("lattice", "intersection lattice with Moebius values",
+        lambda arr, args: _lattice_payload(arr))
+    p = add("poincare", "Poincare polynomial of the complement",
+            lambda arr, args: _poincare_payload(arr, args.projective))
     p.add_argument("--projective", action="store_true",
                    help="projective complement instead of the central one")
-    p = add("polar-degree", "degree of the gradient map of the defining product")
+    p = add("polar-degree", "degree of the gradient map of the defining product",
+            lambda arr, args: _polar_payload(arr, args.seed))
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="seed for the generic-hyperplane verification")
-    add("exponents", "supersolvable exponents via a modular coatom chain")
-    p = add("section", "Betti numbers of an iterated generic section")
+    add("exponents", "supersolvable exponents via a modular coatom chain",
+        lambda arr, args: _exponents_payload(arr))
+    p = add("section", "Betti numbers of an iterated generic section",
+            lambda arr, args: {"rank": args.rank,
+                               "betti": generic_section_betti(arr, args.rank)})
     p.add_argument("--rank", type=int, required=True)
-    p = add("genericity", "genericity level and Betti agreement of a subspace")
+    p = add("genericity", "genericity level and Betti agreement of a subspace",
+            lambda arr, args: _genericity_payload(
+                arr, load_subspace_file(args.subspace)))
     p.add_argument("--subspace", required=True, help="subspace JSON file")
-    p = add("pi-p", "graded first nontrivial higher homotopy group of a section")
+    p = add("pi-p", "graded first nontrivial higher homotopy group of a section",
+            lambda arr, args: _pi_p_payload(arr, args), check=_check_pi_p)
     p.add_argument("--section-rank", type=int, default=None)
     p.add_argument("--exponents", type=str, default=None,
                    help="comma-separated exponent list (alternative to --section-rank)")
     p.add_argument("--p", type=int, default=None, help="connectivity degree")
     p.add_argument("--max-degree", type=int, default=5)
-    p = add("gr-check", "build the graded chain complex and verify exactness")
+    p = add("gr-check", "build the graded chain complex and verify exactness",
+            lambda arr, args: _gr_check_payload(arr, args.max_degree,
+                                                args.integers))
     p.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
     p.add_argument("--integers", action="store_true",
                    help="audit torsion-freeness of the integral graded data")
-    p = add("lcs", "lower central series ranks from the exponents")
+    p = add("lcs", "lower central series ranks from the exponents",
+            lambda arr, args: _lcs_payload(arr, args.max_k))
     p.add_argument("--max-k", type=int, default=4)
-    p = add("report", "full battery of invariants")
+    p = add("report", "full battery of invariants",
+            lambda arr, args: _report_payload(arr, args.seed))
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     return parser
 
@@ -388,71 +413,22 @@ def _parser():
 
 def run_command(argv):
     args = _parser().parse_args(argv)
-    command = args.command
-
-    if command == "pi-p":
-        if (args.section_rank is None) == (args.exponents is None):
-            raise ParseError("pi-p needs exactly one of --section-rank / --exponents")
-        if args.exponents is not None:
-            if args.p is None:
-                raise ParseError("--exponents mode needs --p")
-            try:
-                args.exponents = [int(x) for x in args.exponents.split(",")]
-            except ValueError:
-                raise ParseError("--exponents must be a comma-separated integer list")
-
+    if args.check is not None:
+        args.check(args)
     arr, raw, warnings = load_arrangement_file(args.file)
-
-    if command == "lattice":
-        results = _lattice_payload(arr)
-    elif command == "poincare":
-        results = _poincare_payload(arr, args.projective)
-    elif command == "polar-degree":
-        results = _polar_payload(arr, args.seed)
-    elif command == "exponents":
-        results = _exponents_payload(arr)
-    elif command == "section":
-        results = {
-            "rank": args.rank,
-            "betti": generic_section_betti(arr, args.rank),
-        }
-    elif command == "genericity":
-        results = _genericity_payload(arr, load_subspace_file(args.subspace))
-    elif command == "pi-p":
-        results = _pi_p_payload(arr, args)
-    elif command == "gr-check":
-        results = _gr_check_payload(arr, args.max_degree, args.integers)
-    elif command == "lcs":
-        results = _lcs_payload(arr, args.max_k)
-    elif command == "report":
-        results = _report_payload(arr, args.seed)
-    else:  # pragma: no cover
-        raise ParseError(f"unknown command {command}")
-    return make_report(command, raw, results, warnings)
+    return make_report(args.command, raw, args.payload(arr, args), warnings)
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     try:
         report = run_command(argv)
-    except InputError as exc:
-        emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
-        return 2
-    except NotSupersolvable as exc:
-        emit({
-            "error": {
-                "type": "NotSupersolvable",
-                "message": str(exc),
-                "certificate": {"rank_level": exc.level},
-            }
-        })
-        return 3
-    except PreconditionError as exc:
-        emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
-        return 3
-    except InternalInconsistency as exc:
-        emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
-        return 4
+    except ArrtopError as exc:
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, NotSupersolvable):
+            error["certificate"] = {"rank_level": exc.level}
+        emit({"error": error})
+        return exc.exit_code
     emit(report)
     return 0
 

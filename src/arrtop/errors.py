@@ -1,9 +1,10 @@
 """Exception hierarchy.
 
-InputError covers malformed input data (CLI exit code 2); PreconditionError
-covers violated mathematical preconditions (CLI exit code 3);
-InternalInconsistency means an identity the computation guarantees failed
-(CLI exit code 4).  The work bound that stages count against is read here.
+InputError covers malformed input data, PreconditionError violated
+mathematical preconditions, and InternalInconsistency an identity the
+computation guarantees that failed; each carries the CLI's exit code for
+its family (2, 3, 4).  The work bound that stages count against is read
+here.
 """
 
 import os as _os
@@ -17,17 +18,19 @@ class ArrtopError(Exception):
 
 
 class InputError(ArrtopError):
-    pass
+    exit_code = 2
 
 
 class PreconditionError(ArrtopError):
-    pass
+    exit_code = 3
 
 
 class InternalInconsistency(ArrtopError):
     """An identity that holds for every valid input failed: a defect in the
     computation, not in the input.  Raised, not asserted, so the checks
     still run under python -O."""
+
+    exit_code = 4
 
 
 # exact arithmetic

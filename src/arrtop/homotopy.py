@@ -243,7 +243,8 @@ def graded_complex(arr: Arrangement, max_internal_degree=4,
     A4 to degree 6 and A5 to degree 4 certify its rank.  What checks the
     complex is the constructor's square-zero test, the homology at
     q >= 1, read off the ranks of blocks with q >= 2, and the tensor
-    oracle of the test suite."""
+    oracle of the test suite.  work_bound does not reach the lattice,
+    which reads ARRTOP_WORK_BOUND only."""
     _check_work_bound("complex", cohomology_view(arr, True).dim(1),
                       max_internal_degree, work_bound)
     return _complex(arr, max_internal_degree)
@@ -371,7 +372,8 @@ def homotopy_cokernel_ranks(section: SectionData, max_degree=5, work_bound=None)
     against the same bound: the sum of b_(p+2) dim U_(i-1) over i, where
     dim U_k is h_k of the exponents beyond the first (the ambient is
     supersolvable), so nothing is built before the check.  A refusal names
-    the stage `cokernel` and the count."""
+    the stage `cokernel` and the count.  work_bound does not reach the
+    lattice, which reads ARRTOP_WORK_BOUND only."""
     if section.section_rank >= section.ambient.rank:
         raise NotProperSection(
             "section rank equals the ambient rank; the complement is aspherical"
@@ -501,8 +503,8 @@ def lcs_ranks(exponents: ExponentData, max_k):
     over the divisors k of m is the power sum p_m of the exponents, so
     phi_m is what the ranks below it leave of p_m, divided by m.  The work
     grows about as max_k^2 (the power sums have about max_k digits), so a
-    max_k whose square exceeds the work bound (see
-    oscohomology._work_bound) is refused."""
+    max_k whose square exceeds the work bound (see errors._work_bound) is
+    refused."""
     _check_square_bound("lcs", "max_k", max_k)
     # rest[m] is p_m less k phi_k for the divisors k of m found so far
     rest = [None] + [sum(d ** m for d in exponents.exponents)
@@ -675,7 +677,8 @@ def integer_audit(arr: Arrangement, max_degree=3, work_bound=None):
     rank b1^k - dims[k] + rank(lattice[k]) and the non-unit factors of
     lattice[k].  Each rank must equal b1^k - dim U_k of holonomy_envelope,
     or InternalInconsistency is raised.  The work bound refuses
-    b1^max_degree, as for the envelope.
+    b1^max_degree, as for the envelope; work_bound does not reach the
+    lattice, which reads ARRTOP_WORK_BOUND only.
     """
     view = cohomology_view(arr, True)
     b1 = view.dim(1)

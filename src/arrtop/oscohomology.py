@@ -596,7 +596,8 @@ def holonomy_envelope(arr: Arrangement, max_degree, projective=True,
     bound on every call, although no tensor power of that size is built;
     then one cache keyed by (arr, max_degree, projective), with
     `cache_info()` and `cache_clear()`, builds each envelope once, never
-    changed and shared however the call is spelled.
+    changed and shared however the call is spelled.  work_bound does not
+    reach the lattice, which reads ARRTOP_WORK_BOUND only.
     """
     view = cohomology_view(arr, projective)
     _check_work_bound("envelope", view.dim(1), max_degree, work_bound)

@@ -14,9 +14,10 @@ from arrtop.cli import (
     parse_arrangement,
     run_command,
 )
-from arrtop import is_essential, normalize
+from arrtop import errors, is_essential, normalize
 from arrtop.errors import (
-    EmptyArrangement, InternalInconsistency, ParseError, ZeroForm,
+    EmptyArrangement, InternalInconsistency, NotSupersolvable, ParseError,
+    RankOutOfRange, ZeroForm,
 )
 from genutil import (
     braid_arrangement, clear_envelope_caches, lattice_oracle,
@@ -435,12 +436,26 @@ MALFORMED_ARRANGEMENTS = {
         '{"ambient_dim": 2, "forms": [[1, 0], [0, 1]], "multiplicities": [true, 1]}',
     "non-string-labels":
         '{"ambient_dim": 2, "forms": [[1, 0], [0, 1]], "labels": [1, {"a": 2}]}',
+    "deep-nesting": "[" * 100000,
+    "invalid-utf8":
+        b'{"ambient_dim": 2, "forms": [[1, 0], [0, 1]], "labels": ["\xc3", "y"]}',
 }
 
 MALFORMED_SUBSPACES = {
     "float-and-boolean": '{"basis": [[1.7, 0, 0], [0, true, 0]]}',
     "string-entry": '{"basis": [["1", 0, 0], [0, 1, 0]]}',
+    "deep-nesting": "[" * 100000,
+    "invalid-utf8": b'{"basis": [[1, 0, 0]], "note": "\xc3"}',
 }
+
+# a Python without the int-to-str digit limit (before 3.10.7) parses these
+if hasattr(sys, "get_int_max_str_digits"):
+    MALFORMED_ARRANGEMENTS["over-long-literal"] = (
+        '{"ambient_dim": 2, "forms": [[1' + "0" * 4999 + ', 0], [0, 1]]}'
+    )
+    MALFORMED_SUBSPACES["over-long-literal"] = (
+        '{"basis": [[1' + "0" * 4999 + ', 0, 0]]}'
+    )
 
 
 @pytest.mark.parametrize(
@@ -452,13 +467,15 @@ MALFORMED_SUBSPACES = {
 )
 def test_non_integer_numbers_are_malformed(tmp_path, capsys, kind, text):
     f = tmp_path / "input.json"
-    f.write_text(text)
+    f.write_bytes(text if isinstance(text, bytes) else text.encode())
     if kind == "arrangement":
         argv = ["report", str(f)]
     else:
         argv = ["genericity", path("braid3.json"), "--subspace", str(f)]
     assert main(argv) == 2
-    payload = json.loads(capsys.readouterr().out)
+    out, err = capsys.readouterr()
+    assert err == ""
+    payload = json.loads(out)
     assert payload["error"]["type"] == "ParseError"
 
 
@@ -732,12 +749,57 @@ def test_report_does_not_call_a_refused_lcs_unsupersolvable(
 
 
 def test_internal_inconsistency_exit_code(monkeypatch, capsys):
-    def broken(arr):
-        raise InternalInconsistency("identity failed")
+    # one raised class per family, each with the JSON error main() emits
+    table = [
+        (ParseError("bad input"), 2,
+         {"type": "ParseError", "message": "bad input"}),
+        (RankOutOfRange("rank out of range"), 3,
+         {"type": "RankOutOfRange", "message": "rank out of range"}),
+        (NotSupersolvable(3), 3,
+         {"type": "NotSupersolvable",
+          "message": "no modular coatom chain extends at rank level 3",
+          "certificate": {"rank_level": 3}}),
+        (InternalInconsistency("identity failed"), 4,
+         {"type": "InternalInconsistency", "message": "identity failed"}),
+    ]
+    for exc, code, error in table:
+        def broken(arr):
+            raise exc
 
-    monkeypatch.setattr("arrtop.cli._lattice_payload", broken)
-    assert main(["lattice", path("braid3.json")]) == 4
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["error"] == {
-        "type": "InternalInconsistency", "message": "identity failed",
-    }
+        monkeypatch.setattr("arrtop.cli._lattice_payload", broken)
+        assert main(["lattice", path("braid3.json")]) == code
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out) == {"error": error}
+
+
+def test_every_error_class_carries_an_exit_code():
+    classes = [
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.ArrtopError)
+        and cls is not errors.ArrtopError
+    ]
+    assert len(classes) > 20
+    for cls in classes:
+        assert cls.exit_code in (2, 3, 4), cls
+
+
+def test_output_integers_past_the_digit_limit_are_written_in_full(capsys):
+    argv = [
+        "pi-p", path("braid3.json"), "--exponents",
+        "1,1000000000,1000000000,1000000000", "--p", "2", "--max-degree", "500",
+    ]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+    try:
+        series = json.loads(out)["results"]["series"]
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert len(series) == 501
+    assert series[500] == 125751 * 10 ** 4527
