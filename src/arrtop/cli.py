@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -412,6 +413,11 @@ def _parser():
 
 
 def run_command(argv):
+    # argparse reads `--exponents -1,2` as two options: join them with "="
+    argv = list(argv)
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1] == "--exponents" and re.match(r"-\d", argv[i]):
+            argv[i - 1:i + 1] = ["--exponents=" + argv[i]]
     args = _parser().parse_args(argv)
     if args.check is not None:
         args.check(args)

@@ -640,29 +640,14 @@ def asphericity_test(section_or_arrangement, subspace=None) -> AsphericityReport
 # integer-coefficient audit
 
 class _IntegralEnvelope(UEnvelope):
-    """The holonomy quotient over Z, for integer_audit.  Write T for the
-    tensor algebra on H_1 over Z, I for the ideal of the relations R and
-    M_j = T_j/I_j.  As x_b I_(k-2) lies in I_(k-1), M_k is H_1 (x) M_(k-1)
-    modulo the image of R (x) T_(k-2).  So degree k is presented by the
-    rows of R (x) (the basis of degree k-2), read through this envelope's
-    own table, and b1 shifted copies of lattice[k-1].  unit_split
-    eliminates their +-1 pivots, whose normal forms are integral, so the
-    table is built as over Q; the other rows, carried onto the non-pivot
-    columns, are lattice[k], and M_k is Z^dims[k] modulo them.  Every
-    degree is eliminated, so that each keeps its lattice rows."""
+    """The holonomy quotient over Z, for integer_audit.  unit_split pivots
+    on the +-1 leads, whose normal forms are integral, so the table is
+    built as over Q; the other rows, carried onto the non-pivot columns,
+    are lattice[k], and T_k/I_k is Z^dims[k] modulo them (T the tensor
+    algebra on H_1 over Z, I the ideal of R)."""
 
-    _rewrites = False
-
-    def _eliminate(self, k):
-        if k == 2:  # degrees are built in order, and degree 1 has no rows
-            self.lattice = {1: []}
-        width = self.dims[k - 1]
-        rows = _delta_rows(self._view, self, 2, k) + [
-            {a * width + c: v for c, v in row.items()}
-            for a in range(self.b1) for row in self.lattice[k - 1]
-        ]
-        forms, self.lattice[k] = unit_split(rows)
-        return forms
+    def _split(self, rows):
+        return unit_split(rows)
 
 
 def integer_audit(arr: Arrangement, max_degree=3, work_bound=None):

@@ -29,7 +29,8 @@ from .errors import (  # the work bound's names stay importable from here
     NotSupersolvable, RankOutOfRange, WorkBoundExceeded, _work_bound,
 )
 from .exactalg import (
-    SparseEchelon, int_rank, narrowed, sparse_compose, sub_scaled,
+    SparseEchelon, int_rank, narrowed, sparse_compose, sparse_rank,
+    sub_scaled,
 )
 
 
@@ -386,11 +387,11 @@ def _delta_rows(view, env, q, t):
     with x_j w read from env._product.
 
     The one builder of differential and relation rows, with three callers:
-    the envelope at q = 2, whose rows of degree t are the relations
-    R (x) U_(t-2) it eliminates at degree 2 and wherever its rules fail,
-    and composes with its rewritten table at degree 3 (over Z too, in the
-    envelope of integer_audit, with env its own table); graded_complex at
-    q >= 2; and the cokernel (homotopy_cokernel_ranks) at q = p + 2.
+    the envelope being built at q = 2, over Q or Z, whose rows of degree t
+    are the relations R (x) U_(t-2) it splits at degree 2 and wherever its
+    rules fail, and composes with its rewritten table at degree 3;
+    graded_complex at q >= 2; and the cokernel (homotopy_cokernel_ranks)
+    at q = p + 2.
 
     Each x_j w is read once per call, and each row is summed in one pass
     straight into its final columns tt * dim U_(s+1) + w2.  A row in which
@@ -443,28 +444,29 @@ class UEnvelope:
     (1, k) of the graded complex, shared with it, so it must not be
     mutated.
 
-    Degree 2 eliminates R over H_1 (x) H_1; an echelon of rank other than
-    b_2 raises InternalInconsistency.  Its pivots are the rules
-    x_a x_b -> NF(x_a x_b), one per leading 2-word.  Each degree k >= 3 is
-    filled from them without elimination (_rewrite): x_j w is normal iff
-    x_j x_(w_1) leads no rule, and otherwise x_j x_(w_1) w' is
-    sum c x_a NF(x_b w') over the rule's terms.  The words that hold no
-    leading 2-word span every degree; they are a basis of every degree iff
-    the overlaps x_a x_b x_c of the rules resolve (Bergman's diamond
-    lemma, Adv. Math. 29, 1978), that is iff the rows of R (x) U_1 compose
-    to zero with the rewritten degree-3 table.  That is checked: then the
-    rules are a quadratic Groebner basis, U is a PBW algebra (Priddy,
-    Trans. AMS 152, 1970) and `rewritten` is True.  Otherwise each degree
-    k >= 3 eliminates the rows of R (x) U_(k-2), _delta_rows(view, self,
-    2, k), as one batch over H_1 (x) U_(k-1).  Both paths give the same
-    normal words and tables, which depend on the ideal and the letter
-    order alone.
+    Degree k is H_1 (x) U_(k-1) modulo R (x) T_(k-2), T the tensor algebra,
+    so it is presented by the rows of R (x) U_(k-2), _delta_rows(view, self,
+    2, k), and x_a times each row of lattice[k-1].  The envelope's ring
+    splits them (_split): over Q into normal forms, leaving lattice[k]
+    empty, over Z by unit_split (_IntegralEnvelope).  At degree 2 rows of
+    rank other than b_2 raise InternalInconsistency, and the pivots are the
+    rules x_a x_b -> NF(x_a x_b), one per leading 2-word, with coefficient
+    1.  When lattice[2] is empty, each degree k >= 3 is filled from them
+    without elimination (_rewrite): x_j w is normal iff x_j x_(w_1) leads no
+    rule, and otherwise x_j x_(w_1) w' is sum c x_a NF(x_b w') over the
+    rule's terms.  The words that hold no leading 2-word span every degree;
+    they are a basis of every degree iff the overlaps x_a x_b x_c of the
+    rules resolve (Bergman's diamond lemma, Adv. Math. 29, 1978, which holds
+    over Z as the rules lead with 1), that is iff the rows of R (x) U_1
+    compose to zero with the rewritten degree-3 table.  That is checked:
+    then the rules are a quadratic Groebner basis, U is a PBW algebra
+    (Priddy, Trans. AMS 152, 1970), `rewritten` is True and every lattice[k]
+    is empty.  Otherwise each degree k >= 3 is split as degree 2 is.  On
+    each ring both paths give the same normal words and tables.
 
     The degrees 1 .. max_degree are built once, in order, when the envelope
     is made; nothing changes it afterwards.
     """
-
-    _rewrites = True  # False: every degree is eliminated (_IntegralEnvelope)
 
     def __init__(self, view, max_degree):
         self._view = view
@@ -474,6 +476,7 @@ class UEnvelope:
         self.dims = [1]
         self.basis_words = [((),)]
         self.rewritten = False
+        self.lattice = {0: []}  # degree k -> rows left over by the split
         self._left = {}  # degree k -> x_j w at j*dim U_(k-1) + w
         self._columns = [0]  # the top degree's normal words, as columns
         for k in range(1, max_degree + 1):
@@ -482,24 +485,20 @@ class UEnvelope:
 
     def _build(self, k):
         """The normal words of degree k as columns over H_1 (x) U_(k-1),
-        ascending, and the table of degree k."""
-        if k == 3 and self._rewrites:
-            built = self._rewrite(3)
-            rows = _delta_rows(self._view, self, 2, 3)
-            self.rewritten = not any(sparse_compose(rows, built[1]))
-            if self.rewritten:
-                return built
-        elif k > 3 and self.rewritten:
+        ascending, and the table of degree k; sets lattice[k]."""
+        if self.rewritten:
+            self.lattice[k] = []
             return self._rewrite(k)
-        # degree 1 is H_1 (x) U_0, with no relations
-        forms = self._eliminate(k) if k > 1 else {}
-        columns = [c for c in range(self.b1 * self.dims[-1]) if c not in forms]
-        position = {c: pos for pos, c in enumerate(columns)}
-        return columns, [
-            {position[c]: v for c, v in forms[col].items()} if col in forms
-            else {position[col]: 1}
-            for col in range(self.b1 * self.dims[-1])
-        ]
+        width = self.dims[-1]
+        rows = _delta_rows(self._view, self, 2, k) + [
+            {a * width + c: v for c, v in row.items()}
+            for a in range(self.b1) for row in self.lattice[k - 1]]
+        if k == 3 and not self.lattice[2]:
+            built = self._rewrite(3)
+            if not any(sparse_compose(rows, built[1])):
+                self.rewritten, self.lattice[3] = True, []
+                return built
+        return self._eliminate(k, rows)
 
     def _add_degree(self, columns, table):
         """Record the next degree k: its normal words, the given columns
@@ -547,17 +546,26 @@ class UEnvelope:
                 table[c] = narrowed(acc)
         return columns, table
 
-    def _eliminate(self, k):
-        """Eliminate the rows of R (x) U_(k-2) over H_1 (x) U_(k-1) and
-        return the normal forms of the pivot columns; the echelon goes
-        with the call."""
+    def _eliminate(self, k, rows):
+        """Degree k from its relation rows split (_split); the rows left
+        over go to lattice[k]."""
+        forms, self.lattice[k] = self._split(rows)
+        if k == 2 and len(forms) + sparse_rank(self.lattice[2]) != self._view.dim(2):
+            raise InternalInconsistency("holonomy relations do not have rank b_2")
+        size = self.b1 * self.dims[-1]
+        columns = [c for c in range(size) if c not in forms]
+        position = {c: pos for pos, c in enumerate(columns)}
+        return columns, [
+            {position[c]: v for c, v in forms[col].items()} if col in forms
+            else {position[col]: 1}
+            for col in range(size)
+        ]
+
+    def _split(self, rows):
+        """The normal forms of the pivot columns over Q, and no row left."""
         ech = SparseEchelon()
-        ech.extend(_delta_rows(self._view, self, 2, k))
-        if k == 2 and ech.rank != self._view.dim(2):
-            raise InternalInconsistency(
-                "holonomy relations do not have rank b_2"
-            )
-        return ech.normal_forms()
+        ech.extend(rows)
+        return ech.normal_forms(), []
 
     def dim(self, k):
         return self.dims[k] if 0 <= k <= self.max_degree else 0

@@ -14,7 +14,8 @@ from arrtop import (
 from arrtop.errors import EmptyArrangement, ZeroForm
 from arrtop.exactalg import sub_scaled
 from arrtop.oscohomology import (
-    UEnvelope, central_algebra, cohomology_view, reduced_diagonal,
+    UEnvelope, _delta_rows, central_algebra, cohomology_view,
+    reduced_diagonal,
 )
 
 
@@ -471,7 +472,8 @@ class EliminatedEnvelope(UEnvelope):
     envelope as it was built before the degree-2 rules were used, in the
     same letter order."""
 
-    _rewrites = False
+    def _build(self, k):  # over Q no lattice row is left to shift
+        return self._eliminate(k, _delta_rows(self._view, self, 2, k))
 
 
 def envelope_oracle(arr, degree, projective=True) -> TensorEnvelope:

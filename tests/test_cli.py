@@ -293,7 +293,7 @@ def test_golden_genericity_byte_identical(capsys):
     assert capsys.readouterr().out == golden
 
 
-@pytest.mark.parametrize("name", GOLDEN_INPUTS + ["nonfano"])
+@pytest.mark.parametrize("name", GOLDEN_INPUTS + ["braid4", "nonfano"])
 def test_golden_gr_check_integers_byte_identical(capsys, name):
     with open(path(f"golden_gr_check_integers_{name}.json")) as fh:
         golden = fh.read()
@@ -535,6 +535,18 @@ def test_pi_p_negative_max_degree_is_out_of_range(capsys):
     assert main(argv) == 3
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"]["type"] == "RankOutOfRange"
+
+
+def test_a_negative_exponent_list_reaches_the_exponent_check(capsys):
+    # `--exponents -1,2` is read as the option's value, as `--exponents=-1,2`
+    # is, not as an option of its own
+    payloads = []
+    for spelling in (["--exponents", "-1,2"], ["--exponents=-1,2"]):
+        assert main(["pi-p", path("braid3.json"), *spelling, "--p", "2"]) == 3
+        payloads.append(json.loads(capsys.readouterr().out))
+    assert payloads[0] == payloads[1] == {"error": {
+        "type": "NonIntegerRank",
+        "message": "exponents must be positive integers"}}
 
 
 def test_lcs_negative_max_k_is_out_of_range(capsys):

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import os
 import random
 import subprocess
@@ -393,15 +394,15 @@ def test_capped_views_refuse_what_lies_above_their_degree():
 
 def _complexes_in_order(arr, first, second, eliminated):
     """graded_complex at two degrees in that order from cold caches; each
-    call builds its envelope afresh, eliminating degree 2 and rewriting
-    the rest, and each complex holds the tables of the envelope of its own
-    degree."""
+    call builds its envelope afresh, eliminating degrees 1 and 2 and
+    rewriting the rest, and each complex holds the tables of the envelope
+    of its own degree."""
     clear_envelope_caches()
     complexes = []
     for degree in (first, second):
         eliminated.clear()
         complex_ = graded_complex(arr, degree)
-        assert eliminated == [2]
+        assert eliminated == [1, 2]  # degree 1 has no relation rows
         # graded_complex's own spelling, so this is its cached envelope
         env = holonomy_envelope(arr, degree, projective=True, work_bound=None)
         assert env.rewritten
@@ -419,9 +420,9 @@ def test_complexes_of_two_degrees_each_hold_their_own_envelope(monkeypatch):
     eliminated = []
     eliminate = oscohomology.UEnvelope._eliminate
 
-    def spy(self, k):
+    def spy(self, k, rows):
         eliminated.append(k)
-        return eliminate(self, k)
+        return eliminate(self, k, rows)
 
     monkeypatch.setattr(oscohomology.UEnvelope, "_eliminate", spy)
     # boolean4 is tests/data/hattori4, with blocks at q = 3
@@ -1073,6 +1074,73 @@ def test_non_fano_torsion_at_degree_6_is_read_without_the_smith_form():
     assert rank_mod_p_oracle(lattice, 2) == 13
     assert holonomy_envelope(arr, 6).dim(6) == 5645
     assert 6 ** 6 - env.dims[6] + 102 == 6 ** 6 - 5645 == 41011
+    # the rules fail the degree-3 check over Z as over Q, so degrees 3 and
+    # up are eliminated, and lattice[6] is the one the elimination has
+    # always carried, row for row
+    assert not env.rewritten
+    assert [len(env.lattice[k]) for k in range(2, 7)] == [0, 0, 1, 13, 112]
+    assert sum(map(len, lattice)) == 7555
+    assert hashlib.sha256(repr(lattice).encode()).hexdigest()[:16] == (
+        "5cd8fce4922cb73b")
+
+
+def test_integral_envelope_rewrites_as_the_rational_one():
+    # degree 2 leaves no lattice row on these inputs, so the Z envelope
+    # takes the rational one's path: rewritten wherever the degree-3 check
+    # holds, every slice free, and the same tables, list for list and
+    # entry type for entry type, every entry an int
+    corpus = [(braid3(), 5), (braid_arrangement(4), 5)]
+    corpus += [(arr, 4) for arr in seeded_rank3_corpus(2626, 40)]
+    paths = set()
+    for i, (arr, degree) in enumerate(corpus):
+        view = cohomology_view(arr, True)
+        rational = oscohomology.UEnvelope(view, degree)
+        env = homotopy._IntegralEnvelope(view, degree)
+        assert env.rewritten == rational.rewritten
+        assert env.rewritten or i >= 2  # braid A3 and A4 are rewritten
+        assert env.lattice == {k: [] for k in range(degree + 1)}
+        assert env.dims == rational.dims
+        assert env.basis_words == rational.basis_words
+        assert env._left == rational._left
+        for k, table in env._left.items():
+            assert [{p: type(v) for p, v in xw.items()} for xw in table] == [
+                {p: type(v) for p, v in xw.items()}
+                for xw in rational._left[k]]
+            assert all(type(v) is int for xw in table for v in xw.values())
+        paths.add(env.rewritten)
+    assert paths == {True, False}
+
+
+def test_a_degree_2_lattice_row_makes_the_integral_envelope_eliminate(
+        monkeypatch):
+    # the rules certify the Z quotient only when every degree-2 relation
+    # is a unit pivot; a split that keeps one relation, doubled, as a
+    # lattice row sends degree 3 and up to elimination, with no rewriting
+    # tried
+    eliminated = []
+    eliminate = oscohomology.UEnvelope._eliminate
+    split = homotopy._IntegralEnvelope._split
+
+    def refuse(self, k):
+        raise AssertionError(f"degree {k} rewritten")
+
+    def doubled(self, rows):
+        if len(self.dims) == 2 and rows:
+            rows = [{c: 2 * v for c, v in rows[0].items()}] + rows[1:]
+        return split(self, rows)
+
+    def spy(self, k, rows):
+        eliminated.append(k)
+        return eliminate(self, k, rows)
+
+    monkeypatch.setattr(homotopy._IntegralEnvelope, "_split", doubled)
+    monkeypatch.setattr(oscohomology.UEnvelope, "_eliminate", spy)
+    monkeypatch.setattr(oscohomology.UEnvelope, "_rewrite", refuse)
+    env = homotopy._IntegralEnvelope(cohomology_view(braid3(), True), 4)
+    assert env.lattice[2]
+    assert not env.rewritten and eliminated == [1, 2, 3, 4]
+    monkeypatch.undo()
+    assert holonomy_envelope(braid3(), 4).rewritten
 
 
 def test_integer_audit_ranks_are_checked_against_the_rational_envelope(

@@ -465,16 +465,49 @@ def test_non_fano_envelope_takes_the_elimination_path(monkeypatch):
     eliminated = []
     eliminate = UEnvelope._eliminate
 
-    def spy(self, k):
+    def spy(self, k, rows):
         eliminated.append(k)
-        return eliminate(self, k)
+        return eliminate(self, k, rows)
 
     monkeypatch.setattr(UEnvelope, "_eliminate", spy)
     env = UEnvelope(view, 5)
-    assert not env.rewritten and eliminated == [2, 3, 4, 5]
+    # degree 1 takes the same step, with no relation rows
+    assert not env.rewritten and eliminated == [1, 2, 3, 4, 5]
     assert env.dims == [1, 6, 27, 109, 417, 1548]
     monkeypatch.undo()
     assert env._left == EliminatedEnvelope(view, 5)._left
+
+
+def test_the_fallback_builds_the_degree_3_relation_rows_once(monkeypatch):
+    # the rows of R (x) U_1 that fail the degree-3 check are the rows that
+    # degree 3 then eliminates, built once
+    view = cohomology_view(
+        parse_arrangement(os.path.join(DATA, "nonfano.json")), True)
+    calls = []
+    delta_rows = oscohomology._delta_rows
+
+    def spy(view, env, q, t):
+        calls.append((q, t))
+        return delta_rows(view, env, q, t)
+
+    monkeypatch.setattr(oscohomology, "_delta_rows", spy)
+    env = UEnvelope(view, 3)
+    assert not env.rewritten
+    assert calls.count((2, 3)) == 1
+
+
+def test_eliminated_envelope_never_rewrites(monkeypatch):
+    # the test-side envelope of every degree eliminated replaces _build,
+    # so it reaches no rewriting even where the rules resolve
+    def refuse(self, k):
+        raise AssertionError(f"degree {k} rewritten")
+
+    view = cohomology_view(braid3(), True)
+    env = UEnvelope(view, 4)
+    assert env.rewritten
+    monkeypatch.setattr(UEnvelope, "_rewrite", refuse)
+    eliminated = EliminatedEnvelope(view, 4)
+    assert not eliminated.rewritten and eliminated._left == env._left
 
 
 def test_envelope_matches_tensor_oracle_braid3_degree5():
