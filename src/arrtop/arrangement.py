@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations
 
 from .errors import (
@@ -194,11 +194,14 @@ class IntersectionLattice:
     flat (the whole space) is the bottom element.  Flats are kept sorted by
     (codim, hyperplanes).  mobius maps each flat's hyperplane tuple to its
     Moebius value.  One bitmask per hyperplane, over the flats holding it,
-    answers closures and subset ranks.
+    answers closures and subset ranks.  key, the tuple of the flats'
+    hyperplane tuples in that order, names the ordered matroid: the flats
+    determine every rank.
     """
 
     def __init__(self, flats, mobius):
         self.flats = tuple(sorted(flats, key=lambda f: (f.codim, f.hyperplanes)))
+        self.key = tuple(f.hyperplanes for f in self.flats)
         self._by_codim = {}
         for f in self.flats:
             self._by_codim.setdefault(f.codim, []).append(f)
@@ -399,6 +402,35 @@ def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
         mobius[f] for f, c in flats.items() if c == rank - 1 and f[:1] != (0,)
     )
     return IntersectionLattice([Flat(s, c) for s, c in flats.items()], mobius)
+
+
+_first_of_type = {}  # lattice key -> the first arrangement seen with it
+
+
+def first_of_type(arr: Arrangement) -> Arrangement:
+    """The first arrangement seen with arr's ordered matroid (its lattice's
+    key); first_of_type.cache_clear() forgets them all."""
+    return _first_of_type.setdefault(intersection_lattice(arr).key, arr)
+
+
+first_of_type.cache_clear = _first_of_type.clear
+
+
+def matroid_cache(fn):
+    """lru_cache for a function of an arrangement's ordered matroid (and
+    further arguments): each call is keyed by first_of_type of its
+    arrangement, so realizations of one matroid share one entry, built
+    from the first of them.  The wrapper exposes cache_info() and
+    cache_clear()."""
+    cached = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def wrapper(arr, *args):
+        return cached(first_of_type(arr), *args)
+
+    wrapper.cache_info = cached.cache_info
+    wrapper.cache_clear = cached.cache_clear
+    return wrapper
 
 
 def poincare_central(arr: Arrangement) -> IntPolynomial:

@@ -34,6 +34,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .arrangement import (
@@ -181,14 +182,49 @@ def make_report(command, raw_bytes, results, warnings):
     }
 
 
+def _dumps(value, indent="\n"):
+    """json.dumps(value, sort_keys=True, indent=2) for what _encode makes:
+    dicts with str keys, lists, str, int, True, False and None, each of
+    exactly that type; anything else raises TypeError.  indent is the
+    newline and indentation of the value's own line.  An int item is
+    written in place, not through a call."""
+    t = type(value)
+    if t is int:
+        return int.__repr__(value)
+    if t is str:
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
+    if t is list:
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([
+            int.__repr__(v) if type(v) is int else _dumps(v, inner)
+            for v in value]) + indent + "]"
+    if t is dict:
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(k) + ": "
+            + (int.__repr__(v) if type(v) is int else _dumps(v, inner))
+            for k, v in sorted(value.items())]) + indent + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise TypeError(f"{t.__name__} is not a report value")
+
+
 def emit(report):
-    """Write a report to stdout, its integers in full: the int-to-str digit
-    limit (Python >= 3.11) is lifted for this dump only."""
+    """Write a report to stdout as json.dumps(report, sort_keys=True,
+    indent=2) would, in one walk (_dumps), its integers in full: the
+    int-to-str digit limit (Python >= 3.11) is lifted for this write only."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        text = json.dumps(report, sort_keys=True, indent=2)
+        text = _dumps(report)
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
@@ -413,11 +449,14 @@ def _parser():
 
 
 def run_command(argv):
-    # argparse reads `--exponents -1,2` as two options: join them with "="
+    # argparse reads `--exponents -1,2` as two options, and so it reads
+    # every abbreviation it accepts, `--e` up: join them with "="
     argv = list(argv)
     for i in reversed(range(1, len(argv))):
-        if argv[i - 1] == "--exponents" and re.match(r"-\d", argv[i]):
-            argv[i - 1:i + 1] = ["--exponents=" + argv[i]]
+        option = argv[i - 1]
+        if (len(option) > 2 and "--exponents".startswith(option)
+                and re.match(r"-\d", argv[i])):
+            argv[i - 1:i + 1] = [option + "=" + argv[i]]
     args = _parser().parse_args(argv)
     if args.check is not None:
         args.check(args)

@@ -15,7 +15,6 @@ degree, and cross-checks the paired closed forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
 from .arrangement import (
@@ -25,6 +24,7 @@ from .arrangement import (
     genericity_level,
     intersection_lattice,
     is_essential,
+    matroid_cache,
     poincare_central,
     poincare_projective,
     projective_betti,
@@ -104,10 +104,10 @@ def _chain_exponents(arr: Arrangement):
             for x, y in zip(chain, chain[1:])] + [len(chain[-1].hyperplanes)]
 
 
-@lru_cache(maxsize=None)
+@matroid_cache
 def _chain_or_refusal(arr: Arrangement):
     """(ExponentData, None), checked against the hyperplane count and the
-    Poincare polynomial, or (None, level): lru_cache stores no exception."""
+    Poincare polynomial, or (None, level): the cache stores no exception."""
     try:
         exps = sorted(_chain_exponents(arr))
     except NotSupersolvable as exc:
@@ -132,7 +132,8 @@ def supersolvable_exponents(arr: Arrangement) -> ExponentData:
     AMS 203, 1975), a modular coatom of both [0, X1] and [0, X2], so by
     induction on the rank every branch reaches the same verdict and level.
     NotEssential is checked on every call; the verdict, a refusal's level
-    too, is cached by arr (`cache_info()`, `cache_clear()`).
+    too, is cached by arr's ordered matroid, shared by its realizations
+    (arrangement.matroid_cache; `cache_info()`, `cache_clear()`).
     """
     if not is_essential(arr):
         raise NotEssential("supersolvable recognition expects an essential arrangement")
@@ -229,10 +230,12 @@ def graded_complex(arr: Arrangement, max_internal_degree=4,
     extended by left multiplication, verified to square to zero in every
     internal degree.
 
-    The work bound is checked on every call; one cache keyed by (arr,
-    max_internal_degree), with `cache_info()` and `cache_clear()`, builds
-    the complex from the envelope of its degree, read past
-    holonomy_envelope's check so that a higher work_bound holds.  Block
+    The work bound is checked on every call; one cache keyed by (arr's
+    ordered matroid, max_internal_degree), with `cache_info()` and
+    `cache_clear()`, builds the complex from the envelope of its degree,
+    read past holonomy_envelope's check so that a higher work_bound
+    holds.  Realizations of one ordered matroid share the entry, built
+    from the first of them (arrangement.matroid_cache).  Block
     (1, t) is the envelope's table x_j w of degree t, shared and not
     copied, so callers must not mutate it; it has a unit row at each of
     its dim U_t columns, so its leads certify its rank, and exactness at
@@ -250,7 +253,7 @@ def graded_complex(arr: Arrangement, max_internal_degree=4,
     return _complex(arr, max_internal_degree)
 
 
-@lru_cache(maxsize=None)
+@matroid_cache
 def _complex(arr, max_internal_degree):
     view = cohomology_view(arr, True)
     env = _envelope(arr, max_internal_degree, True)

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 from .arrangement import (
-    Arrangement, intersection_lattice, poincare_central, poincare_projective,
+    Arrangement, intersection_lattice, matroid_cache, poincare_central,
+    poincare_projective,
 )
 from .errors import (  # the work bound's names stay importable from here
     DEFAULT_WORK_BOUND, WORK_BOUND_ENV, InternalInconsistency,
@@ -166,7 +166,7 @@ class CentralAlgebra:
         return acc
 
 
-@lru_cache(maxsize=None)
+@matroid_cache
 def central_algebra(arr: Arrangement) -> CentralAlgebra:
     return CentralAlgebra(arr)
 
@@ -288,8 +288,9 @@ class CohomologyView:
         return rows
 
 
-@lru_cache(maxsize=None)
+@matroid_cache
 def cohomology_view(arr: Arrangement, projective: bool) -> CohomologyView:
+    """One view per ordered matroid, its .arr the first arrangement of it."""
     return CohomologyView(arr, projective)
 
 
@@ -589,7 +590,7 @@ class UEnvelope:
         return self._left[k + 1][j * self.dims[k] + word_pos]
 
 
-@lru_cache(maxsize=None)
+@matroid_cache
 def _envelope(arr, max_degree, projective):
     return UEnvelope(cohomology_view(arr, projective), max_degree)
 
@@ -602,10 +603,13 @@ def holonomy_envelope(arr: Arrangement, max_degree, projective=True,
     the image of the relations; dimensions are independent of the
     hyperplane order.  The work bound refuses b1^max_degree above the
     bound on every call, although no tensor power of that size is built;
-    then one cache keyed by (arr, max_degree, projective), with
-    `cache_info()` and `cache_clear()`, builds each envelope once, never
-    changed and shared however the call is spelled.  work_bound does not
-    reach the lattice, which reads ARRTOP_WORK_BOUND only.
+    then one cache keyed by (arr's ordered matroid, max_degree,
+    projective), with `cache_info()` and `cache_clear()`, builds each
+    envelope once, never changed and shared however the call is spelled
+    and by every realization of the matroid: its `.arr`, and its view's,
+    is the first arrangement of its type (arrangement.matroid_cache).
+    work_bound does not reach the lattice, which reads ARRTOP_WORK_BOUND
+    only.
     """
     view = cohomology_view(arr, projective)
     _check_work_bound("envelope", view.dim(1), max_degree, work_bound)

@@ -589,11 +589,20 @@ def audit_rows_oracle(arr, k):
     return rows
 
 
+def forget_types():
+    """Empty the registry of ordered matroids (arrangement.first_of_type),
+    so that the next arrangement of each type becomes its first, and the
+    caches keyed by type build what they miss from its own forms."""
+    arrangement.first_of_type.cache_clear()
+
+
 def clear_envelope_caches():
-    """Empty the caches of holonomy_envelope and graded_complex, so the
-    next call builds from degree 0."""
+    """Empty the caches of holonomy_envelope and graded_complex, and the
+    registry of ordered matroids, so the next call builds from degree 0
+    with the arrangement it is given."""
     oscohomology.holonomy_envelope.cache_clear()
     homotopy.graded_complex.cache_clear()
+    forget_types()
 
 
 def clear_arrangement_caches():

@@ -3,10 +3,13 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arrtop.cli import (
+    _dumps,
     _parser,
     build_parser,
     load_arrangement_file,
@@ -20,8 +23,8 @@ from arrtop.errors import (
     RankOutOfRange, ZeroForm,
 )
 from genutil import (
-    braid_arrangement, clear_envelope_caches, lattice_oracle,
-    supersolvable_oracle,
+    braid_arrangement, clear_envelope_caches, forget_types, lattice_oracle,
+    supersolvable_oracle, unimodular_image,
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -539,14 +542,15 @@ def test_pi_p_negative_max_degree_is_out_of_range(capsys):
 
 def test_a_negative_exponent_list_reaches_the_exponent_check(capsys):
     # `--exponents -1,2` is read as the option's value, as `--exponents=-1,2`
-    # is, not as an option of its own
-    payloads = []
-    for spelling in (["--exponents", "-1,2"], ["--exponents=-1,2"]):
+    # is, not as an option of its own; so is every abbreviation argparse
+    # accepts, `--e` up
+    for spelling in (["--exponents", "-1,2"], ["--exponents=-1,2"],
+                     ["--e", "-1,2"], ["--expo", "-1,2"],
+                     ["--exponent", "-1,2"]):
         assert main(["pi-p", path("braid3.json"), *spelling, "--p", "2"]) == 3
-        payloads.append(json.loads(capsys.readouterr().out))
-    assert payloads[0] == payloads[1] == {"error": {
-        "type": "NonIntegerRank",
-        "message": "exponents must be positive integers"}}
+        assert json.loads(capsys.readouterr().out) == {"error": {
+            "type": "NonIntegerRank",
+            "message": "exponents must be positive integers"}}, spelling
 
 
 def test_lcs_negative_max_k_is_out_of_range(capsys):
@@ -809,9 +813,94 @@ def test_output_integers_past_the_digit_limit_are_written_in_full(capsys):
         assert sys.get_int_max_str_digits() == limit
         sys.set_int_max_str_digits(0)
     try:
-        series = json.loads(out)["results"]["series"]
+        report = json.loads(out)
+        # the writer's output is json.dumps's, the 4,533-digit entry too
+        assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
+    series = report["results"]["series"]
     assert len(series) == 501
     assert series[500] == 125751 * 10 ** 4527
+
+
+def test_realizations_of_one_ordered_matroid_report_alike(tmp_path):
+    # braid A3 in other coordinates (forms times a matrix of GL_3(Z)) has
+    # the same ordered matroid; each side is built from its own forms
+    moved = unimodular_image(parse_arrangement(path("braid3.json")),
+                             [(0, 1, 2), (2, 0, -1), (1, 2, 3)])
+    other = tmp_path / "braid3_moved.json"
+    other.write_text(json.dumps({"ambient_dim": moved.ambient_dim,
+                                 "forms": [list(f) for f in moved.forms]}))
+    for command in (["report"], ["gr-check", "--max-degree", "5"]):
+        reports = []
+        for name in (path("braid3.json"), str(other)):
+            forget_types()
+            reports.append(run_command([command[0], name, *command[1:]]))
+        digests = {report.pop("input_digest") for report in reports}
+        assert len(digests) == 2
+        assert reports[0] == reports[1], command
+
+
+# ---------------------------------------------------------------------------
+# the report writer
+
+def _as_json_dumps_writes(value):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name in os.listdir(DATA) if name.startswith("golden_")))
+def test_the_writer_writes_each_golden_report_as_json_dumps(name):
+    with open(path(name)) as fh:
+        text = fh.read()
+    report = json.loads(text)
+    assert _as_json_dumps_writes(report)
+    assert _dumps(report) + "\n" == text
+
+
+def test_the_writer_escapes_a_non_ascii_path_in_an_error(tmp_path, capsys):
+    missing = str(tmp_path / "Möbius ∞ 平面.json")
+    assert main(["lattice", missing]) == 2
+    out = capsys.readouterr().out
+    assert out.isascii() and "\\u00f6" in out
+    report = json.loads(out)
+    assert missing in report["error"]["message"]
+    assert _as_json_dumps_writes(report)
+    assert _dumps(report) + "\n" == out
+
+
+def test_the_writer_writes_empty_containers():
+    empty = {"a": {}, "b": [], "c": [[], {}, [[]], {"d": {}}], "e": None,
+             "f": [True, False, 0, -1, ""]}
+    assert _as_json_dumps_writes(empty)
+    assert _as_json_dumps_writes({}) and _as_json_dumps_writes([])
+
+
+@pytest.mark.parametrize("value", [
+    1.0, {"x": 0.5}, [1, 2.0], (1, 2), {1: 2}, {"x": {1, 2}}, Fraction(1, 2),
+])
+def test_the_writer_refuses_what_encode_never_makes(value):
+    with pytest.raises(TypeError):
+        _dumps(value)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES)
+def test_the_writer_writes_any_encoded_value_as_json_dumps(value):
+    assert _as_json_dumps_writes(value)

@@ -70,6 +70,7 @@ from genutil import (
     rank_mod_p_oracle,
     relation_rows_oracle,
     seeded_rank3_corpus,
+    unimodular_image,
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -476,6 +477,40 @@ def test_differently_spelled_calls_share_one_cache_entry():
     assert graded_complex.cache_info().misses == 1
     assert holonomy_envelope.cache_info().misses == 1
     clear_envelope_caches()
+
+
+def test_realizations_of_one_ordered_matroid_share_cache_entries():
+    # braid A3 with its forms mapped by a matrix of GL_3(Z) keeps the
+    # ordered matroid, so it reads the entries built for braid A3; two
+    # hyperplanes swapped make another ordered matroid, with its own entries
+    arr = braid3()
+    moved = unimodular_image(arr, [(0, 1, 2), (2, 0, -1), (1, 2, 3)])
+    swapped = Arrangement(3, (arr.forms[1], arr.forms[0]) + arr.forms[2:])
+    assert moved != arr and swapped != arr
+    assert intersection_lattice(moved).key == intersection_lattice(arr).key
+    assert intersection_lattice(swapped).key != intersection_lattice(arr).key
+    clear_arrangement_caches()
+    caches = (holonomy_envelope, graded_complex, cohomology_view,
+              supersolvable_exponents)
+
+    def built(a):
+        return (holonomy_envelope(a, 4), graded_complex(a, 4),
+                cohomology_view(a, True), supersolvable_exponents(a))
+
+    def misses():
+        return [cache.cache_info().misses for cache in caches]
+
+    start = misses()
+    first = built(arr)
+    assert all(x is y for x, y in zip(built(moved), first))
+    assert [m - s for m, s in zip(misses(), start)] == [1, 1, 1, 1]
+    env, _, view, _ = first
+    assert env.arr is view.arr is arr  # the first of its type
+    other = built(swapped)
+    assert not any(x is y for x, y in zip(other[:3], first[:3]))
+    assert other[2].arr is swapped
+    assert [m - s for m, s in zip(misses(), start)] == [2, 2, 2, 2]
+    clear_arrangement_caches()
 
 
 def test_work_bound_override_above_the_environment_reaches_the_build(
