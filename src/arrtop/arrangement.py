@@ -212,6 +212,7 @@ class IntersectionLattice:
                 self._containing[i] |= 1 << k
         self._mobius = dict(mobius)
         self._chain = None  # modular_chain's verdict, once walked
+        self.first = (None, None)  # first_of_type's registry and answer
 
     @property
     def rank(self):
@@ -404,16 +405,28 @@ def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
     return IntersectionLattice([Flat(s, c) for s, c in flats.items()], mobius)
 
 
-_first_of_type = {}  # lattice key -> the first arrangement seen with it
+_types = {}  # lattice key -> the first arrangement seen with it
 
 
 def first_of_type(arr: Arrangement) -> Arrangement:
     """The first arrangement seen with arr's ordered matroid (its lattice's
-    key); first_of_type.cache_clear() forgets them all."""
-    return _first_of_type.setdefault(intersection_lattice(arr).key, arr)
+    key).  The registry is read once per lattice, which keeps the answer
+    with the registry it came from; first_of_type.cache_clear() starts a
+    new registry, so every lattice reads it again."""
+    lat = intersection_lattice(arr)
+    registry, first = lat.first
+    if registry is not _types:
+        first = _types.setdefault(lat.key, arr)
+        lat.first = (_types, first)
+    return first
 
 
-first_of_type.cache_clear = _first_of_type.clear
+def _forget_types():
+    global _types
+    _types = {}
+
+
+first_of_type.cache_clear = _forget_types
 
 
 def matroid_cache(fn):
@@ -425,8 +438,8 @@ def matroid_cache(fn):
     cached = lru_cache(maxsize=None)(fn)
 
     @wraps(fn)
-    def wrapper(arr, *args):
-        return cached(first_of_type(arr), *args)
+    def wrapper(arr, *args, **kwargs):
+        return cached(first_of_type(arr), *args, **kwargs)
 
     wrapper.cache_info = cached.cache_info
     wrapper.cache_clear = cached.cache_clear

@@ -363,7 +363,15 @@ def _report_payload(arr, seed):
 
 class _Parser(argparse.ArgumentParser):
     """An argument error raises ParseError, which main() reports as a JSON
-    error with exit code 2, instead of printing usage and exiting."""
+    error with exit code 2, instead of printing usage and exiting.  An
+    argument opening with a minus and a digit is a value, not an option,
+    so a negative exponent list (`--exponents -1,2`, or any abbreviation
+    argparse accepts) is read as its option's value; argparse itself reads
+    only a negative number as a value, and no option here looks like one."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\d")
 
     def error(self, message):
         raise ParseError(f"{self.prog}: {message}")
@@ -449,14 +457,6 @@ def _parser():
 
 
 def run_command(argv):
-    # argparse reads `--exponents -1,2` as two options, and so it reads
-    # every abbreviation it accepts, `--e` up: join them with "="
-    argv = list(argv)
-    for i in reversed(range(1, len(argv))):
-        option = argv[i - 1]
-        if (len(option) > 2 and "--exponents".startswith(option)
-                and re.match(r"-\d", argv[i])):
-            argv[i - 1:i + 1] = [option + "=" + argv[i]]
     args = _parser().parse_args(argv)
     if args.check is not None:
         args.check(args)

@@ -60,6 +60,7 @@ from genutil import (
     braid_arrangement,
     direct_sum,
     expand_lcs_product_oracle,
+    forget_types,
     free_graded_lie_ranks_oracle,
     generic4,
     lattice_oracle,
@@ -510,6 +511,11 @@ def test_realizations_of_one_ordered_matroid_share_cache_entries():
     assert not any(x is y for x, y in zip(other[:3], first[:3]))
     assert other[2].arr is swapped
     assert [m - s for m, s in zip(misses(), start)] == [2, 2, 2, 2]
+    assert cohomology_view(moved, projective=True).arr is arr  # keywords
+    # each lattice keeps its answer until the registry is started anew
+    forget_types()
+    assert arrangement.first_of_type(moved) is moved
+    assert arrangement.first_of_type(arr) is moved
     clear_arrangement_caches()
 
 
