@@ -10,7 +10,6 @@ invariant in the package is derived from this single representation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 from itertools import combinations
 
@@ -25,6 +24,8 @@ from .errors import (
     SamplingFailed,
     WorkBoundExceeded,
     ZeroForm,
+    _Record,
+    _set,
     _work_bound,
 )
 from .exactalg import (
@@ -74,29 +75,27 @@ class _Infinite:
 INFINITE = _Infinite()
 
 
-@dataclass(frozen=True)
-class Arrangement:
+class Arrangement(_Record):
     """Reduced central arrangement: primitive covectors, none proportional.
 
     labels and multiplicities are bookkeeping collected by normalize(); they
-    do not take part in equality.
+    do not take part in equality.  The hash is computed once: every cache
+    of the package is keyed by arrangements.
     """
 
-    ambient_dim: int
-    forms: tuple
-    labels: tuple = field(default=None, compare=False)
-    multiplicities: tuple = field(default=None, compare=False)
+    _fields = ("ambient_dim", "forms", "labels", "multiplicities")
+    __slots__ = _fields + ("_hash",)
 
-    def __post_init__(self):
+    def __init__(self, ambient_dim, forms, labels=None, multiplicities=None):
         """Refuse what normalize() would not produce: no forms
         (EmptyArrangement), forms that are not a sequence, a non-integer
         ambient dimension or entry, a form of the wrong length, a zero form
         or a proportional pair (ZeroForm).  Forms need not be primitive."""
-        if not self.forms:
+        if not forms:
             raise EmptyArrangement("no forms given")
-        int_entries((self.ambient_dim,), ZeroForm, "ambient_dim is not an integer")
+        int_entries((ambient_dim,), ZeroForm, "ambient_dim is not an integer")
         try:
-            rows = tuple(self.forms)
+            rows = tuple(forms)
         except TypeError:
             raise ZeroForm("forms is not a sequence of forms") from None
         forms = tuple(
@@ -105,9 +104,9 @@ class Arrangement:
         )
         seen = {}
         for i, f in enumerate(forms):
-            if len(f) != self.ambient_dim:
+            if len(f) != ambient_dim:
                 raise ZeroForm(
-                    f"form {i} has length {len(f)}, expected {self.ambient_dim}"
+                    f"form {i} has length {len(f)}, expected {ambient_dim}"
                 )
             vec = _primitive(f)
             if vec is None:
@@ -115,7 +114,19 @@ class Arrangement:
             if vec in seen:
                 raise ZeroForm(f"forms {seen[vec]} and {i} are proportional")
             seen[vec] = i
-        object.__setattr__(self, "forms", forms)
+        _set(self, "ambient_dim", ambient_dim)
+        _set(self, "forms", forms)
+        _set(self, "labels", labels)
+        _set(self, "multiplicities", multiplicities)
+        _set(self, "_hash", hash((ambient_dim, forms)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ambient_dim, self.forms) == (other.ambient_dim, other.forms)
+        return NotImplemented
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def num_hyperplanes(self):
@@ -178,12 +189,14 @@ def normalize(raw_forms, ambient_dim, labels=None, multiplicities=None) -> Arran
 # ---------------------------------------------------------------------------
 # intersection lattice
 
-@dataclass(frozen=True)
-class Flat:
+class Flat(_Record):
     """Closed set of hyperplane indices together with its codimension."""
 
-    hyperplanes: tuple
-    codim: int
+    __slots__ = _fields = ("hyperplanes", "codim")
+
+    def __init__(self, hyperplanes, codim):
+        _set(self, "hyperplanes", hyperplanes)
+        _set(self, "codim", codim)
 
 
 class IntersectionLattice:
@@ -516,18 +529,17 @@ def restrict_to_hyperplane(arr: Arrangement, index) -> Arrangement:
 # ---------------------------------------------------------------------------
 # subspaces and genericity
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(_Record):
     """Integer-spanned subspace given by an independent basis."""
 
-    basis: tuple
+    __slots__ = _fields = ("basis",)
 
-    def __post_init__(self):
+    def __init__(self, basis):
         basis = tuple(
             int_entries(v, ZeroForm, "subspace basis has a non-integer entry")
-            for v in self.basis
+            for v in basis
         )
-        object.__setattr__(self, "basis", basis)
+        _set(self, "basis", basis)
         if not basis:
             raise ZeroForm("subspace needs at least one basis vector")
         if len({len(v) for v in basis}) != 1:

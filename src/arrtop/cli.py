@@ -42,7 +42,6 @@ from .arrangement import (
     Arrangement,
     Subspace,
     betti_agreement_order,
-    essentialize,
     genericity_level,
     generic_section_betti,
     intersection_lattice,
@@ -54,6 +53,7 @@ from .errors import ArrtopError, NotSupersolvable, ParseError
 from .homotopy import (
     SectionData,
     ExponentData,
+    _chain_or_refusal,
     graded_complex,
     homotopy_cokernel_ranks,
     homotopy_hilbert_series,
@@ -276,8 +276,7 @@ def _polar_payload(arr, seed):
     }
 
 
-def _exponents_payload(arr):
-    exps = supersolvable_exponents(arr)
+def _exponents_payload(exps):
     return {"exponents": list(exps.exponents)}
 
 
@@ -332,8 +331,7 @@ def _gr_check_payload(arr, max_degree, integers):
     return payload
 
 
-def _lcs_payload(arr, max_k):
-    exps = supersolvable_exponents(arr)
+def _lcs_payload(exps, max_k):
     return {
         "exponents": list(exps.exponents),
         "lcs_ranks": lcs_ranks(exps, max_k),
@@ -348,15 +346,16 @@ def _report_payload(arr, seed):
         "polar": _polar_payload(arr, seed),
     }
     # supersolvability and the exponents are lattice invariants, and
-    # essentialize keeps the lattice
-    ess = essentialize(arr)
-    try:
-        payload["exponents"] = _exponents_payload(ess)
-        payload["lcs"] = _lcs_payload(ess, 4)
-        payload["supersolvable"] = True
-    except NotSupersolvable as exc:
+    # essentializing keeps the lattice, so they are read in the input's
+    # own lattice, essential or not
+    exps, level = _chain_or_refusal(arr)
+    if exps is None:
         payload["supersolvable"] = False
-        payload["not_supersolvable_level"] = exc.level
+        payload["not_supersolvable_level"] = level
+    else:
+        payload["exponents"] = _exponents_payload(exps)
+        payload["lcs"] = _lcs_payload(exps, 4)
+        payload["supersolvable"] = True
     payload["gr_check"] = _gr_check_payload(arr, 3, False)
     return payload
 
@@ -418,7 +417,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="seed for the generic-hyperplane verification")
     add("exponents", "supersolvable exponents via a modular coatom chain",
-        lambda arr, args: _exponents_payload(arr))
+        lambda arr, args: _exponents_payload(supersolvable_exponents(arr)))
     p = add("section", "Betti numbers of an iterated generic section",
             lambda arr, args: {"rank": args.rank,
                                "betti": generic_section_betti(arr, args.rank)})
@@ -441,7 +440,8 @@ def build_parser():
     p.add_argument("--integers", action="store_true",
                    help="audit torsion-freeness of the integral graded data")
     p = add("lcs", "lower central series ranks from the exponents",
-            lambda arr, args: _lcs_payload(arr, args.max_k))
+            lambda arr, args: _lcs_payload(supersolvable_exponents(arr),
+                                           args.max_k))
     p.add_argument("--max-k", type=int, default=4)
     p = add("report", "full battery of invariants",
             lambda arr, args: _report_payload(arr, args.seed))

@@ -4,7 +4,7 @@ InputError covers malformed input data, PreconditionError violated
 mathematical preconditions, and InternalInconsistency an identity the
 computation guarantees that failed; each carries the CLI's exit code for
 its family (2, 3, 4).  The work bound that stages count against is read
-here.
+here, and the value records of the other modules share their base here.
 """
 
 import os as _os
@@ -145,3 +145,47 @@ class NotProperSection(PreconditionError):
 
 class ParseError(InputError):
     pass
+
+
+# value records
+
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the immutable value records.  A record names its fields,
+    in constructor order, in _fields, holds them in __slots__, and sets
+    them in its own __init__ through _set; assigning or deleting one
+    afterwards raises AttributeError.  Records equal records of their own
+    class with equal fields, hash as the tuple of their fields, print as
+    Name(field=value, ...) and copy (copy, deepcopy, pickle) by calling
+    the constructor on their fields."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import InexactDivision, ZeroConstantTerm
+from .errors import InexactDivision, ZeroConstantTerm, _Record, _set
 
 Rational = Fraction
 
@@ -337,18 +336,17 @@ def covector_kernel_basis(covector):
 # ---------------------------------------------------------------------------
 # integer polynomials
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(_Record):
     """Univariate polynomial with integer coefficients, index = degree."""
 
-    coefficients: tuple
+    __slots__ = _fields = ("coefficients",)
 
-    def __post_init__(self):
-        coeffs = int_entries(self.coefficients, TypeError,
+    def __init__(self, coefficients):
+        coeffs = int_entries(coefficients, TypeError,
                              "polynomial coefficients must be integers")
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
+        _set(self, "coefficients", coeffs)
 
     @classmethod
     def zero(cls):
@@ -452,18 +450,17 @@ def poly_divide_exact(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
 # ---------------------------------------------------------------------------
 # truncated power series
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(_Record):
     """Power series over Q truncated at a fixed degree (inclusive)."""
 
-    coefficients: tuple
-    truncation_degree: int
+    __slots__ = _fields = ("coefficients", "truncation_degree")
 
-    def __post_init__(self):
-        coeffs = tuple(_as_fraction(c) for c in self.coefficients)
-        if len(coeffs) != self.truncation_degree + 1:
+    def __init__(self, coefficients, truncation_degree):
+        coeffs = tuple(_as_fraction(c) for c in coefficients)
+        if len(coeffs) != truncation_degree + 1:
             raise ValueError("coefficient list must have truncation_degree + 1 entries")
-        object.__setattr__(self, "coefficients", coeffs)
+        _set(self, "coefficients", coeffs)
+        _set(self, "truncation_degree", truncation_degree)
 
     @classmethod
     def from_list(cls, coeffs, truncation_degree=None):

@@ -14,7 +14,6 @@ degree, and cross-checks the paired closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
 from .arrangement import (
@@ -39,6 +38,8 @@ from .errors import (
     NotSupersolvable,
     RankOutOfRange,
     WorkBoundExceeded,
+    _Record,
+    _set,
 )
 from .exactalg import (
     IntPolynomial,
@@ -74,17 +75,16 @@ def minimal_cell_counts(arr: Arrangement, central=False):
 # ---------------------------------------------------------------------------
 # supersolvable recognition via modular coatom chains
 
-@dataclass(frozen=True)
-class ExponentData:
+class ExponentData(_Record):
     """Exponents of a supersolvable arrangement, ascending, first entry 1."""
 
-    exponents: tuple
+    __slots__ = _fields = ("exponents",)
 
-    def __post_init__(self):
+    def __init__(self, exponents):
         exps = int_entries(
-            self.exponents, NonIntegerRank, "exponents must be positive integers"
+            exponents, NonIntegerRank, "exponents must be positive integers"
         )
-        object.__setattr__(self, "exponents", exps)
+        _set(self, "exponents", exps)
         if not exps or any(x < 1 for x in exps):
             raise NonIntegerRank("exponents must be positive integers")
         if exps[0] != 1:
@@ -342,22 +342,22 @@ def is_acyclic(complex_: GradedChainComplex) -> bool:
 # ---------------------------------------------------------------------------
 # generic sections of fiber-type arrangements
 
-@dataclass(frozen=True)
-class SectionData:
+class SectionData(_Record):
     """An iterated generic section of an essential supersolvable arrangement,
     recorded by its rank.  The section itself is combinatorial: its Betti
     numbers are truncations, its graded homotopy data is computed from the
     ambient arrangement."""
 
-    ambient: Arrangement
-    section_rank: int
+    __slots__ = _fields = ("ambient", "section_rank")
 
-    def __post_init__(self):
-        supersolvable_exponents(self.ambient)  # raises when not applicable
-        if not 3 <= self.section_rank <= self.ambient.rank:
+    def __init__(self, ambient, section_rank):
+        supersolvable_exponents(ambient)  # raises when not applicable
+        if not 3 <= section_rank <= ambient.rank:
             raise RankOutOfRange(
-                f"section rank must lie in [3, {self.ambient.rank}]"
+                f"section rank must lie in [3, {ambient.rank}]"
             )
+        _set(self, "ambient", ambient)
+        _set(self, "section_rank", section_rank)
 
     @property
     def connectivity(self):
@@ -593,12 +593,22 @@ MODULE_FREE = "GROUP_RING_FREE"
 MODULE_NEVER_PROJECTIVE = "NEVER_PROJECTIVE"
 
 
-@dataclass(frozen=True)
-class AsphericityReport:
-    connectivity: object  # int or INFINITE
-    verdict: str
-    genericity: object = None
-    module_status: str = None
+class AsphericityReport(_Record):
+    """Verdict of asphericity_test.  connectivity is the first degree with
+    a nontrivial higher homotopy group, or INFINITE when there is none;
+    verdict is VERDICT_ASPHERICAL or VERDICT_FIRST_NONZERO; genericity is
+    the section's genericity level; module_status says whether that group
+    is free over the group ring (MODULE_FREE, MODULE_NEVER_PROJECTIVE), or
+    is None where the test does not tell."""
+
+    __slots__ = _fields = ("connectivity", "verdict", "genericity",
+                           "module_status")
+
+    def __init__(self, connectivity, verdict, genericity=None, module_status=None):
+        _set(self, "connectivity", connectivity)
+        _set(self, "verdict", verdict)
+        _set(self, "genericity", genericity)
+        _set(self, "module_status", module_status)
 
 
 def asphericity_test(section_or_arrangement, subspace=None) -> AsphericityReport:

@@ -16,7 +16,6 @@ combinatorics; functions take a `projective` flag where both make sense.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -26,7 +25,8 @@ from .arrangement import (
 )
 from .errors import (  # the work bound's names stay importable from here
     DEFAULT_WORK_BOUND, WORK_BOUND_ENV, InternalInconsistency,
-    NotSupersolvable, RankOutOfRange, WorkBoundExceeded, _work_bound,
+    NotSupersolvable, RankOutOfRange, WorkBoundExceeded, _Record, _set,
+    _work_bound,
 )
 from .exactalg import (
     SparseEchelon, int_rank, narrowed, sparse_compose, sparse_rank,
@@ -171,14 +171,16 @@ def central_algebra(arr: Arrangement) -> CentralAlgebra:
     return CentralAlgebra(arr)
 
 
-@dataclass(frozen=True)
-class _Basis:
+class _Basis(_Record):
     """One cohomology degree: labels name the basis elements, keys are the
     NBC monomials that stand for them in A (central) or A/e_0A
     (projective); see CohomologyView."""
 
-    labels: tuple
-    keys: tuple
+    __slots__ = _fields = ("labels", "keys")
+
+    def __init__(self, labels, keys):
+        _set(self, "labels", labels)
+        _set(self, "keys", keys)
 
     @property
     def dim(self):
@@ -297,10 +299,15 @@ def cohomology_view(arr: Arrangement, projective: bool) -> CohomologyView:
 # ---------------------------------------------------------------------------
 # public data types and operations
 
-@dataclass(frozen=True)
-class NBCBasis:
-    degree: int
-    monomials: tuple
+class NBCBasis(_Record):
+    """The NBC monomials of the central complement at one degree, each a
+    sorted tuple of hyperplane indices; see nbc_basis."""
+
+    __slots__ = _fields = ("degree", "monomials")
+
+    def __init__(self, degree, monomials):
+        _set(self, "degree", degree)
+        _set(self, "monomials", monomials)
 
 
 def nbc_basis(arr: Arrangement, q) -> NBCBasis:
@@ -315,16 +322,18 @@ def nbc_basis(arr: Arrangement, q) -> NBCBasis:
     return NBCBasis(q, monomials)
 
 
-@dataclass(frozen=True)
-class CupSlice:
+class CupSlice(_Record):
     """Multiplication H^(q-1) x H^1 -> H^q as an integer matrix; rows are
     (lower basis element, degree-one element) pairs with the degree-one
     index fastest, columns the degree-q basis."""
 
-    degree: int
-    matrix: tuple
-    row_labels: tuple
-    column_labels: tuple
+    __slots__ = _fields = ("degree", "matrix", "row_labels", "column_labels")
+
+    def __init__(self, degree, matrix, row_labels, column_labels):
+        _set(self, "degree", degree)
+        _set(self, "matrix", matrix)
+        _set(self, "row_labels", row_labels)
+        _set(self, "column_labels", column_labels)
 
 
 def cup_matrix(arr: Arrangement, q, projective=False) -> CupSlice:
@@ -343,13 +352,15 @@ def cup_matrix(arr: Arrangement, q, projective=False) -> CupSlice:
     return CupSlice(q, tuple(mat), tuple(labels), target.labels)
 
 
-@dataclass(frozen=True)
-class HolonomyRelations:
+class HolonomyRelations(_Record):
     """Rows span the image of the reduced diagonal inside H_1 (x) H_1, in
     the antisymmetric embedding of the wedge square; dimension b_2."""
 
-    dim_h1: int
-    relation_basis: tuple
+    __slots__ = _fields = ("dim_h1", "relation_basis")
+
+    def __init__(self, dim_h1, relation_basis):
+        _set(self, "dim_h1", dim_h1)
+        _set(self, "relation_basis", relation_basis)
 
 
 def reduced_diagonal(arr: Arrangement, projective=False) -> HolonomyRelations:

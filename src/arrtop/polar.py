@@ -10,7 +10,6 @@ identity behind that equality on an explicitly sampled generic hyperplane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrangement import (
@@ -29,6 +28,8 @@ from .errors import (
     NonIntegerMu,
     NonIsolated,
     PreconditionError,
+    _Record,
+    _set,
 )
 
 CLASS_ZERO = "ZERO"
@@ -39,16 +40,20 @@ CLASS_GENERAL = "GENERAL"
 DEFAULT_SEED = 20260810
 
 
-@dataclass(frozen=True)
-class PolarReport:
+class PolarReport(_Record):
     """Numeric summary of the gradient map of the defining product."""
 
-    degree: int
-    top_betti: int
-    affine_sphere_count: int
-    essential: bool
-    bound_satisfied: bool
-    classification: str
+    __slots__ = _fields = ("degree", "top_betti", "affine_sphere_count",
+                           "essential", "bound_satisfied", "classification")
+
+    def __init__(self, degree, top_betti, affine_sphere_count, essential,
+                 bound_satisfied, classification):
+        _set(self, "degree", degree)
+        _set(self, "top_betti", top_betti)
+        _set(self, "affine_sphere_count", affine_sphere_count)
+        _set(self, "essential", essential)
+        _set(self, "bound_satisfied", bound_satisfied)
+        _set(self, "classification", classification)
 
 
 def _euler(poly):

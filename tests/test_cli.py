@@ -17,14 +17,14 @@ from arrtop.cli import (
     parse_arrangement,
     run_command,
 )
-from arrtop import errors, is_essential, normalize
+from arrtop import errors, intersection_lattice, is_essential, normalize
 from arrtop.errors import (
     EmptyArrangement, InternalInconsistency, NotSupersolvable, ParseError,
     RankOutOfRange, ZeroForm,
 )
 from genutil import (
-    braid_arrangement, clear_envelope_caches, forget_types, lattice_oracle,
-    supersolvable_oracle, unimodular_image,
+    braid_arrangement, clear_arrangement_caches, clear_envelope_caches,
+    forget_types, lattice_oracle, supersolvable_oracle, unimodular_image,
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -410,7 +410,6 @@ def test_lattice_counts_its_flats_against_the_work_bound(monkeypatch, capsys,
                                                         tmp_path):
     """Braid A5 has 203 flats: a bound of 203 admits it, and 202 refuses it
     as its 203rd flat is made (exit 3).  A refusal fills no cache."""
-    from arrtop import intersection_lattice
     from arrtop.errors import WorkBoundExceeded
 
     # its own hyperplane order, so no other test has its lattice cached
@@ -762,6 +761,21 @@ def test_report_does_not_call_a_refused_lcs_unsupersolvable(
     monkeypatch.setenv("ARRTOP_WORK_BOUND", "16")
     assert main(["report", str(f)]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["supersolvable"] is True
+
+
+def test_report_reads_the_exponents_in_the_input_lattice(capsys):
+    # three planes through a line in C^3 are not essential; their lattice
+    # is their essentialization's, so the report builds no lattice past the
+    # input's and its polar section's
+    clear_arrangement_caches()
+    with open(path("golden_report_pencil3.json")) as fh:
+        golden = fh.read()
+    assert main(["report", path("pencil3.json")]) == 0
+    assert capsys.readouterr().out == golden
+    assert intersection_lattice.cache_info().currsize == 2
+    # the exponents command still asks for an essential input
+    assert main(["exponents", path("pencil3.json")]) == 3
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "NotEssential"
 
 
 def test_internal_inconsistency_exit_code(monkeypatch, capsys):
