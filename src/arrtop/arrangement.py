@@ -225,6 +225,8 @@ class IntersectionLattice:
                 self._containing[i] |= 1 << k
         self._mobius = dict(mobius)
         self._chain = None  # modular_chain's verdict, once walked
+        self._poincare = None  # the central Poincare polynomial, once summed
+        self._projective = None  # and the projective one, once divided
         self.first = (None, None)  # first_of_type's registry and answer
 
     @property
@@ -460,21 +462,29 @@ def matroid_cache(fn):
 
 
 def poincare_central(arr: Arrangement) -> IntPolynomial:
-    """Poincare polynomial of the central complement: sum |mu(X)| t^codim."""
+    """Poincare polynomial of the central complement: sum |mu(X)| t^codim,
+    summed once per lattice and kept there."""
     lat = intersection_lattice(arr)
-    coeffs = [0] * (lat.rank + 1)
-    for f in lat.flats:
-        coeffs[f.codim] += abs(lat.mobius(f))
-    return IntPolynomial(tuple(coeffs))
+    if lat._poincare is None:
+        coeffs = [0] * (lat.rank + 1)
+        for f in lat.flats:
+            coeffs[f.codim] += abs(lat.mobius(f))
+        lat._poincare = IntPolynomial(tuple(coeffs))
+    return lat._poincare
 
 
 def poincare_projective(arr: Arrangement) -> IntPolynomial:
-    """Poincare polynomial of the projective complement.
+    """Poincare polynomial of the projective complement, divided once per
+    lattice and kept there.
 
     The central polynomial always carries an exact (1+t) factor; the
     quotient is the projective one.
     """
-    return poly_divide_exact(poincare_central(arr), IntPolynomial((1, 1)))
+    lat = intersection_lattice(arr)
+    if lat._projective is None:
+        lat._projective = poly_divide_exact(poincare_central(arr),
+                                            IntPolynomial((1, 1)))
+    return lat._projective
 
 
 def characteristic_polynomial(arr: Arrangement) -> IntPolynomial:

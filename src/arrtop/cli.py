@@ -32,7 +32,6 @@ import hashlib
 import json
 import re
 import sys
-from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
@@ -65,24 +64,6 @@ from .homotopy import (
 from .polar import DEFAULT_SEED, polar_degree
 
 DEFAULT_MAX_DEGREE = 4
-
-
-def _encode(value):
-    """JSON-safe exact encoding: ints stay ints, rationals become
-    [numerator, denominator] pairs, the infinite sentinel a string."""
-    if value is INFINITE:
-        return "INFINITE"
-    if isinstance(value, bool) or isinstance(value, int):
-        return value
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return value.numerator
-        return [value.numerator, value.denominator]
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _encode(v) for k, v in value.items()}
-    return value
 
 
 def _is_int(value):
@@ -173,21 +154,23 @@ def load_subspace_file(path) -> Subspace:
 
 
 def make_report(command, raw_bytes, results, warnings):
+    """The report around a payload's results, which are JSON-ready as
+    they are (see _dumps): no pass copies or converts them."""
     return {
         "command": command,
         "version": __version__,
         "input_digest": hashlib.sha256(raw_bytes).hexdigest(),
-        "results": _encode(results),
+        "results": results,
         "warnings": list(warnings),
     }
 
 
 def _dumps(value, indent="\n"):
-    """json.dumps(value, sort_keys=True, indent=2) for what _encode makes:
-    dicts with str keys, lists, str, int, True, False and None, each of
-    exactly that type; anything else raises TypeError.  indent is the
-    newline and indentation of the value's own line.  An int item is
-    written in place, not through a call."""
+    """json.dumps(value, sort_keys=True, indent=2) for what the payloads
+    make: dicts with str keys, lists, str, int, True, False and None, each
+    of exactly that type; anything else, a tuple or a Fraction included,
+    raises TypeError.  indent is the newline and indentation of the value's
+    own line.  An int item is written in place, not through a call."""
     t = type(value)
     if t is int:
         return int.__repr__(value)
@@ -232,7 +215,8 @@ def emit(report):
 
 
 # ---------------------------------------------------------------------------
-# subcommand payloads
+# subcommand payloads: each returns JSON-ready values, new lists and dicts
+# with str keys, and the infinite sentinel as the string "INFINITE"
 
 def _lattice_payload(arr):
     lat = intersection_lattice(arr)
@@ -280,12 +264,16 @@ def _exponents_payload(exps):
     return {"exponents": list(exps.exponents)}
 
 
+def _level(value):
+    return "INFINITE" if value is INFINITE else value
+
+
 def _genericity_payload(arr, sub):
     k = genericity_level(arr, sub)
     p = betti_agreement_order(arr, sub)
     return {
-        "genericity_level": k,
-        "betti_agreement_order": p,
+        "genericity_level": _level(k),
+        "betti_agreement_order": _level(p),
         "equal": k is p or k == p,
     }
 
@@ -327,7 +315,11 @@ def _gr_check_payload(arr, max_degree, integers):
         "acyclic": not nonzero,
     }
     if integers:
-        payload["integer_audit"] = integer_audit(arr, max_degree)
+        audit = integer_audit(arr, max_degree)
+        payload["integer_audit"] = {
+            "free_over_integers": audit["free_over_integers"],
+            "slices": {str(k): s for k, s in audit["slices"].items()},
+        }
     return payload
 
 

@@ -169,12 +169,28 @@ class GradedChainComplex:
     """
 
     def __init__(self, generator_ranks, u_dims, max_internal_degree, blocks):
+        self._hold(generator_ranks, u_dims, max_internal_degree, blocks, {})
+        self.check_square_zero()
+
+    def _hold(self, generator_ranks, u_dims, max_internal_degree, blocks,
+              ranks):
         self.generator_ranks = tuple(generator_ranks)
         self.u_dims = tuple(u_dims)
         self.max_internal_degree = max_internal_degree
         self.blocks = blocks
-        self._rank_cache = {}
-        self.check_square_zero()
+        self._rank_cache = ranks
+
+    @classmethod
+    def _sharing(cls, generator_ranks, u_dims, max_internal_degree, blocks,
+                 ranks, checked):
+        """A complex whose blocks of internal degree <= checked, and their
+        `ranks`, come from a complex already checked: square-zero composes
+        blocks of one internal degree, so only those above are checked."""
+        self = cls.__new__(cls)
+        self._hold(generator_ranks, u_dims, max_internal_degree, blocks, ranks)
+        self._check_square_zero([(key, rows) for key, rows in blocks.items()
+                                 if key[1] > checked])
+        return self
 
     @property
     def top(self):
@@ -211,7 +227,11 @@ class GradedChainComplex:
         one, in every internal degree; the rows are composed one at a time,
         and the message names the first that is not sent to zero and the
         lead column of its image."""
-        for (q, s), rows in self.blocks.items():
+        self._check_square_zero(self.blocks.items())
+
+    def _check_square_zero(self, blocks):
+        """check_square_zero for the given (key, rows) pairs of blocks."""
+        for (q, s), rows in blocks:
             nxt = self.blocks.get((q - 1, s))
             if not nxt:
                 continue
@@ -235,7 +255,9 @@ def graded_complex(arr: Arrangement, max_internal_degree=4,
     `cache_clear()`, builds the complex from the envelope of its degree,
     read past holonomy_envelope's check so that a higher work_bound
     holds.  Realizations of one ordered matroid share the entry, built
-    from the first of them (arrangement.matroid_cache).  Block
+    from the first of them (arrangement.matroid_cache), and share their
+    lower internal degrees with complexes of higher degree (_complex).
+    Block
     (1, t) is the envelope's table x_j w of degree t, shared and not
     copied, so callers must not mutate it; it has a unit row at each of
     its dim U_t columns, so its leads certify its rank, and exactness at
@@ -253,21 +275,51 @@ def graded_complex(arr: Arrangement, max_internal_degree=4,
     return _complex(arr, max_internal_degree)
 
 
+_grown = {}  # view -> (envelope, complex) of highest degree _complex built
+
+
 @matroid_cache
 def _complex(arr, max_internal_degree):
+    """The highest complex built on the same view object lends its blocks
+    and ranks of internal degree <= low, the lower of the two degrees,
+    when its envelope shares its tables with this one's (UEnvelope._prefix);
+    only the blocks above low are built and checked to square to zero.
+    `cache_clear()` drops the lent blocks too."""
     view = cohomology_view(arr, True)
     env = _envelope(arr, max_internal_degree, True)
+    base_env, base = _grown.get(view, (None, None))
+    low = 0
+    if base is not None:
+        low = min(max_internal_degree, base.max_internal_degree)
+        if env._left.get(low) is not base_env._left.get(low):
+            base, low = None, 0  # an envelope built afresh: share nothing
     blocks = {}
     for q in range(1, view.top + 1):
         for t in range(q, max_internal_degree + 1):
-            # block (1, t) is the table x_j w
-            rows = env._left[t] if q == 1 else _delta_rows(view, env, q, t)
+            if t <= low:
+                rows = base.blocks.get((q, t))
+            elif q == 1:
+                rows = env._left[t]  # block (1, t) is the table x_j w
+            else:
+                rows = _delta_rows(view, env, q, t)
             if rows:
                 blocks[(q, t)] = rows
-    return GradedChainComplex(view.betti, env.dims, max_internal_degree,
-                              blocks)
+    ranks = {} if base is None else {
+        key: r for key, r in base._rank_cache.items() if key[1] <= low}
+    complex_ = GradedChainComplex._sharing(
+        view.betti, env.dims, max_internal_degree, blocks, ranks, low)
+    if base is None or max_internal_degree > base.max_internal_degree:
+        _grown[view] = (env, complex_)
+    return complex_
 
 
+def _clear_complexes(clear=_complex.cache_clear):
+    """Drop every cached complex, and with them the blocks they share."""
+    clear()
+    _grown.clear()
+
+
+_complex.cache_clear = _clear_complexes
 graded_complex.cache_info = _complex.cache_info
 graded_complex.cache_clear = _complex.cache_clear
 

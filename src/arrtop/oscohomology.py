@@ -477,7 +477,10 @@ class UEnvelope:
     each ring both paths give the same normal words and tables.
 
     The degrees 1 .. max_degree are built once, in order, when the envelope
-    is made; nothing changes it afterwards.
+    is made; nothing changes it afterwards.  Degree k depends on the view
+    and the degrees below it alone, so the envelopes of one view agree on
+    their common degrees, and _prefix makes one envelope from another's
+    lower degrees.
     """
 
     def __init__(self, view, max_degree):
@@ -491,9 +494,33 @@ class UEnvelope:
         self.lattice = {0: []}  # degree k -> rows left over by the split
         self._left = {}  # degree k -> x_j w at j*dim U_(k-1) + w
         self._columns = [0]  # the top degree's normal words, as columns
-        for k in range(1, max_degree + 1):
+        self._extend(max_degree)
+
+    def _extend(self, max_degree):
+        """Build the degrees above self.max_degree up to max_degree."""
+        for k in range(self.max_degree + 1, max_degree + 1):
             self._add_degree(*self._build(k))
             self.max_degree = k  # _product reads degree k from here on
+
+    def _prefix(self, max_degree):
+        """The envelope of max_degree on the same view: the degrees this
+        one holds up to max_degree, shared by reference (tables, words,
+        left-over rows) in containers of its own, and the degrees above
+        them built as __init__ builds them.  self is not changed.  A
+        prefix below self's degree has no top columns (_columns is None),
+        so it must not be extended."""
+        top = min(max_degree, self.max_degree)
+        env = object.__new__(type(self))
+        env._view, env.arr, env.b1 = self._view, self.arr, self.b1
+        env.max_degree = top
+        env.dims = self.dims[:top + 1]
+        env.basis_words = self.basis_words[:top + 1]
+        env.rewritten = self.rewritten and top >= 3
+        env.lattice = {k: self.lattice[k] for k in range(top + 1)}
+        env._left = {k: self._left[k] for k in range(1, top + 1)}
+        env._columns = self._columns if top == self.max_degree else None
+        env._extend(max_degree)
+        return env
 
     def _build(self, k):
         """The normal words of degree k as columns over H_1 (x) U_(k-1),
@@ -601,9 +628,31 @@ class UEnvelope:
         return self._left[k + 1][j * self.dims[k] + word_pos]
 
 
+_grown = {}  # view -> the envelope of highest degree _envelope built on it
+
+
 @matroid_cache
 def _envelope(arr, max_degree, projective):
-    return UEnvelope(cohomology_view(arr, projective), max_degree)
+    """The envelope of max_degree on the cached view, sharing the degrees
+    of the highest envelope built on that same view object (_prefix)."""
+    view = cohomology_view(arr, projective)
+    base = _grown.get(view)
+    if base is None:
+        env = UEnvelope(view, max_degree)
+    else:
+        env = base._prefix(max_degree)
+    if base is None or max_degree > base.max_degree:
+        _grown[view] = env
+    return env
+
+
+def _clear_envelopes(clear=_envelope.cache_clear):
+    """Drop every cached envelope, and with them the degrees they share."""
+    clear()
+    _grown.clear()
+
+
+_envelope.cache_clear = _clear_envelopes
 
 
 def holonomy_envelope(arr: Arrangement, max_degree, projective=True,
@@ -619,6 +668,9 @@ def holonomy_envelope(arr: Arrangement, max_degree, projective=True,
     envelope once, never changed and shared however the call is spelled
     and by every realization of the matroid: its `.arr`, and its view's,
     is the first arrangement of its type (arrangement.matroid_cache).
+    A miss builds only the degrees above those of the highest envelope
+    cached on the same view, and shares those below (UEnvelope._prefix);
+    `cache_clear()` drops the shared degrees too.
     work_bound does not reach the lattice, which reads ARRTOP_WORK_BOUND
     only.
     """

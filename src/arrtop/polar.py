@@ -5,12 +5,14 @@ Milnor-fiber sphere counts and the twisted-homology bound.
 The polar degree of a reduced arrangement product equals the top Betti
 number of the projective complement, which is also the number of spheres in
 the generic affine part; every report double-checks the Euler-characteristic
-identity behind that equality on an explicitly sampled generic hyperplane.
+identity behind that equality on an explicitly sampled generic hyperplane,
+once per arrangement and seed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .arrangement import (
     Arrangement,
@@ -107,8 +109,15 @@ def polar_degree(arr: Arrangement, verify=True, seed=DEFAULT_SEED) -> PolarRepor
 
     Equals the top projective Betti number; positive exactly when the
     arrangement is essential, in which case the hyperplane count is bounded
-    by ambient dimension - 1 + degree.
+    by ambient dimension - 1 + degree.  The report is cached by (arr,
+    verify, seed), so the sampled-section check (lefschetz_euler_check)
+    runs on the first call of each; `cache_info()`, `cache_clear()`.
     """
+    return _polar_degree(arr, verify, seed)
+
+
+@lru_cache(maxsize=None)
+def _polar_degree(arr, verify, seed):
     n = arr.ambient_dim - 1
     betti = projective_betti(arr)
     degree = betti[n] if n < len(betti) else 0
@@ -130,6 +139,10 @@ def polar_degree(arr: Arrangement, verify=True, seed=DEFAULT_SEED) -> PolarRepor
         bound_satisfied=bound,
         classification=_classify(arr, degree),
     )
+
+
+polar_degree.cache_info = _polar_degree.cache_info
+polar_degree.cache_clear = _polar_degree.cache_clear
 
 
 def polar_invariant(arr: Arrangement, verify=True, seed=DEFAULT_SEED) -> int:

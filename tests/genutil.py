@@ -9,7 +9,7 @@ from itertools import combinations
 
 from arrtop import (
     Arrangement, GradedChainComplex, Subspace, arrangement, homotopy,
-    is_essential, normalize, oscohomology,
+    is_essential, normalize, oscohomology, polar,
 )
 from arrtop.errors import EmptyArrangement, ZeroForm
 from arrtop.exactalg import sub_scaled
@@ -607,8 +607,10 @@ def clear_envelope_caches():
 
 def clear_arrangement_caches():
     """Empty every per-arrangement cache, the lattice's included, so the
-    next call starts cold."""
+    next call starts cold: the polar reports too, and with the lattices
+    the Poincare polynomials they hold."""
     clear_envelope_caches()
+    polar.polar_degree.cache_clear()
     homotopy.supersolvable_exponents.cache_clear()
     oscohomology.cohomology_view.cache_clear()
     oscohomology.central_algebra.cache_clear()

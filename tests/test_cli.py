@@ -17,7 +17,9 @@ from arrtop.cli import (
     parse_arrangement,
     run_command,
 )
-from arrtop import errors, intersection_lattice, is_essential, normalize
+from arrtop import (
+    errors, intersection_lattice, is_essential, normalize, polar,
+)
 from arrtop.errors import (
     EmptyArrangement, InternalInconsistency, NotSupersolvable, ParseError,
     RankOutOfRange, ZeroForm,
@@ -854,6 +856,63 @@ def test_realizations_of_one_ordered_matroid_report_alike(tmp_path):
         digests = {report.pop("input_digest") for report in reports}
         assert len(digests) == 2
         assert reports[0] == reports[1], command
+
+
+def test_a_second_report_samples_no_subspace(monkeypatch, capsys):
+    # the polar Euler check samples its section once per (arrangement,
+    # seed) in a process; a repeated report is byte-identical, and another
+    # seed samples again
+    clear_arrangement_caches()
+    seeds = []
+    sample = polar.sample_generic_subspace
+
+    def spy(arr, dim, seed):
+        seeds.append(seed)
+        return sample(arr, dim, seed)
+
+    monkeypatch.setattr(polar, "sample_generic_subspace", spy)
+    with open(path("golden_report_braid3.json")) as fh:
+        golden = fh.read()
+    for argv, sampled in [([], [polar.DEFAULT_SEED]),
+                          ([], [polar.DEFAULT_SEED]),
+                          (["--seed", "7"], [polar.DEFAULT_SEED, 7]),
+                          (["--seed", "7"], [polar.DEFAULT_SEED, 7])]:
+        assert main(["report", path("braid3.json"), *argv]) == 0
+        assert capsys.readouterr().out == golden
+        assert seeds == sampled
+    monkeypatch.undo()
+    clear_arrangement_caches()
+
+
+def test_every_command_report_is_written_as_json_dumps(tmp_path):
+    # payloads are JSON-ready as they are: the writer takes run_command's
+    # dict straight, a genericity level INFINITE included
+    whole = tmp_path / "whole.json"
+    whole.write_text(json.dumps({"basis": [[int(i == j) for j in range(4)]
+                                           for i in range(4)]}))
+    commands = [
+        ["lattice"], ["poincare"], ["poincare", "--projective"],
+        ["polar-degree"], ["exponents"], ["section", "--rank", "2"],
+        ["genericity", "--subspace", path("subspace_generic3.json")],
+        ["genericity", "--subspace", str(whole)],
+        ["pi-p", "--section-rank", "3", "--max-degree", "4"],
+        ["pi-p", "--exponents", "1,2,3", "--p", "2"],
+        ["gr-check", "--max-degree", "3", "--integers"], ["lcs"], ["report"],
+    ]
+    inputs = sorted(name for name in os.listdir(DATA)
+                    if not name.startswith(("golden_", "s")))
+    written, infinite = 0, 0
+    for name in inputs:
+        for command in commands:
+            try:
+                report = run_command([command[0], path(name), *command[1:]])
+            except errors.ArrtopError:
+                continue
+            assert _as_json_dumps_writes(report), (name, command)
+            written += 1
+            infinite += report["results"].get("genericity_level") == "INFINITE"
+    # the whole space is a subspace of the two inputs in C^4
+    assert (len(inputs), written, infinite) == (8, 79, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -348,10 +348,10 @@ def _growth_snapshot(arr, degree, spelled):
 
 
 def test_envelope_and_complex_grown_by_degree_equal_cold_builds():
-    """Each envelope and complex is built once at its own degree under the
-    public caches; whatever order the degrees are asked in, and however
-    the arguments are spelled, each answer equals a build from cold
-    caches."""
+    """Each envelope and complex is cached at its own degree, sharing the
+    degrees already built on its view; whatever order the degrees are
+    asked in, and however the arguments are spelled, each answer equals a
+    build from cold caches."""
     names = ["boolean3", "braid3", "generic4", "hattori4", "nearpencil3",
              "pencil3"]
     corpus = [(parse_arrangement(os.path.join(DATA, n + ".json")), 5)
@@ -364,7 +364,7 @@ def test_envelope_and_complex_grown_by_degree_equal_cold_builds():
         for degree in range(2, top + 1):
             clear_envelope_caches()
             cold[degree] = _growth_snapshot(arr, degree, spelled=False)
-        for sequence in [(3, 5), (5, 3), (4, 2, 5)]:
+        for sequence in [(3, 5), (5, 3), (3, 4, 5), (4, 2, 5)]:
             for spelled in (False, True):
                 clear_envelope_caches()
                 for i, degree in enumerate(sequence):
@@ -395,16 +395,17 @@ def test_capped_views_refuse_what_lies_above_their_degree():
 
 
 def _complexes_in_order(arr, first, second, eliminated):
-    """graded_complex at two degrees in that order from cold caches; each
-    call builds its envelope afresh, eliminating degrees 1 and 2 and
-    rewriting the rest, and each complex holds the tables of the envelope
-    of its own degree."""
+    """graded_complex at two degrees in that order from cold caches: the
+    first call eliminates degrees 1 and 2 and rewrites the rest, the second
+    eliminates nothing, as it shares the degrees the first built, and each
+    complex holds the tables of the envelope of its own degree."""
     clear_envelope_caches()
     complexes = []
-    for degree in (first, second):
+    for i, degree in enumerate((first, second)):
         eliminated.clear()
         complex_ = graded_complex(arr, degree)
-        assert eliminated == [1, 2]  # degree 1 has no relation rows
+        # degree 1 has no relation rows
+        assert eliminated == ([] if i else [1, 2])
         # graded_complex's own spelling, so this is its cached envelope
         env = holonomy_envelope(arr, degree, projective=True, work_bound=None)
         assert env.rewritten
@@ -415,10 +416,11 @@ def _complexes_in_order(arr, first, second, eliminated):
     return sorted(complexes, key=lambda c: c.max_internal_degree)
 
 
-def test_complexes_of_two_degrees_each_hold_their_own_envelope(monkeypatch):
-    # each cached complex is built from the envelope of its own degree: it
-    # holds that envelope's tables at q = 1, and in either order the
-    # second degree builds its envelope afresh
+def test_complexes_of_two_degrees_share_their_lower_degrees(monkeypatch):
+    # each cached complex holds the tables of the envelope of its own
+    # degree, and in either order the second degree shares the blocks of
+    # the first up to the lower degree, by reference: the envelope
+    # eliminates no degree again
     eliminated = []
     eliminate = oscohomology.UEnvelope._eliminate
 
@@ -434,8 +436,9 @@ def test_complexes_of_two_degrees_each_hold_their_own_envelope(monkeypatch):
             assert set(small.blocks) == {key for key in large.blocks
                                          if key[1] <= 3}
             for key, rows in small.blocks.items():
-                assert rows == large.blocks[key]
+                assert rows is large.blocks[key]
                 assert small.block_rank(*key) == large.block_rank(*key)
+            assert small._rank_cache is not large._rank_cache
             assert any(q == 3 for q, _ in small.blocks) == (arr != braid3())
     monkeypatch.undo()
     clear_envelope_caches()
@@ -461,6 +464,129 @@ def test_cached_envelope_and_complex_are_unchanged_by_a_higher_degree():
     assert snapshot() == before
     assert holonomy_envelope(arr, 3, projective=True, work_bound=None) is env
     assert graded_complex(arr, 3) is complex_
+    clear_envelope_caches()
+
+
+def test_a_higher_degree_is_unchanged_by_a_lower_one_built_after_it():
+    # a lower envelope and complex made from a higher one's degrees hold
+    # containers and a rank memo of their own
+    arr = boolean_arrangement(4)
+    clear_envelope_caches()
+    env = holonomy_envelope(arr, 5)
+    complex_ = graded_complex(arr, 5)
+
+    def snapshot():
+        state = {k: v for k, v in vars(env).items() if k != "_view"}
+        return copy.deepcopy((state, vars(complex_)))
+
+    before = snapshot()
+    small_env = holonomy_envelope(arr, 3)
+    small = graded_complex(arr, 3)
+    verify_resolution(small)
+    assert small_env.dims == env.dims[:4] and small_env.max_degree == 3
+    assert small_env._left[3] is env._left[3]
+    assert snapshot() == before
+    clear_envelope_caches()
+
+
+def _spy_builds(monkeypatch):
+    """Record the envelope degrees built, the complex blocks built and the
+    blocks composed by square-zero (by id of their rows)."""
+    built, made, composed = [], [], []
+    build = oscohomology.UEnvelope._build
+    delta_rows = homotopy._delta_rows
+    compose = homotopy.sparse_compose
+
+    def spy_build(self, k):
+        built.append(k)
+        return build(self, k)
+
+    def spy_delta_rows(view, env, q, t):
+        made.append((q, t))
+        return delta_rows(view, env, q, t)
+
+    def spy_compose(rows, nxt):
+        composed.append(id(rows))
+        return compose(rows, nxt)
+
+    monkeypatch.setattr(oscohomology.UEnvelope, "_build", spy_build)
+    monkeypatch.setattr(homotopy, "_delta_rows", spy_delta_rows)
+    monkeypatch.setattr(homotopy, "sparse_compose", spy_compose)
+    return built, made, composed
+
+
+def test_a_later_degree_builds_and_checks_only_what_it_misses(monkeypatch):
+    # each request builds only the envelope degrees and the complex blocks
+    # above those already built on the view, and square-zero composes each
+    # block of a new internal degree exactly once; a lower request builds
+    # and composes nothing
+    built, made, composed = _spy_builds(monkeypatch)
+    for arr in (braid3(), boolean_arrangement(4)):
+        clear_envelope_caches()
+        for degree, low in ((3, 0), (5, 3), (4, 5), (6, 5)):
+            del built[:], made[:], composed[:]
+            complex_ = graded_complex(arr, degree)
+            new = [t for t in range(low + 1, degree + 1)]
+            assert built == new, (arr, degree)
+            assert made == [(q, t) for q in range(2, complex_.top + 1)
+                            for t in range(q, degree + 1) if t in new]
+            checked = [key for key in complex_.blocks
+                       if key[1] in new and (key[0] - 1, key[1]) in complex_.blocks]
+            assert sorted(composed) == sorted(id(complex_.blocks[key])
+                                              for key in checked)
+            assert checked or not new
+    monkeypatch.undo()
+    clear_envelope_caches()
+
+
+def test_a_shared_complex_refuses_a_new_degree_that_does_not_square_to_zero(
+        monkeypatch):
+    # the degrees shared from a checked complex are not composed again, but
+    # a new degree is: one sign flipped in its relation rows is refused
+    arr = boolean_arrangement(4)
+    clear_envelope_caches()
+    graded_complex(arr, 3)
+    delta_rows = homotopy._delta_rows
+
+    def flipped(view, env, q, t):
+        rows = delta_rows(view, env, q, t)
+        if (q, t) == (2, 5):
+            row = rows[0] = dict(rows[0])
+            row[min(row)] = -row[min(row)]
+        return rows
+
+    monkeypatch.setattr(homotopy, "_delta_rows", flipped)
+    with pytest.raises(InternalInconsistency,
+                       match=r"square nonzero at \(q=2, t=5\), row 0"):
+        graded_complex(arr, 5)
+    monkeypatch.undo()
+    clear_envelope_caches()
+
+
+def test_degrees_are_shared_only_on_one_view_object(monkeypatch):
+    # a complex or envelope asked on another view object of the same
+    # arrangement builds every degree on it: nothing built on the cached
+    # view is lent to it, even where the envelope's degrees are shared
+    arr = braid3()
+    clear_envelope_caches()
+    env = holonomy_envelope(arr, 3)
+    complex_ = graded_complex(arr, 3)
+    built, made, _ = _spy_builds(monkeypatch)
+    fresh = CohomologyView(arr, True)
+    monkeypatch.setattr(homotopy, "cohomology_view",
+                        lambda arr, projective: fresh)
+    larger = graded_complex(arr, 5)
+    assert built == [4, 5]  # the envelope stays on the cached view
+    assert (2, 2) in made and (2, 3) in made
+    assert larger.blocks[(2, 3)] == complex_.blocks[(2, 3)]
+    assert larger.blocks[(2, 3)] is not complex_.blocks[(2, 3)]
+    del built[:]
+    monkeypatch.setattr(oscohomology, "cohomology_view",
+                        lambda arr, projective: fresh)
+    other = holonomy_envelope(arr, 6)
+    assert built == [1, 2, 3, 4, 5, 6]
+    assert other._left[3] == env._left[3] and other._left[3] is not env._left[3]
+    monkeypatch.undo()
     clear_envelope_caches()
 
 
